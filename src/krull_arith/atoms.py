@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import product
 
 from .errors import BoundExceededError
-from .sequences import Alphabet, Sequence
+from .sequences import Sequence
 
 
 def _dot(a, b):
@@ -108,9 +108,14 @@ class AtomSet:
         return max((a.length for a in self.atoms), default=0)
 
     def restrict(self, support_indices):
-        """Atoms supported inside the given index set (a divisor-closed piece)."""
+        """The atoms supported inside the given index set (a divisor-closed
+        piece), as an AtomSet over the same alphabet."""
         allowed = set(support_indices)
-        return tuple(a for a in self.atoms if set(a.support()) <= allowed)
+        return AtomSet(
+            self.alphabet,
+            (a for a in self.atoms if set(a.support()) <= allowed),
+            self.cap,
+        )
 
     def to_json(self):
         return {
@@ -120,12 +125,12 @@ class AtomSet:
         }
 
 
-def _zero_sum_columns(alphabet):
-    """Exact-equation columns for the alphabet, plus torsion slack columns."""
-    spec = alphabet.spec
+def _zero_sum_columns(spec, elements):
+    """Exact-equation columns, one per element (repeats allowed), plus one
+    torsion slack column per cyclic factor of the group."""
     r = spec.free_rank
     t = len(spec.torsion)
-    cols = [list(g.free) + list(g.torsion) for g in alphabet.elements]
+    cols = [list(g.free) + list(g.torsion) for g in elements]
     for j, n in enumerate(spec.torsion):
         slack = [0] * (r + t)
         slack[r + j] = -n
@@ -142,7 +147,7 @@ def enumerate_atoms(alphabet, cap=64):
     k = len(alphabet)
     if k == 0:
         return AtomSet(alphabet, (), cap)
-    cols = _zero_sum_columns(alphabet)
+    cols = _zero_sum_columns(alphabet.spec, alphabet.elements)
     caps = [cap] * k + [None] * (len(cols) - k)
     solutions = minimal_nonneg_solutions(cols, caps)
     projected = _minimalize([v[:k] for v in solutions])

@@ -11,15 +11,14 @@ would be too large.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd
+from math import comb
 
 from .errors import ArgumentError, DomainError
 from .factorizations import catenary_profile, lengths_of
 from .groups import subgroup_rank
-from .sequences import Sequence
 
 ENUM_PRODUCT_GUARD = 120_000
 DELTA_STAR_FULL_LIMIT = 12
@@ -60,22 +59,32 @@ def _nonzero_atoms(atomset):
     return [a for a in atomset.atoms if not (a.length == 1 and a.mults[zi] == 1)]
 
 
+def next_level(level, atoms):
+    """All products b * a of a block b in ``level`` with one of the atoms."""
+    return {b * a for b in level for a in atoms}
+
+
 def product_levels(alphabet, atoms, max_count):
     """levels[k] = set of all products of exactly k of the given atoms."""
     levels = [{alphabet.empty()}]
     for _ in range(max_count):
-        nxt = set()
-        for b in levels[-1]:
-            for a in atoms:
-                nxt.add(b * a)
-        levels.append(nxt)
+        levels.append(next_level(levels[-1], atoms))
     return levels
 
 
-def delta_of(lengths):
+def delta_of_set(lengths):
     """Successive gaps of a set of integers."""
     ls = sorted(lengths)
     return frozenset(b - a for a, b in zip(ls, ls[1:]))
+
+
+def _gaps(atomset, bound, memo):
+    """Every gap of L(B) over products B of 2..``bound`` nonzero atoms."""
+    gaps = set()
+    for level in product_levels(atomset.alphabet, _nonzero_atoms(atomset), bound)[2:]:
+        for b in level:
+            gaps.update(delta_of_set(lengths_of(atomset, b, memo)))
+    return gaps
 
 
 def delta_set(atomset, bound, expected=None, memo=None):
@@ -87,12 +96,7 @@ def delta_set(atomset, bound, expected=None, memo=None):
         raise ArgumentError("delta_set needs bound >= 2")
     if memo is None:
         memo = {}
-    atoms = _nonzero_atoms(atomset)
-    gaps = set()
-    for level in product_levels(atomset.alphabet, atoms, bound)[2:]:
-        for b in level:
-            gaps.update(delta_of(lengths_of(atomset, b, memo)))
-    value = frozenset(gaps)
+    value = frozenset(_gaps(atomset, bound, memo))
     exact = expected is not None and value == frozenset(expected)
     return BoundedResult(value, exact, bound, "product-sweep")
 
@@ -159,11 +163,9 @@ def delta_star(atomset, bound, expected=None, memo=None, atom_limit=None):
         if atom_limit is not None and len(atoms) > atom_limit:
             skipped += 1
             continue
-        sub_atoms = _RestrictedAtoms(atomset, atoms)
-        gaps = set()
-        for level in product_levels(atomset.alphabet, _nonzero_atoms(sub_atoms), bound)[2:]:
-            for b in level:
-                gaps.update(delta_of(lengths_of(sub_atoms, b, memo)))
+        # One memo serves every subset: a block supported in G1 has the same
+        # divisors in B(G1) as in B(G0).
+        gaps = _gaps(atoms, bound, memo)
         if gaps:
             mins.add(min(gaps))
     value = frozenset(mins)
@@ -171,30 +173,6 @@ def delta_star(atomset, bound, expected=None, memo=None, atom_limit=None):
     method = "symmetric-subset-sweep" if restricted else "subset-sweep"
     note = "%d subsets above the atom limit skipped" % skipped if skipped else ""
     return BoundedResult(value, exact, bound, method, note)
-
-
-class _RestrictedAtoms:
-    """Atom-set view for a support-restricted submonoid.
-
-    Length sets computed against this view share one memo with the ambient
-    monoid: a block supported in G1 has the same divisors either way.
-    """
-
-    __slots__ = ("alphabet", "atoms", "cap")
-
-    def __init__(self, parent, atoms):
-        self.alphabet = parent.alphabet
-        self.atoms = tuple(atoms)
-        self.cap = parent.cap
-
-    def __len__(self):
-        return len(self.atoms)
-
-    def __iter__(self):
-        return iter(self.atoms)
-
-    def __getitem__(self, i):
-        return self.atoms[i]
 
 
 @dataclass(frozen=True)
@@ -504,17 +482,12 @@ def min_abs_irred_witness(atomset, memo=None):
     def has_two(block):
         return 2 in lengths_of(atomset, block, memo)
 
-    def compositions(total, parts):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(1, total - parts + 2):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
     for s in range(1, min(d, len(irr)) + 1):
         for subset in combinations(irr, s):
-            for ks in compositions(d, s):
+            # Positive compositions of d into s parts, as s - 1 cut points.
+            for cuts in combinations(range(1, d), s - 1):
+                ends = (0,) + cuts + (d,)
+                ks = tuple(b - a for a, b in zip(ends, ends[1:]))
                 block = atomset.alphabet.empty()
                 for w, k in zip(subset, ks):
                     block = block * (w**k)

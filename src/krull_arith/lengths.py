@@ -18,16 +18,11 @@ from dataclasses import dataclass
 
 from .errors import ArgumentError
 from .factorizations import lengths_of
-from .invariants import _nonzero_atoms, product_levels
+from .invariants import _nonzero_atoms, delta_of_set, next_level, product_levels
 
 
 def sumset(l1, l2):
     return frozenset(a + b for a in l1 for b in l2)
-
-
-def delta_of_set(lengths):
-    ls = sorted(lengths)
-    return frozenset(b - a for a, b in zip(ls, ls[1:]))
 
 
 @dataclass(frozen=True)
@@ -162,21 +157,35 @@ def collect_length_sets(atomset, product_bound, memo=None):
     return out
 
 
-def realized_length_sets(atomset, bound, memo=None):
-    """All L(B) over products of at most ``bound`` zero-free atoms.  Because
-    min L(B) equals the least number of atoms multiplying to B, every block
-    whose length set has minimum <= bound appears in this sweep; adding
-    copies of the zero element shifts a length set by a constant, which the
-    caller accounts for."""
-    if memo is None:
-        memo = {}
-    out = set()
-    for level in product_levels(
-        atomset.alphabet, _nonzero_atoms(atomset), bound
-    ):
-        for b in level:
-            out.add(lengths_of(atomset, b, memo))
-    return out
+def _realizer(atomset, vbound, memo):
+    """The test "is this finite set the length set of some block of B(G0)?"
+    as a function returning True, False, or None when the set's minimum
+    exceeds ``vbound``.
+
+    A set with minimum m is a length set exactly when it is the length set
+    of a product of m zero-free atoms, or, when 0 is in G0, a shift by y of
+    the length set of a product of m - y zero-free atoms (the rest of the
+    block is a run of y zeros).  Levels of products are built only as far as
+    the largest minimum asked about; the function keeps the current level
+    and the length sets realized at each level reached.
+    """
+    atoms = _nonzero_atoms(atomset)
+    zero_free = atomset.alphabet.zero_index() is None
+    level = {atomset.alphabet.empty()}
+    realized_at = [{frozenset((0,))}]
+
+    def realized(t):
+        nonlocal level
+        lo = min(t)
+        if lo > vbound:
+            return None
+        while len(realized_at) <= lo:
+            level = next_level(level, atoms)
+            realized_at.append({lengths_of(atomset, b, memo) for b in level})
+        shifts = (0,) if zero_free else range(lo + 1)
+        return any(frozenset(x - y for x in t) in realized_at[lo - y] for y in shifts)
+
+    return realized
 
 
 def is_length_set_realized(atomset, lengths, vbound, memo=None):
@@ -186,26 +195,7 @@ def is_length_set_realized(atomset, lengths, vbound, memo=None):
     None when the minimum exceeds the verification bound."""
     if memo is None:
         memo = {}
-    t = frozenset(lengths)
-    lo = min(t)
-    if lo > vbound:
-        return None
-    atoms = _nonzero_atoms(atomset)
-    zero_free = atomset.alphabet.zero_index() is None
-    shifts = (0,) if zero_free else range(lo + 1)
-    targets = {y: frozenset(x - y for x in t) for y in shifts}
-    level = {atomset.alphabet.empty()}
-    if any(targets[y] == frozenset((0,)) and lo == y for y in shifts):
-        return True
-    for m in range(1, lo + 1):
-        level = {b * a for b in level for a in atoms}
-        wanted = [y for y in shifts if lo - y == m]
-        if not wanted:
-            continue
-        sets_here = {lengths_of(atomset, b, memo) for b in level}
-        if any(targets[y] in sets_here for y in wanted):
-            return True
-    return False
+    return _realizer(atomset, vbound, memo)(frozenset(lengths))
 
 
 @dataclass(frozen=True)
@@ -244,30 +234,7 @@ def additive_closure_probe(atomset, product_bound, memo=None):
         collect_length_sets(atomset, product_bound, memo), key=lambda s: (min(s), sorted(s))
     )
     vbound = 2 * product_bound
-    zero_free = atomset.alphabet.zero_index() is None
-    atoms = _nonzero_atoms(atomset)
-    levels = [{atomset.alphabet.empty()}]
-    realized_at = [{frozenset((0,))}]
-
-    def realized(m):
-        while len(levels) <= m:
-            nxt = set()
-            for b in levels[-1]:
-                for a in atoms:
-                    nxt.add(b * a)
-            levels.append(nxt)
-            realized_at.append({lengths_of(atomset, b, memo) for b in nxt})
-        return realized_at[m]
-
-    def is_realized(t):
-        lo = min(t)
-        if lo > vbound:
-            return None
-        shifts = (0,) if zero_free else range(lo + 1)
-        for y in shifts:
-            if frozenset(x - y for x in t) in realized(lo - y):
-                return True
-        return False
+    is_realized = _realizer(atomset, vbound, memo)
 
     pairs = []
     for i, l1 in enumerate(collected):

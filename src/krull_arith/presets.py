@@ -9,10 +9,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .atoms import enumerate_atoms
+from .atoms import _zero_sum_columns
 from .errors import ArgumentError, DomainError
 from .groups import GroupSpec
-from .sequences import Alphabet, Sequence
+from .sequences import Alphabet
 from .transfer import Characteristic
 
 
@@ -42,6 +42,17 @@ class Preset:
         return out
 
 
+def _thm74_basis(spec, r, alpha):
+    """e_0..e_{r-1} the standard basis of Z^r and
+    e_r = alpha*e_0 - e_1 - ... - e_{r-1}."""
+    es = [spec.basis_element(i) for i in range(r)]
+    last = alpha * es[0]
+    for e in es[1:]:
+        last = last - e
+    es.append(last)
+    return es
+
+
 def _thm74(r, alpha):
     """Symmetric set {+-e_0, ..., +-e_r} in Z^r where (e_1,...,e_r) is an
     independent family with e_1 + ... + e_r = alpha * e_0.  Coordinates:
@@ -50,11 +61,7 @@ def _thm74(r, alpha):
     if r < 1 or alpha < 1 or r + alpha <= 2:
         raise ArgumentError("need r, alpha >= 1 with r + alpha > 2")
     spec = GroupSpec(r)
-    es = [spec.basis_element(i) for i in range(r)]
-    last = alpha * es[0]
-    for e in es[1:]:
-        last = last - e
-    es.append(last)
+    es = _thm74_basis(spec, r, alpha)
     elements = es + [-e for e in es]
     d = r + alpha
     delta = frozenset((d - 2,)) if d > 2 else frozenset()
@@ -88,12 +95,7 @@ def thm74_atoms_symbolic(preset):
     r = preset.params["r"]
     alpha = preset.params["alpha"]
     alphabet = preset.alphabet
-    spec = alphabet.spec
-    es = [spec.basis_element(i) for i in range(r)]
-    last = alpha * es[0]
-    for e in es[1:]:
-        last = last - e
-    es.append(last)
+    es = _thm74_basis(alphabet.spec, r, alpha)
     v = alphabet.sequence([(-es[0], alpha)] + [(e, 1) for e in es[1:]])
     us = [alphabet.sequence([(e, 1), (-e, 1)]) for e in es]
     return es, v, us
@@ -329,7 +331,7 @@ _FAMILIES = {
     "split2": (lambda q: _split(2, q), ("q",)),
     "cyclic": (_cyclic, ("n",)),
     "frt_t": (_frt_t, ("spl",)),
-    "hypersurface": (_hypersurface, ("type", "n")),
+    "hypersurface": (_hypersurface, ("kind", "n")),
 }
 
 
@@ -345,8 +347,9 @@ def build_preset(family, *args, **kwargs):
 
 
 def parse_preset(token, **overrides):
-    """Parse 'family' or 'family:a,b' tokens (e.g. 'cyclic:5', 'thm74:2,1');
-    keyword overrides win over positional token arguments."""
+    """Parse 'family' or 'family:a,b' tokens (e.g. 'cyclic:5', 'thm74:2,1').
+    Token arguments bind to the family's parameters by position; keyword
+    overrides that are not None replace them."""
     name, _, argstr = token.partition(":")
     if name not in _FAMILIES:
         raise ArgumentError("unknown preset family %r" % name)
@@ -356,8 +359,15 @@ def parse_preset(token, **overrides):
         for raw in argstr.split(","):
             raw = raw.strip()
             args.append(int(raw) if raw.lstrip("-").isdigit() else raw)
-    kwargs = {k: v for k, v in overrides.items() if v is not None and k in param_names}
-    return fn(*args, **kwargs)
+    if len(args) > len(param_names):
+        raise ArgumentError(
+            "preset family %r takes at most %d arguments" % (name, len(param_names))
+        )
+    kwargs = dict(zip(param_names, args))
+    kwargs.update(
+        (k, v) for k, v in overrides.items() if v is not None and k in param_names
+    )
+    return fn(**kwargs)
 
 
 @dataclass
@@ -449,14 +459,7 @@ def _in_submonoid(target, generators):
     import numpy as np
     from scipy.optimize import Bounds, LinearConstraint, milp
 
-    spec = target.spec
-    r = spec.free_rank
-    t = len(spec.torsion)
-    cols = [list(g.free) + list(g.torsion) for g in generators]
-    for j, n in enumerate(spec.torsion):
-        slack = [0] * (r + t)
-        slack[r + j] = -n
-        cols.append(slack)
+    cols = _zero_sum_columns(target.spec, generators)
     a = np.array(cols, dtype=float).T
     rhs = np.array(list(target.free) + list(target.torsion), dtype=float)
     res = milp(

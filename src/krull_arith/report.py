@@ -25,8 +25,6 @@ def _flatten(data, prefix=""):
     if isinstance(data, dict):
         for key in sorted(data, key=str):
             rows.extend(_flatten(data[key], "%s%s." % (prefix, key)))
-    elif isinstance(data, (list, tuple)):
-        rows.append((prefix.rstrip("."), json.dumps(data, default=_default)))
     else:
         rows.append((prefix.rstrip("."), json.dumps(data, default=_default)))
     return rows

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from itertools import product
 from math import comb
 
-from .atoms import minimal_nonneg_solutions
+from .atoms import _zero_sum_columns, minimal_nonneg_solutions
 from .errors import DomainError, ShapeError
 from .factorizations import lengths_of
-from .groups import GroupElement, GroupSpec
+from .groups import GroupSpec
 from .sequences import Alphabet, Sequence
 
 
@@ -52,14 +52,9 @@ class TransferMap:
         return Sequence(self.target, mult)
 
     def preserves_zero_sums(self):
-        """theta must send zero-sum sequences to zero-sum sequences; it is
-        enough that each source element's defect is killed, i.e. that images
-        of the generators of the relation lattice stay zero-sum.  Checked
-        directly on all two-element relations and singleton orders via the
-        element images: theta(g) summed with theta(h) must vanish whenever
-        g + h does, and so on -- in practice it suffices that theta is the
-        restriction of a homomorphism-like class map, which we verify on a
-        sweep of short zero-sum sequences.
+        """Does theta send zero-sum sequences to zero-sum sequences?  A
+        bounded check: every zero-sum source sequence of length at most 4 is
+        mapped and tested, so True is not a proof for longer sequences.
         """
         for mults in _mult_vectors(len(self.source), 4):
             s = Sequence(self.source, mults)
@@ -91,22 +86,19 @@ def _zero_sum_sequences(alphabet, max_length):
             yield s
 
 
-def _fibers(tmap):
-    fibers = [[] for _ in range(len(tmap.target))]
+def _preimages(tmap, target_mults, within=None):
+    """All source sequences d with theta(d) = target_mults, limited to the
+    divisors of ``within`` (a source multiplicity vector) when it is given.
+
+    Each target multiplicity is split over the fiber of source elements
+    mapping onto it."""
+    fibers = [[] for _ in target_mults]
     for i, j in enumerate(tmap.images):
-        fibers[j].append(i)
-    return fibers
-
-
-def _lifts(tmap, target_seq):
-    """All source sequences mapping onto target_seq."""
-    fibers = _fibers(tmap)
-    slots = []
-    for j, m in enumerate(target_seq.mults):
-        if m and not fibers[j]:
-            return
-        if m:
-            slots.append((fibers[j], m))
+        if within is None or within[i]:
+            fibers[j].append(i)
+    slots = [(fibers[j], m) for j, m in enumerate(target_mults) if m]
+    if not all(idxs for idxs, _ in slots):
+        return
 
     def rec(k):
         if k == len(slots):
@@ -114,6 +106,8 @@ def _lifts(tmap, target_seq):
             return
         idxs, m = slots[k]
         for split in _compositions(m, len(idxs)):
+            if within is not None and any(c > within[i] for i, c in zip(idxs, split)):
+                continue
             for rest in rec(k + 1):
                 for i, c in zip(idxs, split):
                     rest[i] += c
@@ -168,7 +162,7 @@ def check_transfer(tmap, bound):
 
     t1 = True
     for b in _zero_sum_sequences(tmap.target, bound):
-        if not any(lift.is_zero_sum() for lift in _lifts(tmap, b)):
+        if not any(lift.is_zero_sum() for lift in _preimages(tmap, b.mults)):
             t1 = False
             failures.append(b)
 
@@ -176,49 +170,11 @@ def check_transfer(tmap, bound):
     for a in _zero_sum_sequences(tmap.source, bound):
         image = tmap.apply(a)
         for bt in _zero_sum_divisors(image):
-            found = False
-            for d in _divisors_mapping_to(tmap, a, bt):
-                if d.is_zero_sum():
-                    found = True
-                    break
-            if not found:
+            divisors = _preimages(tmap, bt.mults, within=a.mults)
+            if not any(d.is_zero_sum() for d in divisors):
                 t2 = False
                 failures.append((a, bt))
     return TransferReport(t1, t2, bound, tuple(failures[:10]))
-
-
-def _divisors_mapping_to(tmap, a, bt):
-    """Divisors d of a with theta(d) = bt."""
-    fibers = _fibers(tmap)
-    slots = []
-    ok = True
-    for j, m in enumerate(bt.mults):
-        idxs = [i for i in fibers[j] if a.mults[i]]
-        if m and not idxs:
-            ok = False
-            break
-        slots.append((idxs, m))
-    if not ok:
-        return
-
-    def rec(k):
-        if k == len(slots):
-            yield [0] * len(tmap.source)
-            return
-        idxs, m = slots[k]
-        if m == 0:
-            yield from rec(k + 1)
-            return
-        for split in _compositions(m, len(idxs)):
-            if any(c > a.mults[i] for i, c in zip(idxs, split)):
-                continue
-            for rest in rec(k + 1):
-                for i, c in zip(idxs, split):
-                    rest[i] += c
-                yield rest
-
-    for v in rec(0):
-        yield Sequence(tmap.source, v)
 
 
 def lengths_preserved(tmap, source_atoms, target_atoms, bound, memo_s=None, memo_t=None):
@@ -304,18 +260,9 @@ def count_lifted_atoms(char, atomset):
 def count_lifted_atoms_brute(char, cap=64):
     """Independent count: one column per labelled prime (m_g copies of each
     class), minimal zero-sum solutions counted directly."""
-    spec = char.spec
-    r = spec.free_rank
-    t = len(spec.torsion)
-    cols = []
-    for g, m in char.classes:
-        col = list(g.free) + list(g.torsion)
-        cols.extend([col] * m)
-    k = len(cols)
-    for j, n in enumerate(spec.torsion):
-        slack = [0] * (r + t)
-        slack[r + j] = -n
-        cols.append(slack)
+    primes = [g for g, m in char.classes for _ in range(m)]
+    cols = _zero_sum_columns(char.spec, primes)
+    k = len(primes)
     caps = [cap] * k + [None] * (len(cols) - k)
     if not cols:
         return 0

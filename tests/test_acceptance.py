@@ -14,6 +14,7 @@ from krull_arith import (
     c3_set,
     c4_set_ap2,
     c4_set_interval,
+    delta_of_set,
     distance,
     enumerate_atoms,
     factorize,
@@ -25,7 +26,6 @@ from krull_arith import (
 )
 from krull_arith.factorizations import catenary_profile
 from krull_arith.invariants import (
-    delta_of,
     delta_set,
     delta_star,
     elasticity,
@@ -484,7 +484,7 @@ def _per_block_checks(ats, sweep_bound, tag):
             if prof.num_factorizations > 1:
                 factorial = False
             max_c = max(max_c, prof.catenary)
-            gaps = delta_of(lengths_of(ats, block, memo))
+            gaps = delta_of_set(lengths_of(ats, block, memo))
             if gaps:
                 _add(
                     problems,

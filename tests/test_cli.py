@@ -1,12 +1,15 @@
 """End-to-end command line tests via the click test runner."""
 
+import hashlib
 import json
 import os
 
 import pytest
 from click.testing import CliRunner
 
-from krull_arith.cli import main
+from krull_arith.cli import JobConfig, main, run_invariants
+from krull_arith.presets import parse_preset
+from krull_arith.report import canonical_json
 
 
 @pytest.fixture()
@@ -66,6 +69,32 @@ def test_invariants_deterministic_and_cached(runner, tmp_path):
     assert {"davenport", "delta", "elasticity", "omega", "tame"} <= names
 
 
+# sha256 of canonical_json(run_invariants(...)) with the default JobConfig,
+# and the names of the report's expectation checks in order.
+GOLDEN_REPORTS = {
+    "thm74:2,1": (
+        "a1b4369543a1da705aa8654781401bc352eb9b47f244a6ff4ddaaeca4f139319",
+        ["num_atoms", "davenport", "delta", "elasticity", "catenary",
+         "monotone_catenary", "omega", "tame", "lambda_1", "rho_2", "lambda_2",
+         "rho_3", "lambda_3", "rho_4", "lambda_4", "rho_5", "lambda_5",
+         "min_abs_irred_witness"],
+    ),
+    "cube:2": (
+        "99837bd17c0f723e998f0f0b61392265a5218403d6a7ba8cb879b6af9c6baece",
+        ["davenport_lower_bound"],
+    ),
+}
+
+
+@pytest.mark.parametrize("token", sorted(GOLDEN_REPORTS))
+def test_run_invariants_golden(token):
+    digest, names = GOLDEN_REPORTS[token]
+    data = run_invariants(JobConfig(preset=parse_preset(token)))
+    assert [c["name"] for c in data["expectations"]] == names
+    assert data["expectations_ok"] is True
+    assert hashlib.sha256(canonical_json(data).encode()).hexdigest() == digest
+
+
 def test_invariants_env_cache(runner, tmp_path):
     env = {"KRULL_ARITH_CACHE": str(tmp_path / "envcache")}
     result = runner.invoke(
@@ -105,14 +134,16 @@ def test_transfer_check_collapse_meets_expectation(runner):
 
 def test_transfer_check_prop712_fails_expectation(runner):
     # On a window wide enough to contain the counterexample the divisor
-    # lifting property fails, so the recorded expectation is not met.
+    # lifting property fails.  A window check can only refute, so the result
+    # carries no expectation and the command exits 0.
     result = runner.invoke(
         main, ["--bound", "6", "transfer-check", "--map", "builtin:prop712"]
     )
-    assert result.exit_code == 2
+    assert result.exit_code == 0
     data = json.loads(result.output)
     assert data["result"]["surjective_on_window"] is True
     assert data["result"]["divisors_lift_on_window"] is False
+    assert "expectations_ok" not in data
 
 
 def test_atom_count_formula_and_brute(runner):
@@ -160,6 +191,16 @@ def test_preset_list_and_build(runner):
     data = json.loads(result.output)
     assert data["name"] == "thm74"
     assert len(data["alphabet"]["elements"]) == 6
+
+
+def test_preset_build_hypersurface_type(runner):
+    result = runner.invoke(
+        main, ["preset", "build", "--family", "hypersurface", "--type", "E6"]
+    )
+    assert result.exit_code == 0, result.output
+    data = json.loads(result.output)
+    assert data["params"] == {"type": "E6", "n": 0}
+    assert data["alphabet"]["group"]["torsion"] == [3]
 
 
 def test_preset_build_from_matrix(runner):

@@ -21,15 +21,10 @@ from krull_arith import (
     unions,
 )
 from krull_arith.errors import ArgumentError
-from krull_arith.invariants import BoundedResult, delta_of
+from krull_arith.invariants import BoundedResult
 from krull_arith.presets import build_preset
 
 from conftest import cyclic_alphabet, int_alphabet
-
-
-def test_delta_of():
-    assert delta_of([2, 3, 5]) == frozenset((1, 2))
-    assert delta_of([4]) == frozenset()
 
 
 def test_delta_set_cyclic(cyclic4_atoms, cyclic5_atoms):

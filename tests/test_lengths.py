@@ -20,6 +20,7 @@ from krull_arith import (
     sumset,
 )
 from krull_arith.errors import ArgumentError
+from krull_arith.presets import parse_preset
 
 
 def test_sumset_and_delta():
@@ -100,6 +101,16 @@ def test_is_length_set_realized(cyclic5_atoms):
     # {4,7,10} is realized, e.g. by g^10 * (-g)^10.
     assert is_length_set_realized(cyclic5_atoms, {4, 7, 10}, 16) is True
     assert is_length_set_realized(cyclic5_atoms, {20, 25}, 8) is None
+
+
+@pytest.mark.parametrize("token", ["cyclic:3", "cyclic:4", "five_point"])
+def test_collected_length_sets_are_realized(token):
+    # Every length set collected from products of at most 3 atoms has minimum
+    # at most 3, so the realizer must confirm it at verification bound 3.
+    ats = enumerate_atoms(parse_preset(token).alphabet)
+    memo = {}
+    for lset in collect_length_sets(ats, 3, memo):
+        assert is_length_set_realized(ats, lset, 3, memo) is True
 
 
 def test_closure_probe_closed_small_cyclic(cyclic3_atoms, cyclic4_atoms):

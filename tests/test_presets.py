@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from krull_arith import enumerate_atoms, factorize
+from krull_arith import delta_star, enumerate_atoms, factorize, unions
 from krull_arith.errors import ArgumentError, DomainError
 from krull_arith.presets import (
     DefiningMatrix,
@@ -56,6 +56,16 @@ def test_parse_preset():
     assert preset.params == {"r": 3, "alpha": 2}
     preset = parse_preset("hypersurface:E7")
     assert preset.params["type"] == "E7"
+    # Keyword overrides replace token arguments of the same parameter.
+    assert parse_preset("cyclic:3", n=4).params == {"n": 4}
+    assert parse_preset("thm74:2,1", alpha=3).params == {"r": 2, "alpha": 3}
+    assert parse_preset("hypersurface", kind="E6").params["type"] == "E6"
+    assert parse_preset("hypersurface:E7", kind="E6").params["type"] == "E6"
+    assert parse_preset("hypersurface:D", n=6).params == {"type": "D", "n": 6}
+    with pytest.raises(ArgumentError):
+        parse_preset("cyclic:3,4")
+    with pytest.raises(ArgumentError):
+        parse_preset("five_point:1")
     with pytest.raises(ArgumentError):
         parse_preset("no-such-family")
     with pytest.raises(ArgumentError):
@@ -198,3 +208,28 @@ def test_decompose():
     e1, e2 = spec.basis_element(0), spec.basis_element(1)
     parts = decompose(enumerate_atoms(Alphabet(spec, [e1, -e1, e2])))
     assert len(parts) == 2
+
+
+@pytest.mark.parametrize("token", ["cyclic:4", "cyclic:5", "cube:2"])
+def test_delta_star_and_union_expectations(token):
+    # Expectation keys the invariants report does not check: delta* from the
+    # same sweep the report runs (bound 4, atom limit 12), U_k for k <= 5.
+    preset = parse_preset(token)
+    expected = preset.expected
+    ats = enumerate_atoms(preset.alphabet)
+    memo = {}
+    dstar = delta_star(ats, 4, memo=memo, atom_limit=12).value
+    keys = {"delta_star_max", "delta_star_second_max", "delta_star_superset",
+            "unions_are_intervals"} & set(expected)
+    assert keys
+    if "delta_star_max" in expected:
+        assert max(dstar) == expected["delta_star_max"]
+    if "delta_star_second_max" in expected:
+        assert max(dstar - {max(dstar)}) == expected["delta_star_second_max"]
+    if "delta_star_superset" in expected:
+        assert dstar >= expected["delta_star_superset"]
+    if "unions_are_intervals" in expected:
+        for k in range(1, 6):
+            u = unions(ats, k, memo=memo)
+            is_interval = u.members == tuple(range(u.lam, u.rho + 1))
+            assert is_interval == expected["unions_are_intervals"]

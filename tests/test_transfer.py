@@ -2,11 +2,15 @@
 described by a class group with multiplicities.
 """
 
+from itertools import product
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from krull_arith import (
     Alphabet,
     GroupSpec,
+    Sequence,
     enumerate_atoms,
 )
 from krull_arith.errors import DomainError, ShapeError
@@ -18,6 +22,7 @@ from krull_arith.transfer import (
     check_transfer,
     count_lifted_atoms,
     count_lifted_atoms_brute,
+    _preimages,
     lengths_preserved,
 )
 
@@ -32,6 +37,41 @@ def _doubling_map():
     g = tgt_spec.element(torsion=(1,))
     target = Alphabet(tgt_spec, [g])
     return TransferMap(source, target, {e: g, -e: g})
+
+
+@st.composite
+def _map_and_target(draw):
+    """A random map of a small alphabet over Z onto a smaller one, a target
+    multiplicity vector, and an optional bounding source vector."""
+    width = draw(st.integers(1, 4))
+    height = draw(st.integers(1, 3))
+    images = draw(st.lists(st.integers(0, height - 1), min_size=width, max_size=width))
+    target_mults = draw(st.lists(st.integers(0, 3), min_size=height, max_size=height))
+    within = draw(
+        st.none() | st.lists(st.integers(0, 3), min_size=width, max_size=width)
+    )
+    spec = GroupSpec(1)
+    source = Alphabet(spec, [spec.element(free=(v,)) for v in range(1, width + 1)])
+    target = Alphabet(spec, [spec.element(free=(v,)) for v in range(1, height + 1)])
+    tmap = TransferMap(
+        source, target, {g: target.elements[j] for g, j in zip(source.elements, images)}
+    )
+    return tmap, tuple(target_mults), within
+
+
+@settings(max_examples=200, deadline=None)
+@given(_map_and_target())
+def test_preimages_match_brute_force(case):
+    tmap, target_mults, within = case
+    got = [d.mults for d in _preimages(tmap, target_mults, within)]
+    ranges = [range(target_mults[j] + 1) for j in tmap.images]
+    brute = [
+        v
+        for v in product(*ranges)
+        if tmap.apply(Sequence(tmap.source, v)).mults == target_mults
+        and (within is None or all(c <= w for c, w in zip(v, within)))
+    ]
+    assert sorted(got) == sorted(brute)
 
 
 def test_apply_and_shape_errors():
