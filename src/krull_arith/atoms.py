@@ -85,13 +85,15 @@ def _minimalize(vectors):
 
 
 class AtomSet:
-    """The atoms of B(G0), sorted canonically."""
+    """The atoms of B(G0), sorted canonically.  ``vectors`` holds their
+    multiplicity tuples, the form the factorization kernels work on."""
 
-    __slots__ = ("alphabet", "atoms", "cap")
+    __slots__ = ("alphabet", "atoms", "vectors", "cap")
 
     def __init__(self, alphabet, atoms, cap):
         self.alphabet = alphabet
         self.atoms = tuple(sorted(atoms, key=lambda a: a.mults))
+        self.vectors = tuple(a.mults for a in self.atoms)
         self.cap = cap
 
     def __len__(self):

@@ -8,7 +8,6 @@ iterate deterministically.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import ShapeError
@@ -209,26 +208,36 @@ class GroupElement:
         return self.render()
 
 
-def _rational_rank(rows):
-    """Rank of an integer matrix given as a list of row vectors."""
-    rows = [[Fraction(x) for x in row] for row in rows if any(row)]
-    rank = 0
+def _row_reduce(rows):
+    """Integer row echelon form (unimodular row operations only); zero rows
+    dropped.  The kernel of the matrix is unchanged."""
+    rows = [list(r) for r in rows]
+    m = len(rows)
     cols = len(rows[0]) if rows else 0
-    col = 0
-    while rows and col < cols:
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            col += 1
+    top = 0
+    for c in range(cols):
+        pivots = [i for i in range(top, m) if rows[i][c]]
+        if not pivots:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][col]:
-                f = rows[i][col] / prow[col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-        rank += 1
-        col += 1
-    return rank
+        while len(pivots) > 1 or abs(rows[pivots[0]][c]) != min(
+            abs(rows[i][c]) for i in pivots
+        ):
+            pivots.sort(key=lambda i: abs(rows[i][c]))
+            p = pivots[0]
+            for i in pivots[1:]:
+                f = rows[i][c] // rows[p][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[p])]
+            pivots = [i for i in pivots if rows[i][c]]
+        p = pivots[0]
+        rows[top], rows[p] = rows[p], rows[top]
+        if rows[top][c] < 0:
+            rows[top] = [-a for a in rows[top]]
+        for i in range(m):
+            if i != top and rows[i][c]:
+                f = rows[i][c] // rows[top][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[top])]
+        top += 1
+    return [r for r in rows if any(r)]
 
 
 def subgroup_rank(gens):
@@ -236,7 +245,8 @@ def subgroup_rank(gens):
 
     Each generator with a nonzero torsion part is scaled by the order of that
     torsion part (killing the torsion relations); the rank of the resulting
-    free parts is then the rank of an integer matrix.
+    free parts is then the rank of an integer matrix, the number of nonzero
+    rows of its echelon form.
     """
     gens = list(gens)
     if not gens:
@@ -251,7 +261,4 @@ def subgroup_rank(gens):
         for x, n in zip(g.torsion, spec.torsion):
             scale = lcm(scale, n // gcd(x, n))
         rows.append([scale * x for x in g.free])
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return 0
-    return _rational_rank(rows)
+    return len(_row_reduce(rows))

@@ -7,6 +7,11 @@ BoundedResult records which.  Sweeps walk deduplicated products of atoms
 level by level.  For unions of sets of lengths there is a second, exact
 engine based on integer programming that is used when the product sweep
 would be too large.
+
+Inside the sweeps and the cover search a block is its multiplicity tuple and
+an atom is its vector; the tuple kernels of ``factorizations`` are called on
+them directly, since every swept block is a product of atoms and so has zero
+sum.  ``Sequence`` is used only where a public function takes or returns one.
 """
 
 from __future__ import annotations
@@ -15,9 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from operator import add, sub
 
 from .errors import ArgumentError, DomainError
-from .factorizations import catenary_profile, lengths_of
+from .factorizations import _catenary_profile, _lengths, _product
 from .groups import subgroup_rank
 
 ENUM_PRODUCT_GUARD = 120_000
@@ -52,21 +58,20 @@ class BoundedResult:
 
 
 def _nonzero_atoms(atomset):
-    """Atoms other than the singleton over the zero element."""
-    zi = atomset.alphabet.zero_index()
-    if zi is None:
-        return list(atomset.atoms)
-    return [a for a in atomset.atoms if not (a.length == 1 and a.mults[zi] == 1)]
+    """Vectors of the atoms other than the atom 0, the only atom of length 1."""
+    return [a for a in atomset.vectors if sum(a) > 1]
 
 
 def next_level(level, atoms):
-    """All products b * a of a block b in ``level`` with one of the atoms."""
-    return {b * a for b in level for a in atoms}
+    """All products b * a of a block b in ``level`` with one of the atom
+    vectors, as multiplicity tuples."""
+    return {tuple(map(add, b, a)) for b in level for a in atoms}
 
 
 def product_levels(alphabet, atoms, max_count):
-    """levels[k] = set of all products of exactly k of the given atoms."""
-    levels = [{alphabet.empty()}]
+    """levels[k] = set of all products of exactly k of the given atom
+    vectors, as multiplicity tuples over the alphabet."""
+    levels = [{(0,) * len(alphabet)}]
     for _ in range(max_count):
         levels.append(next_level(levels[-1], atoms))
     return levels
@@ -83,7 +88,7 @@ def _gaps(atomset, bound, memo):
     gaps = set()
     for level in product_levels(atomset.alphabet, _nonzero_atoms(atomset), bound)[2:]:
         for b in level:
-            gaps.update(delta_of_set(lengths_of(atomset, b, memo)))
+            gaps.update(delta_of_set(_lengths(atomset.vectors, b, memo)))
     return gaps
 
 
@@ -152,14 +157,13 @@ def delta_star(atomset, bound, expected=None, memo=None, atom_limit=None):
     mins = set()
     seen_atom_sets = set()
     skipped = 0
-    for sub in subsets:
-        atoms = atomset.restrict(sub)
+    for subset in subsets:
+        atoms = atomset.restrict(subset)
         if not atoms:
             continue
-        key = frozenset(atoms)
-        if key in seen_atom_sets:
+        if atoms.vectors in seen_atom_sets:
             continue
-        seen_atom_sets.add(key)
+        seen_atom_sets.add(atoms.vectors)
         if atom_limit is not None and len(atoms) > atom_limit:
             skipped += 1
             continue
@@ -204,7 +208,7 @@ def _union_by_enumeration(atomset, k, memo):
     for j in range(k + 1):
         acc = set()
         for b in levels[j]:
-            acc.update(lengths_of(atomset, b, memo))
+            acc.update(_lengths(atomset.vectors, b, memo))
         core.append(acc)
     if zi is None:
         return core[k]
@@ -300,113 +304,59 @@ def elasticity(atomset, bound=8, memo=None):
     return BoundedResult(best, False, bound, "rho_k-sweep")
 
 
-def _minimal_covers(atomset, u):
-    """All minimal covering multisets of the atom u: multisets W of atoms
-    with u | prod(W) such that no proper sub-multiset still covers.
+def _minimal_covers(atoms, u, prune):
+    """Minimal covers of the atom vector u: multisets W of atom vectors with
+    u | prod(W) such that no proper sub-multiset still covers.  Yields
+    (|W|, prod(W)) pairs.
 
-    DFS adds atoms in nondecreasing index order and only when the new atom
-    meets a still-deficient coordinate of u; every minimal cover survives
-    this pruning because each of its members must meet a deficient
-    coordinate at the moment it is inserted, in any insertion order.
-    Yields (counts, product) pairs.
+    Depth first, adding atoms in nondecreasing index order and only when the
+    new atom meets a still-deficient coordinate of u; every minimal cover
+    survives this pruning because each of its members must meet a deficient
+    coordinate at the moment it is inserted, in any insertion order.  Atoms
+    are tried smallest-overlap first.  ``prune(size, deficit)``, checked as
+    each partial cover is entered, cuts the branch when it returns True;
+    ``deficit`` is how many units of u are still missing.
     """
-    atoms = atomset.atoms
-    n = len(atoms)
-    supp = u.support()
-    target = u.mults
+    supp = [j for j, m in enumerate(u) if m]
 
-    def deficient(prod):
-        return [i for i in supp if prod.mults[i] < target[i]]
+    def overlap(a):
+        return sum(min(a[j], u[j]) for j in supp)
 
-    def covers(counts):
-        prod = atomset.alphabet.empty()
-        for i, c in enumerate(counts):
-            if c:
-                prod = prod * (atoms[i] ** c)
-        return u.divides(prod)
-
-    counts = [0] * n
-    out = []
-
-    def rec(prod, start):
-        deficit = deficient(prod)
-        if not deficit:
-            for i in range(n):
-                if counts[i]:
-                    counts[i] -= 1
-                    ok = covers(counts)
-                    counts[i] += 1
-                    if ok:
-                        return
-            out.append((tuple(counts), prod))
-            return
-        for i in range(start, n):
-            a = atoms[i]
-            if any(a.mults[j] for j in deficit):
-                counts[i] += 1
-                rec(prod * a, i)
-                counts[i] -= 1
-
-    rec(atomset.alphabet.empty(), 0)
-    return out
+    cands = sorted((a for a in atoms if overlap(a)), key=lambda a: (overlap(a), a))
+    stack = [((0,) * len(u), 0, 0, ())]
+    while stack:
+        prod, size, start, used = stack.pop()
+        short = [j for j in supp if prod[j] < u[j]]
+        if prune(size, sum(u[j] - prod[j] for j in short)):
+            continue
+        if not short:
+            trimmed = (tuple(map(sub, prod, cands[i])) for i in set(used))
+            if not any(all(t[j] >= u[j] for j in supp) for t in trimmed):
+                yield size, prod
+            continue
+        for i in reversed(range(start, len(cands))):
+            a = cands[i]
+            if any(a[j] for j in short):
+                stack.append((tuple(map(add, prod, a)), size + 1, i, used + (i,)))
 
 
 def omega(atomset, u):
     """omega(H, u) for an atom u: the largest size of a minimal covering
     multiset of u.
 
-    Branch and bound instead of full cover enumeration: every member of a
-    minimal cover contributes at least one unit of u, so a partial cover of
-    size s with total deficit f can finish at size at most s + f; branches
-    that cannot beat the best minimal cover found so far are cut.  Atoms are
-    tried smallest-overlap first so the bound |u| is usually hit
-    immediately.
+    Branch and bound over the minimal covers: every member of a minimal cover
+    contributes at least one unit of u, so a partial cover of size s with
+    total deficit f can finish at size at most s + f; branches that cannot
+    beat the best minimal cover found so far are cut, and the search stops
+    once a cover of size |u| is found.
     """
-    alphabet = atomset.alphabet
-    supp = u.support()
-    target = u.mults
-
-    def overlap(a):
-        return sum(min(a.mults[i], target[i]) for i in supp)
-
-    atoms = sorted(
-        (a for a in atomset.atoms if overlap(a)),
-        key=lambda a: (overlap(a), a.mults),
-    )
-    n = len(atoms)
-    counts = [0] * n
     best = 0
-    limit = u.length
-
-    def is_minimal(prod):
-        for i in range(n):
-            if counts[i]:
-                trimmed = prod // atoms[i]
-                if u.divides(trimmed):
-                    return False
-        return True
-
-    def rec(prod, size, start):
-        nonlocal best
-        deficit = sum(
-            target[i] - prod.mults[i] for i in supp if prod.mults[i] < target[i]
-        )
-        if deficit == 0:
-            if size > best and is_minimal(prod):
-                best = size
-            return
-        if size + deficit <= best:
-            return
-        for i in range(start, n):
-            a = atoms[i]
-            if any(a.mults[j] and prod.mults[j] < target[j] for j in supp):
-                counts[i] += 1
-                rec(prod * a, size + 1, i)
-                counts[i] -= 1
-                if best >= limit:
-                    return
-
-    rec(alphabet.empty(), 0, 0)
+    for size, _ in _minimal_covers(
+        atomset.vectors, u.mults, lambda size, deficit: size + deficit <= best
+    ):
+        best = size
+        if best >= u.length:
+            break
     return best
 
 
@@ -416,16 +366,13 @@ def tame(atomset, u, memo=None):
     max(|W|, 1 + min L(prod(W) / u))."""
     if memo is None:
         memo = {}
-    covers = _minimal_covers(atomset, u)
-    sizes = [sum(c) for c, _ in covers]
-    if max(sizes) == 1:
+    covers = list(_minimal_covers(atomset.vectors, u.mults, lambda size, deficit: False))
+    if max(size for size, _ in covers) == 1:
         return 0
-    best = 0
-    for (counts, prod), size in zip(covers, sizes):
-        rest = prod // u
-        ls = lengths_of(atomset, rest, memo)
-        best = max(best, max(size, 1 + min(ls)))
-    return best
+    return max(
+        max(size, 1 + min(_lengths(atomset.vectors, tuple(map(sub, prod, u.mults)), memo)))
+        for size, prod in covers
+    )
 
 
 def monoid_omega(atomset, expected=None):
@@ -451,7 +398,7 @@ def monoid_catenary(atomset, bound, expected=None):
     c = c_eq = c_adj = c_mon = 0
     for level in product_levels(atomset.alphabet, atoms, bound)[2:]:
         for b in level:
-            p = catenary_profile(atomset, b)
+            p = _catenary_profile(atomset.vectors, b)
             c = max(c, p.catenary)
             c_eq = max(c_eq, p.equal)
             c_adj = max(c_adj, p.adjacent)
@@ -477,20 +424,16 @@ def min_abs_irred_witness(atomset, memo=None):
     if memo is None:
         memo = {}
     d = atomset.davenport()
+    width = len(atomset.alphabet)
     irr = [a for a in atomset.atoms if absolutely_irreducible(atomset, a)]
-
-    def has_two(block):
-        return 2 in lengths_of(atomset, block, memo)
-
     for s in range(1, min(d, len(irr)) + 1):
         for subset in combinations(irr, s):
+            vectors = [w.mults for w in subset]
             # Positive compositions of d into s parts, as s - 1 cut points.
             for cuts in combinations(range(1, d), s - 1):
                 ends = (0,) + cuts + (d,)
                 ks = tuple(b - a for a, b in zip(ends, ends[1:]))
-                block = atomset.alphabet.empty()
-                for w, k in zip(subset, ks):
-                    block = block * (w**k)
-                if has_two(block):
+                block = _product(width, vectors, ks)
+                if 2 in _lengths(atomset.vectors, block, memo):
                     return s, tuple(zip(subset, ks))
     return None, None

@@ -10,6 +10,10 @@ The two hand-computable systems are
 with y, k nonnegative; a third family covers the symmetric rank-r presets,
 whose length sets are m + {2k* + d*lam : lam in [0,k*]} with d the single
 distance value.
+
+Collection and realization sweep products of atoms as multiplicity tuples
+and call the tuple kernel ``factorizations._lengths`` on them directly;
+every swept block is a product of atoms, so it has zero sum.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ArgumentError
-from .factorizations import lengths_of
+from .factorizations import _lengths
 from .invariants import _nonzero_atoms, delta_of_set, next_level, product_levels
 
 
@@ -151,9 +155,9 @@ def collect_length_sets(atomset, product_bound, memo=None):
     if memo is None:
         memo = {}
     out = set()
-    for level in product_levels(atomset.alphabet, list(atomset.atoms), product_bound):
+    for level in product_levels(atomset.alphabet, atomset.vectors, product_bound):
         for b in level:
-            out.add(lengths_of(atomset, b, memo))
+            out.add(_lengths(atomset.vectors, b, memo))
     return out
 
 
@@ -171,7 +175,7 @@ def _realizer(atomset, vbound, memo):
     """
     atoms = _nonzero_atoms(atomset)
     zero_free = atomset.alphabet.zero_index() is None
-    level = {atomset.alphabet.empty()}
+    level = {(0,) * len(atomset.alphabet)}
     realized_at = [{frozenset((0,))}]
 
     def realized(t):
@@ -181,7 +185,7 @@ def _realizer(atomset, vbound, memo):
             return None
         while len(realized_at) <= lo:
             level = next_level(level, atoms)
-            realized_at.append({lengths_of(atomset, b, memo) for b in level})
+            realized_at.append({_lengths(atomset.vectors, b, memo) for b in level})
         shifts = (0,) if zero_free else range(lo + 1)
         return any(frozenset(x - y for x in t) in realized_at[lo - y] for y in shifts)
 

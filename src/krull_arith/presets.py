@@ -11,7 +11,7 @@ from itertools import product
 
 from .atoms import _zero_sum_columns
 from .errors import ArgumentError, DomainError
-from .groups import GroupSpec
+from .groups import GroupSpec, _row_reduce
 from .sequences import Alphabet
 from .transfer import Characteristic
 
@@ -349,7 +349,8 @@ def build_preset(family, *args, **kwargs):
 def parse_preset(token, **overrides):
     """Parse 'family' or 'family:a,b' tokens (e.g. 'cyclic:5', 'thm74:2,1').
     Token arguments bind to the family's parameters by position; keyword
-    overrides that are not None replace them."""
+    overrides that are not None replace them, and one that names no
+    parameter of the family is an error."""
     name, _, argstr = token.partition(":")
     if name not in _FAMILIES:
         raise ArgumentError("unknown preset family %r" % name)
@@ -364,9 +365,12 @@ def parse_preset(token, **overrides):
             "preset family %r takes at most %d arguments" % (name, len(param_names))
         )
     kwargs = dict(zip(param_names, args))
-    kwargs.update(
-        (k, v) for k, v in overrides.items() if v is not None and k in param_names
-    )
+    for k, v in overrides.items():
+        if v is None:
+            continue
+        if k not in param_names:
+            raise ArgumentError("preset family %r has no parameter %r" % (name, k))
+        kwargs[k] = v
     return fn(**kwargs)
 
 
@@ -390,38 +394,6 @@ class DefiningMatrix:
             "rows": self.rows,
             "columns": [{"vec": list(v), "mult": m} for v, m in self.columns],
         }
-
-
-def _row_reduce(rows):
-    """Integer row echelon form (unimodular row operations only); zero rows
-    dropped.  The kernel of the matrix is unchanged."""
-    rows = [list(r) for r in rows]
-    m = len(rows)
-    cols = len(rows[0]) if rows else 0
-    top = 0
-    for c in range(cols):
-        pivots = [i for i in range(top, m) if rows[i][c]]
-        if not pivots:
-            continue
-        while len(pivots) > 1 or abs(rows[pivots[0]][c]) != min(
-            abs(rows[i][c]) for i in pivots
-        ):
-            pivots.sort(key=lambda i: abs(rows[i][c]))
-            p = pivots[0]
-            for i in pivots[1:]:
-                f = rows[i][c] // rows[p][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[p])]
-            pivots = [i for i in pivots if rows[i][c]]
-        p = pivots[0]
-        rows[top], rows[p] = rows[p], rows[top]
-        if rows[top][c] < 0:
-            rows[top] = [-a for a in rows[top]]
-        for i in range(m):
-            if i != top and rows[i][c]:
-                f = rows[i][c] // rows[top][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[top])]
-        top += 1
-    return [r for r in rows if any(r)]
 
 
 def from_matrix(matrix, row_reduce=False):

@@ -136,14 +136,23 @@ def _zero_sum_divisors(seq):
 
 @dataclass(frozen=True)
 class TransferReport:
+    """Window verdicts.  T1 failures are target sequences with no zero-sum
+    lift; T2 failures are pairs (A, B') with B' a zero-sum divisor of
+    theta(A) onto which no zero-sum divisor of A maps."""
+
     surjective_on_window: bool
     divisors_lift_on_window: bool
     bound: int
-    failures: tuple
+    t1_failures: tuple
+    t2_failures: tuple
 
     @property
     def ok(self):
         return self.surjective_on_window and self.divisors_lift_on_window
+
+    @property
+    def failures(self):
+        return self.t1_failures + self.t2_failures
 
     def to_json(self):
         return {
@@ -157,24 +166,21 @@ class TransferReport:
 
 def check_transfer(tmap, bound):
     """Verify the two transfer properties on the window of sequences of
-    length at most ``bound``."""
-    failures = []
-
-    t1 = True
-    for b in _zero_sum_sequences(tmap.target, bound):
-        if not any(lift.is_zero_sum() for lift in _preimages(tmap, b.mults)):
-            t1 = False
-            failures.append(b)
-
-    t2 = True
-    for a in _zero_sum_sequences(tmap.source, bound):
-        image = tmap.apply(a)
-        for bt in _zero_sum_divisors(image):
-            divisors = _preimages(tmap, bt.mults, within=a.mults)
-            if not any(d.is_zero_sum() for d in divisors):
-                t2 = False
-                failures.append((a, bt))
-    return TransferReport(t1, t2, bound, tuple(failures[:10]))
+    length at most ``bound``, keeping the first 10 failures of each."""
+    t1_failures = [
+        b
+        for b in _zero_sum_sequences(tmap.target, bound)
+        if not any(lift.is_zero_sum() for lift in _preimages(tmap, b.mults))
+    ]
+    t2_failures = [
+        (a, bt)
+        for a in _zero_sum_sequences(tmap.source, bound)
+        for bt in _zero_sum_divisors(tmap.apply(a))
+        if not any(d.is_zero_sum() for d in _preimages(tmap, bt.mults, within=a.mults))
+    ]
+    return TransferReport(
+        not t1_failures, not t2_failures, bound, tuple(t1_failures[:10]), tuple(t2_failures[:10])
+    )
 
 
 def lengths_preserved(tmap, source_atoms, target_atoms, bound, memo_s=None, memo_t=None):

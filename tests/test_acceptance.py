@@ -252,8 +252,7 @@ def test_criterion_4_transfer_maps():
         report = check_transfer(tmap, 8)
         _add(problems, report.surjective_on_window, name + " T1")
         _add(problems, not report.divisors_lift_on_window, name + " T2 must fail")
-        t2_fails = [tuple(map(str, f)) for f in report.failures if isinstance(f, tuple)]
-        first = t2_fails[0] if t2_fails else None
+        first = tuple(map(str, report.t2_failures[0])) if report.t2_failures else None
         if not _add(problems, first == t2_pin, name + " T2 counterexample"):
             details.append("%s T2 first failure %s, expected %s" % (name, first, t2_pin))
         ok_l, fails = lengths_preserved(
@@ -478,8 +477,9 @@ def _per_block_checks(ats, sweep_bound, tag):
     factorial = True
     max_c = 0
     memo = {}
-    for level in product_levels(ats.alphabet, list(ats.atoms), sweep_bound):
-        for block in level:
+    for level in product_levels(ats.alphabet, ats.vectors, sweep_bound):
+        for mults in level:
+            block = ats.alphabet.from_mults(mults)
             prof = catenary_profile(ats, block)
             if prof.num_factorizations > 1:
                 factorial = False

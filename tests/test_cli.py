@@ -274,3 +274,12 @@ def test_output_formats(runner, tmp_path):
 def test_unknown_preset_is_an_error(runner):
     result = runner.invoke(main, ["invariants", "--preset", "nope"])
     assert result.exit_code != 0
+    # cyclic has no parameter r, so --r is rejected rather than dropped.
+    result = runner.invoke(main, ["preset", "build", "--family", "cyclic:3", "--r", "9"])
+    assert result.exit_code != 0
+
+
+def test_threads_flag_is_gone(runner):
+    result = runner.invoke(main, ["--threads", "4", "preset", "list"])
+    assert result.exit_code == 2
+    assert "No such option" in result.output

@@ -3,8 +3,10 @@ catenary, absolute irreducibility.  The two union engines are cross-checked.
 """
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
 
 from krull_arith import (
     absolutely_irreducible,
@@ -24,7 +26,7 @@ from krull_arith.errors import ArgumentError
 from krull_arith.invariants import BoundedResult
 from krull_arith.presets import build_preset
 
-from conftest import cyclic_alphabet, int_alphabet
+from conftest import cyclic_alphabet, int_alphabet, small_alphabets
 
 
 def test_delta_set_cyclic(cyclic4_atoms, cyclic5_atoms):
@@ -105,6 +107,30 @@ def test_omega_of_single_atoms(cyclic3_atoms):
     full = a.sequence([(g, 3)])
     assert omega(cyclic3_atoms, full) == 3
     assert tame(cyclic3_atoms, zero_atom) == 0
+
+
+def _brute_omega(atomset, u):
+    """Largest minimal cover of u among all multisets of at most |u| atoms,
+    by Sequence arithmetic.  Only atoms sharing an element with u can lie in
+    a minimal cover; a cover is minimal when dropping any one member leaves
+    a product that u no longer divides."""
+    meets = [w for w in atomset.atoms if set(w.support()) & set(u.support())]
+    for size in range(u.length, 0, -1):
+        for cover in combinations_with_replacement(meets, size):
+            prod = atomset.alphabet.empty()
+            for w in cover:
+                prod = prod * w
+            if u.divides(prod) and not any(u.divides(prod // w) for w in set(cover)):
+                return size
+    return 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_alphabets())
+def test_omega_matches_brute_force(alphabet):
+    atomset = enumerate_atoms(alphabet)
+    for u in atomset.atoms:
+        assert omega(atomset, u) == _brute_omega(atomset, u)
 
 
 def test_monoid_catenary(cyclic4_atoms):

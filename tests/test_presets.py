@@ -64,6 +64,9 @@ def test_parse_preset():
     assert parse_preset("hypersurface:D", n=6).params == {"type": "D", "n": 6}
     with pytest.raises(ArgumentError):
         parse_preset("cyclic:3,4")
+    # An override naming no parameter of the family is an error, not ignored.
+    with pytest.raises(ArgumentError):
+        parse_preset("cyclic:3", r=9)
     with pytest.raises(ArgumentError):
         parse_preset("five_point:1")
     with pytest.raises(ArgumentError):

@@ -165,6 +165,20 @@ def test_collapse_map_fails_surjectivity():
     assert not report.ok
 
 
+def test_t1_failures_do_not_crowd_out_t2_failures():
+    """At window 19 the collapse map has 10 T1 failures (the odd powers of
+    zero) and many T2 failures; each property keeps its first 10, and the
+    JSON lists T1 then T2."""
+    report = check_transfer(builtin_map("collapse"), 19)
+    assert not report.surjective_on_window and not report.divisors_lift_on_window
+    assert [b.length for b in report.t1_failures] == list(range(1, 20, 2))
+    assert len(report.t2_failures) == 10
+    a, bt = report.t2_failures[0]
+    assert str(a) == "-1 * 1" and str(bt) == "()"
+    failures = report.to_json()["failures"]
+    assert failures == [str(f) for f in report.t1_failures + report.t2_failures]
+
+
 def test_builtin_map_unknown():
     with pytest.raises(DomainError):
         builtin_map("no-such-map")
