@@ -3,39 +3,47 @@
 The kernel is a completion procedure for the minimal nonnegative solutions of
 a homogeneous linear Diophantine system: atoms of B(G0) are exactly the
 minimal nonzero v in N^G0 with sum v_g * g = 0.  Torsion congruences are
-turned into exact equations with one slack column per cyclic factor; because
-torsion residues are stored in [0, n), slack values grow monotonically with
-the sequence vector, so minimal solutions of the extended system project
-bijectively onto atoms.
+turned into exact equations with one slack column per cyclic factor.
+
+The completion keeps one invariant: no frontier vector is dominated by a
+solution found so far.  Zero-sum vectors of a level join the basis before
+any vector of that level is extended, so a solution b that divides a new
+candidate x + e_j agrees with it at j (otherwise b would divide x).  The
+basis is therefore indexed by (coordinate, entry), and a candidate is tested
+only against the solutions in one bucket.
+
+Because torsion residues are stored in [0, n), the slack a zero-sum vector
+needs is a monotone function of the vector: x <= x' gives slack(x) <=
+slack(x').  So the minimal solutions of the extended system project one to
+one onto the minimal zero-sum vectors, and the projection needs no second
+minimalization.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from operator import mul
 
 from .errors import BoundExceededError
 from .sequences import Sequence
-
-
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
-
-
-def _dominates(small, big):
-    return all(a <= b for a, b in zip(small, big)) and small != big
 
 
 def minimal_nonneg_solutions(columns, caps=None):
     """All minimal nonzero x in N^q with sum x_j * columns[j] = 0.
 
     ``columns`` is a list of equal-length integer vectors.  ``caps`` bounds
-    each coordinate (an int applies to all); a candidate that must exceed its
-    cap raises BoundExceededError rather than returning a truncated answer.
+    each coordinate (an int applies to all); a candidate that no solution
+    found so far divides and that must exceed its cap raises
+    BoundExceededError rather than returning a truncated answer.
 
     Completion procedure: grow candidate vectors from the unit vectors,
     extending x by e_j only when <Ax, A e_j> < 0 (which strictly decreases
     |Ax|^2 along some path), and harvesting solutions as they appear.  Every
     minimal solution is reached this way.
+
+    Each level takes two passes: its zero-sum vectors join the basis, then
+    the others are extended.  The module docstring says why a candidate
+    y = x + e_j is tested only against basis vectors b with b[j] == y[j].
     """
     q = len(columns)
     if q == 0:
@@ -46,30 +54,40 @@ def minimal_nonneg_solutions(columns, caps=None):
     elif isinstance(caps, int):
         caps = [caps] * q
     basis = []
+    # (j, m) -> supports [(i, b[i]), ...] of the basis vectors b with b[j] == m
+    by_entry = {}
     frontier = {}
     for j in range(q):
+        if caps[j] is not None and caps[j] < 1:
+            raise BoundExceededError("multiplicity cap %d exceeded at coordinate %d" % (caps[j], j))
         x = tuple(1 if i == j else 0 for i in range(q))
         frontier[x] = columns[j]
     while frontier:
-        nxt = {}
+        growing = []
         for x, s in frontier.items():
-            if not any(s):
-                if not any(_dominates(b, x) for b in basis):
-                    basis.append(x)
+            if any(s):
+                growing.append((x, s))
                 continue
-            for j in range(q):
-                if _dot(s, columns[j]) >= 0:
+            basis.append(x)
+            support = [(i, m) for i, m in enumerate(x) if m]
+            for i, m in support:
+                by_entry.setdefault((i, m), []).append(support)
+        nxt = {}
+        for x, s in growing:
+            for j, column in enumerate(columns):
+                if sum(map(mul, s, column)) >= 0:
                     continue
-                if caps[j] is not None and x[j] + 1 > caps[j]:
-                    raise BoundExceededError(
-                        "multiplicity cap %d exceeded at coordinate %d" % (caps[j], j)
-                    )
                 y = x[:j] + (x[j] + 1,) + x[j + 1 :]
                 if y in nxt:
                     continue
-                if any(_dominates(b, y) or b == y for b in basis):
+                bucket = by_entry.get((j, y[j]))
+                if bucket and any(all(y[i] >= m for i, m in b) for b in bucket):
                     continue
-                nxt[y] = tuple(a + b for a, b in zip(s, columns[j]))
+                if caps[j] is not None and y[j] > caps[j]:
+                    raise BoundExceededError(
+                        "multiplicity cap %d exceeded at coordinate %d" % (caps[j], j)
+                    )
+                nxt[y] = tuple(a + b for a, b in zip(s, column))
         frontier = nxt
     return sorted(basis)
 
@@ -79,7 +97,7 @@ def _minimalize(vectors):
     vectors = sorted(set(vectors), key=lambda v: (sum(v), v))
     kept = []
     for v in vectors:
-        if not any(_dominates(u, v) for u in kept):
+        if not any(all(a <= b for a, b in zip(u, v)) for u in kept):
             kept.append(v)
     return kept
 
@@ -143,17 +161,17 @@ def _zero_sum_columns(spec, elements):
 def enumerate_atoms(alphabet, cap=64):
     """Atoms of B(G0) for a finite G0, as an AtomSet.
 
-    ``cap`` bounds the multiplicity of each alphabet element inside a single
-    atom; hitting it raises BoundExceededError (no silent truncation).
+    ``cap`` bounds the multiplicity of each alphabet element in the
+    completion's candidates, and so in every atom; a candidate that must pass
+    it raises BoundExceededError (no silent truncation).  A cap equal to the
+    largest multiplicity in any atom can still raise.
     """
     k = len(alphabet)
     if k == 0:
         return AtomSet(alphabet, (), cap)
     cols = _zero_sum_columns(alphabet.spec, alphabet.elements)
     caps = [cap] * k + [None] * (len(cols) - k)
-    solutions = minimal_nonneg_solutions(cols, caps)
-    projected = _minimalize([v[:k] for v in solutions])
-    atoms = [Sequence(alphabet, v) for v in projected]
+    atoms = [Sequence(alphabet, v[:k]) for v in minimal_nonneg_solutions(cols, caps)]
     return AtomSet(alphabet, atoms, cap)
 
 

@@ -2,7 +2,8 @@
 alphabets, with deterministic reports and a content-addressed result cache.
 
 Exit codes: 0 success, 1 error, 2 = computation succeeded but at least one
-known closed-form expectation failed.
+known closed-form expectation failed (or, from click, a usage error).  A
+package error is reported as one ``Error: ...`` line, without a traceback.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 import click
 
-from . import report as reporting
+from . import __version__, report as reporting
 from .atoms import enumerate_atoms
 from .errors import KrullArithError
 from .factorizations import catenary_profile, factorize
@@ -207,7 +208,18 @@ def _exit_on_expectations(data):
         sys.exit(2)
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group; turns a package error raised by any subcommand
+    into a click error: one ``Error: ...`` line and exit code 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except KrullArithError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Main)
 @click.option("--cache-dir", default=None, help="Cache directory (overrides KRULL_ARITH_CACHE).")
 @click.option("--format", "fmt", default="json", type=click.Choice(["json", "csv", "markdown"]), show_default=True)
 @click.option("--bound", default=4, show_default=True, help="Default product/size bound.")
@@ -313,6 +325,8 @@ def invariants(ctx, preset, group, elements, bound, max_k, cap, report_path, tim
     key = reporting.cache_key(
         {
             "command": "invariants",
+            "version": __version__,
+            "schema": reporting.REPORT_SCHEMA,
             "alphabet": p.alphabet.to_json(),
             "preset": p.to_json(),
             "bound": config.bound,

@@ -7,6 +7,11 @@ import hashlib
 import json
 import os
 
+# The layout of the invariants report.  It is part of the cache key, with the
+# package version, so a report cached by code with another layout is not
+# served; raise it whenever the report's fields or their meaning change.
+REPORT_SCHEMA = 1
+
 
 def canonical_json(data):
     return json.dumps(data, sort_keys=True, indent=2, default=_default) + "\n"

@@ -11,17 +11,23 @@ against two finite-window criteria:
 
 Together these are the defining properties of a transfer homomorphism,
 verified on a bounded window.
+
+The window checks work on multiplicity tuples: ``_ZeroSums`` holds one
+coordinate column per group coordinate and enumerates zero-sum tuples with
+running sums, and ``_preimages`` splits a target tuple over the fibers of
+theta.  ``Sequence`` is built only for the failures a report lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from math import comb
+from operator import add, mul
 
 from .atoms import _zero_sum_columns, minimal_nonneg_solutions
 from .errors import DomainError, ShapeError
-from .factorizations import lengths_of
+from .factorizations import _lengths
 from .groups import GroupSpec
 from .sequences import Alphabet, Sequence
 
@@ -43,52 +49,74 @@ class TransferMap:
             table.append(target.index(h))
         self.images = tuple(table)
 
+    def _image(self, mults):
+        """theta on a source multiplicity tuple."""
+        image = [0] * len(self.target)
+        for j, m in zip(self.images, mults):
+            image[j] += m
+        return tuple(image)
+
     def apply(self, seq):
         if seq.alphabet != self.source:
             raise ShapeError("sequence not over the source alphabet")
-        mult = [0] * len(self.target)
-        for i, m in enumerate(seq.mults):
-            mult[self.images[i]] += m
-        return Sequence(self.target, mult)
+        return Sequence(self.target, self._image(seq.mults))
 
     def preserves_zero_sums(self):
         """Does theta send zero-sum sequences to zero-sum sequences?  A
         bounded check: every zero-sum source sequence of length at most 4 is
         mapped and tested, so True is not a proof for longer sequences.
         """
-        for mults in _mult_vectors(len(self.source), 4):
-            s = Sequence(self.source, mults)
-            if s.is_zero_sum() and not self.apply(s).is_zero_sum():
-                return False
-        return True
+        target = _ZeroSums(self.target)
+        return all(target(self._image(v)) for v in _ZeroSums(self.source).window(4))
 
 
-def _mult_vectors(width, total_max):
-    """All multiplicity vectors of the given width with sum in [1, total_max]."""
+class _ZeroSums:
+    """Zero-sum tests on multiplicity tuples over one alphabet: one column of
+    the elements' entries per group coordinate, and the coordinate's
+    modulus (0 for a free coordinate)."""
 
-    def rec(i, remaining):
-        if i == width:
-            yield ()
-            return
-        for m in range(remaining + 1):
-            for rest in rec(i + 1, remaining - m):
-                yield (m,) + rest
+    __slots__ = ("rows", "columns", "mods")
 
-    for v in rec(0, total_max):
-        if any(v):
-            yield v
+    def __init__(self, alphabet):
+        spec = alphabet.spec
+        self.rows = [g.coords for g in alphabet.elements]
+        self.columns = list(zip(*self.rows))
+        self.mods = (0,) * spec.free_rank + spec.torsion
 
+    def _zero(self, sums):
+        return not any(s % n if n else s for s, n in zip(sums, self.mods))
 
-def _zero_sum_sequences(alphabet, max_length):
-    for v in _mult_vectors(len(alphabet), max_length):
-        s = Sequence(alphabet, v)
-        if s.is_zero_sum():
-            yield s
+    def __call__(self, mults):
+        """Is the sequence with these multiplicities zero-sum?"""
+        return self._zero(sum(map(mul, mults, column)) for column in self.columns)
+
+    def vectors(self, limits, total):
+        """The zero-sum v with v[i] <= limits[i] and sum(v) <= total, the zero
+        vector included, in lexicographic order.  The sum of the prefix is
+        carried down the recursion, one entry per coordinate."""
+        rows, width = self.rows, len(self.rows)
+
+        def rec(i, remaining, sums, prefix):
+            if i == width:
+                if self._zero(sums):
+                    yield prefix
+                return
+            row = rows[i]
+            for m in range(min(limits[i], remaining) + 1):
+                yield from rec(i + 1, remaining - m, sums, prefix + (m,))
+                sums = tuple(map(add, sums, row))
+
+        return rec(0, total, (0,) * len(self.mods), ())
+
+    def window(self, bound):
+        """The zero-sum sequences of length 1 to ``bound``."""
+        return (v for v in self.vectors((bound,) * len(self.rows), bound) if any(v))
 
 
 def _preimages(tmap, target_mults, within=None):
-    """All source sequences d with theta(d) = target_mults, limited to the
-    divisors of ``within`` (a source multiplicity vector) when it is given.
+    """All source multiplicity tuples d with theta(d) = target_mults, limited
+    to the divisors of ``within`` (a source multiplicity vector) when it is
+    given.
 
     Each target multiplicity is split over the fiber of source elements
     mapping onto it."""
@@ -99,22 +127,21 @@ def _preimages(tmap, target_mults, within=None):
     slots = [(fibers[j], m) for j, m in enumerate(target_mults) if m]
     if not all(idxs for idxs, _ in slots):
         return
-
-    def rec(k):
-        if k == len(slots):
-            yield [0] * len(tmap.source)
-            return
-        idxs, m = slots[k]
-        for split in _compositions(m, len(idxs)):
-            if within is not None and any(c > within[i] for i, c in zip(idxs, split)):
-                continue
-            for rest in rec(k + 1):
-                for i, c in zip(idxs, split):
-                    rest[i] += c
-                yield rest
-
-    for v in rec(0):
-        yield Sequence(tmap.source, v)
+    choices = [
+        [
+            tuple(zip(idxs, split))
+            for split in _compositions(m, len(idxs))
+            if within is None or all(c <= within[i] for i, c in zip(idxs, split))
+        ]
+        for idxs, m in slots
+    ]
+    width = len(tmap.source)
+    for pick in product(*choices):
+        d = [0] * width
+        for part in pick:
+            for i, c in part:
+                d[i] = c
+        yield tuple(d)
 
 
 def _compositions(total, parts):
@@ -124,14 +151,6 @@ def _compositions(total, parts):
     for first in range(total + 1):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
-
-
-def _zero_sum_divisors(seq):
-    ranges = [range(m + 1) for m in seq.mults]
-    for v in product(*ranges):
-        d = Sequence(seq.alphabet, v)
-        if d.is_zero_sum():
-            yield d
 
 
 @dataclass(frozen=True)
@@ -166,36 +185,38 @@ class TransferReport:
 
 def check_transfer(tmap, bound):
     """Verify the two transfer properties on the window of sequences of
-    length at most ``bound``, keeping the first 10 failures of each."""
-    t1_failures = [
-        b
-        for b in _zero_sum_sequences(tmap.target, bound)
-        if not any(lift.is_zero_sum() for lift in _preimages(tmap, b.mults))
-    ]
-    t2_failures = [
+    length at most ``bound``, keeping the first 10 failures of each.  The
+    scan of a property stops at its 10th failure."""
+    source, target = _ZeroSums(tmap.source), _ZeroSums(tmap.target)
+    t1 = (b for b in target.window(bound) if not any(map(source, _preimages(tmap, b))))
+    t2 = (
         (a, bt)
-        for a in _zero_sum_sequences(tmap.source, bound)
-        for bt in _zero_sum_divisors(tmap.apply(a))
-        if not any(d.is_zero_sum() for d in _preimages(tmap, bt.mults, within=a.mults))
-    ]
-    return TransferReport(
-        not t1_failures, not t2_failures, bound, tuple(t1_failures[:10]), tuple(t2_failures[:10])
+        for a in source.window(bound)
+        for bt in target.vectors(tmap._image(a), bound)
+        if not any(map(source, _preimages(tmap, bt, within=a)))
     )
+    t1_failures = tuple(Sequence(tmap.target, b) for b in islice(t1, 10))
+    t2_failures = tuple(
+        (Sequence(tmap.source, a), Sequence(tmap.target, bt)) for a, bt in islice(t2, 10)
+    )
+    return TransferReport(not t1_failures, not t2_failures, bound, t1_failures, t2_failures)
 
 
 def lengths_preserved(tmap, source_atoms, target_atoms, bound, memo_s=None, memo_t=None):
     """Check L(A) = L(theta(A)) for all zero-sum source sequences of length
-    at most ``bound``; returns (ok, failures)."""
-    if memo_s is None:
-        memo_s = {}
-    if memo_t is None:
-        memo_t = {}
+    at most ``bound``; returns (ok, failures) with the first 10 failures."""
+    memo_s = {} if memo_s is None else memo_s
+    memo_t = {} if memo_t is None else memo_t
+    target = _ZeroSums(tmap.target)
     failures = []
-    for a in _zero_sum_sequences(tmap.source, bound):
-        ls = lengths_of(source_atoms, a, memo_s)
-        lt = lengths_of(target_atoms, tmap.apply(a), memo_t)
+    for a in _ZeroSums(tmap.source).window(bound):
+        image = tmap._image(a)
+        if not target(image):
+            raise DomainError("length set of a non-zero-sum sequence")
+        ls = _lengths(source_atoms.vectors, a, memo_s)
+        lt = _lengths(target_atoms.vectors, image, memo_t)
         if ls != lt:
-            failures.append((a, sorted(ls), sorted(lt)))
+            failures.append((Sequence(tmap.source, a), sorted(ls), sorted(lt)))
     return not failures, failures[:10]
 
 

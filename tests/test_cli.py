@@ -3,10 +3,13 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+from krull_arith import cli, report as reporting
 from krull_arith.cli import JobConfig, main, run_invariants
 from krull_arith.presets import parse_preset
 from krull_arith.report import canonical_json
@@ -271,12 +274,66 @@ def test_output_formats(runner, tmp_path):
     assert md_out.output.startswith("| key | value |")
 
 
+def _assert_one_line_error(result):
+    """A package error reaches the user as one ``Error: ...`` line, exit 1."""
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("Error: ") and result.output.count("\n") == 1
+    assert "Traceback" not in result.output
+
+
 def test_unknown_preset_is_an_error(runner):
-    result = runner.invoke(main, ["invariants", "--preset", "nope"])
-    assert result.exit_code != 0
+    _assert_one_line_error(runner.invoke(main, ["invariants", "--preset", "nope"]))
     # cyclic has no parameter r, so --r is rejected rather than dropped.
     result = runner.invoke(main, ["preset", "build", "--family", "cyclic:3", "--r", "9"])
-    assert result.exit_code != 0
+    _assert_one_line_error(result)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["factorize", "--preset", "cyclic:3", "--element", "1^2"],
+        ["atoms", "--group", '{"free_rank": 1}', "--set", "[[1], [-101]]"],
+        ["atoms", "--group", '{"free_rank": 1}', "--set", "[[1, 2]]"],
+    ],
+)
+def test_package_errors_are_one_line_click_errors(runner, args):
+    _assert_one_line_error(runner.invoke(main, args))
+
+
+def test_package_error_prints_no_traceback():
+    import krull_arith
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(krull_arith.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "krull_arith.cli", "invariants", "--preset", "nope"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "Error: unknown preset family 'nope'\n"
+    assert proc.stdout == ""
+
+
+def test_report_cached_under_another_schema_or_version_is_a_miss(runner, tmp_path, monkeypatch):
+    args = ["--cache-dir", str(tmp_path), "invariants", "--preset", "cyclic:3"]
+    first = runner.invoke(main, args)
+    assert first.exit_code == 0
+    (cached,) = tmp_path.glob("*.json")
+    # A report written by code with another layout: same inputs, other bytes.
+    cached.write_text(json.dumps({"stale": True}))
+    assert runner.invoke(main, args).output == json.dumps({"stale": True}, indent=2) + "\n"
+    monkeypatch.setattr(reporting, "REPORT_SCHEMA", reporting.REPORT_SCHEMA + 1)
+    fresh = runner.invoke(main, args)
+    assert fresh.exit_code == 0
+    assert fresh.output == first.output
+    assert len(list(tmp_path.glob("*.json"))) == 2
+    # The package version is part of the key too.
+    monkeypatch.setattr(cli, "__version__", "0.0.0+other")
+    assert runner.invoke(main, args).output == first.output
+    assert len(list(tmp_path.glob("*.json"))) == 3
 
 
 def test_threads_flag_is_gone(runner):

@@ -12,12 +12,14 @@ from krull_arith import (
     GroupSpec,
     Sequence,
     enumerate_atoms,
+    lengths_of,
 )
 from krull_arith.errors import DomainError, ShapeError
 from krull_arith.presets import build_preset
 from krull_arith.transfer import (
     Characteristic,
     TransferMap,
+    TransferReport,
     builtin_map,
     check_transfer,
     count_lifted_atoms,
@@ -63,7 +65,8 @@ def _map_and_target(draw):
 @given(_map_and_target())
 def test_preimages_match_brute_force(case):
     tmap, target_mults, within = case
-    got = [d.mults for d in _preimages(tmap, target_mults, within)]
+    got = list(_preimages(tmap, target_mults, within))
+    assert all(isinstance(d, tuple) for d in got)
     ranges = [range(target_mults[j] + 1) for j in tmap.images]
     brute = [
         v
@@ -72,6 +75,100 @@ def test_preimages_match_brute_force(case):
         and (within is None or all(c <= w for c, w in zip(v, within)))
     ]
     assert sorted(got) == sorted(brute)
+
+
+def _reference_window(alphabet, bound):
+    """Zero-sum Sequences of length 1 to ``bound``, in lexicographic order of
+    their multiplicity vectors."""
+    ranges = [range(bound + 1)] * len(alphabet)
+    for v in product(*ranges):
+        if 0 < sum(v) <= bound:
+            s = Sequence(alphabet, v)
+            if s.is_zero_sum():
+                yield s
+
+
+def _reference_lifts(tmap, image, within):
+    """Does some zero-sum source Sequence that divides ``within`` (when it is
+    given) map onto ``image``?  Brute force over all candidate vectors."""
+    ranges = [
+        range((image.mults[j] if within is None else min(image.mults[j], within.mults[i])) + 1)
+        for i, j in enumerate(tmap.images)
+    ]
+    for v in product(*ranges):
+        d = Sequence(tmap.source, v)
+        if tmap.apply(d) == image and d.is_zero_sum():
+            return True
+    return False
+
+
+def _reference_check_transfer(tmap, bound):
+    """check_transfer by Sequence arithmetic: group sums of Sequences and a
+    brute-force lift search, every failure collected, the first 10 of each
+    property kept."""
+    t1 = [b for b in _reference_window(tmap.target, bound) if not _reference_lifts(tmap, b, None)]
+    t2 = []
+    for a in _reference_window(tmap.source, bound):
+        image = tmap.apply(a)
+        for v in product(*[range(m + 1) for m in image.mults]):
+            bt = Sequence(tmap.target, v)
+            if bt.is_zero_sum() and not _reference_lifts(tmap, bt, a):
+                t2.append((a, bt))
+    return TransferReport(not t1, not t2, bound, tuple(t1[:10]), tuple(t2[:10]))
+
+
+@st.composite
+def _small_maps(draw):
+    """A map between two small alphabets, each over Z (entries in [-3, 3])
+    or over Z/n (2 <= n <= 5), and a window of at most 5.  Half of the maps
+    send each element to an arbitrary target element; the other half are
+    induced by a homomorphism x -> t * x into Z/m, so they keep zero sums."""
+
+    def alphabet(max_size):
+        n = draw(st.integers(1, 5))
+        spec = GroupSpec(1) if n == 1 else GroupSpec(0, (n,))
+        values = range(-3, 4) if n == 1 else range(n)
+        chosen = draw(st.sets(st.sampled_from(values), min_size=1, max_size=max_size))
+        return Alphabet(spec, [spec.element_from_coords((c,)) for c in chosen])
+
+    source = alphabet(4)
+    if draw(st.booleans()):
+        target = alphabet(3)
+        images = {g: draw(st.sampled_from(target.elements)) for g in source.elements}
+    else:
+        m = draw(st.integers(2, 5))
+        n = source.spec.torsion[0] if source.spec.torsion else 0
+        t = draw(st.sampled_from([t for t in range(m) if n * t % m == 0]))
+        spec = GroupSpec(0, (m,))
+        images = {g: spec.element(torsion=(t * g.coords[0],)) for g in source.elements}
+        target = Alphabet(spec, set(images.values()))
+    return TransferMap(source, target, images), draw(st.integers(1, 5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_maps())
+def test_transfer_kernel_matches_sequence_reference(case):
+    """The tuple window checks against Sequence arithmetic: the report, the
+    zero-sum test of theta, and the length comparison, which raises when
+    theta does not keep the zero sums of the window."""
+    tmap, bound = case
+    report = check_transfer(tmap, bound)
+    reference = _reference_check_transfer(tmap, bound)
+    assert report == reference
+    assert report.to_json() == reference.to_json()
+    preserves = all(tmap.apply(a).is_zero_sum() for a in _reference_window(tmap.source, 4))
+    assert tmap.preserves_zero_sums() == preserves
+    src, tgt = enumerate_atoms(tmap.source), enumerate_atoms(tmap.target)
+    window = list(_reference_window(tmap.source, bound))
+    if not all(tmap.apply(a).is_zero_sum() for a in window):
+        with pytest.raises(DomainError):
+            lengths_preserved(tmap, src, tgt, bound)
+        return
+    failures = [
+        (a, sorted(lengths_of(src, a)), sorted(lengths_of(tgt, tmap.apply(a)))) for a in window
+    ]
+    failures = [f for f in failures if f[1] != f[2]]
+    assert lengths_preserved(tmap, src, tgt, bound) == (not failures, failures[:10])
 
 
 def test_apply_and_shape_errors():
