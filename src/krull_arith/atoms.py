@@ -104,7 +104,8 @@ def _minimalize(vectors):
 
 class AtomSet:
     """The atoms of B(G0), sorted canonically.  ``vectors`` holds their
-    multiplicity tuples, the form the factorization kernels work on."""
+    multiplicity tuples, which ``factorizations.PackedAtoms`` packs for the
+    factorization kernels."""
 
     __slots__ = ("alphabet", "atoms", "vectors", "cap")
 

@@ -21,5 +21,6 @@ class BoundExceededError(KrullArithError):
     """A configured search cap was hit; results would be incomplete."""
 
 
-class ArgumentError(KrullArithError):
-    """A parameter fails a precondition (e.g. bound < 2)."""
+class ArgumentError(KrullArithError, ValueError):
+    """A parameter fails a precondition (e.g. bound < 2), or a text argument
+    does not parse.  It is also a ValueError, so callers may catch either."""

@@ -6,16 +6,19 @@ distance between factorizations, the set of lengths L(B) (by a memoized
 search that never materializes Z(B)), and the catenary data of a block.
 
 The kernels (``_lengths``, ``_factorizations``, ``_catenary_profile``) work
-on multiplicity tuples: a block is its ``mults`` tuple and an atom is its
-vector (``AtomSet.vectors``).  They use explicit stacks, so their depth is
-not limited by the interpreter's recursion limit.  ``Sequence`` appears only
-at the API boundary, where the public functions check the zero sum.
+on packed blocks: ``PackedAtoms`` turns a multiplicity tuple into one int
+with a fixed-width field per alphabet element, so that B * u is one addition
+and the test u | B with the quotient B / u is one subtraction and one mask
+test, and holds the atoms of an AtomSet in that form.  A set of lengths is a
+bitmask int, bit l set for l in L(B).  The kernels use explicit stacks,
+so their depth is not limited by the interpreter's recursion limit.
+``Sequence``, multiplicity tuples and ``frozenset`` appear only at the API
+boundary, where the public functions check the zero sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import sub
 
 from .errors import BoundExceededError, DomainError
 
@@ -39,8 +42,11 @@ class Factorization:
         return sum(self.counts)
 
     def product(self):
-        alphabet = self.atomset.alphabet
-        return alphabet.from_mults(_product(len(alphabet), self.atomset.vectors, self.counts))
+        mults = [0] * len(self.atomset.alphabet)
+        for v, c in zip(self.atomset.vectors, self.counts):
+            for j, x in enumerate(v):
+                mults[j] += c * x
+        return self.atomset.alphabet.from_mults(mults)
 
     def __eq__(self, other):
         return (
@@ -70,51 +76,137 @@ class Factorization:
         return "Factorization(%s)" % (str(self),)
 
 
-def _product(width, vectors, counts):
-    """The block prod v_i^c_i as a multiplicity tuple of the given width."""
-    block = [0] * width
-    for v, c in zip(vectors, counts):
-        if c:
-            for j, x in enumerate(v):
-                block[j] += c * x
-    return tuple(block)
+class PackedAtoms:
+    """Blocks over an alphabet packed into ints, and the atoms of an AtomSet
+    packed the same way.
+
+    Coordinate j is the field of ``width`` bits at bit ``j * width``; its top
+    bit is a guard bit, 0 in every packed block.  The width is the smallest
+    of 8, 16, 32, ... whose fields hold ``top``, so products with
+    multiplicities at most ``top`` never carry across fields.  With
+    ``guard`` the int of all guard bits, d = (B | guard) - u keeps every
+    guard bit exactly when u | B, and then B / u = d ^ guard.
+
+    ``atoms`` holds the packed atoms, ``indices`` their AtomSet indices; an
+    atom with a multiplicity too large for a field divides no such block and
+    is left out.  ``zero`` is (AtomSet index, bit offset) of the atom 0, or None.
+    ``table``, the memo of length bitmasks, is ``memo[(length, width)]``,
+    so that blocks packed at different widths never share a table.
+    """
+
+    __slots__ = ("length", "width", "field", "guard", "size", "atoms", "indices", "zero", "table")
+
+    def __init__(self, atomset, top, memo=None):
+        width = 8
+        while top >> (width - 1):
+            width *= 2
+        self.length = len(atomset.alphabet)
+        self.width = width
+        self.field = (1 << width) - 1
+        self.guard = sum(1 << (j * width + width - 1) for j in range(self.length))
+        kept = [(i, v) for i, v in enumerate(atomset.vectors) if max(v) >> (width - 1) == 0]
+        self.size = len(atomset.vectors)
+        self.indices = tuple(i for i, _ in kept)
+        self.atoms = tuple(self.pack(v) for _, v in kept)
+        self.zero = next(((i, v.index(1) * width) for i, v in kept if sum(v) == 1), None)
+        memo = {} if memo is None else memo
+        self.table = memo.setdefault((self.length, width), {0: 1})
+
+    @classmethod
+    def for_products(cls, atomset, count, memo=None):
+        """Packed wide enough for every product of at most ``count`` atoms."""
+        top = max((max(v) for v in atomset.vectors), default=0)
+        return cls(atomset, count * top, memo)
+
+    def pack(self, mults):
+        width = self.width
+        return sum(m << (j * width) for j, m in enumerate(mults))
+
+    def unpack(self, block):
+        width, field = self.width, self.field
+        return tuple(block >> (j * width) & field for j in range(self.length))
+
+    def nonzero(self):
+        """The packed atoms other than the atom 0."""
+        if self.zero is None:
+            return list(self.atoms)
+        zero = 1 << self.zero[1]
+        return [u for u in self.atoms if u != zero]
+
+    def split_zeros(self, block):
+        """(v_0(B), B without its zeros).  Zero lies in no other atom, so
+        every factorization of B contains the atom 0 exactly v_0(B) times."""
+        if self.zero is None:
+            return 0, block
+        shift = self.zero[1]
+        y = block >> shift & self.field
+        return y, block ^ (y << shift)
 
 
-def _zero_atom(atoms, block):
-    """(i, v_0(B), B without its zeros) with i the index of the atom 0, or
-    None when B has no zeros.  Zero lies in no other atom, so every
-    factorization of B contains atom i exactly v_0(B) times."""
-    for i, u in enumerate(atoms):
-        if sum(u) == 1:
-            j = u.index(1)
-            return (i, block[j], block[:j] + (0,) + block[j + 1 :]) if block[j] else None
-    return None
+def _members(mask):
+    """The set of lengths a bitmask holds."""
+    return frozenset(l for l in range(mask.bit_length()) if mask >> l & 1)
 
 
-def _factorizations(atoms, block, guard=FACTORIZATION_GUARD):
-    """Z(B) as sorted count tuples.  Zeros are split off first; the rest is
-    searched depth first over atoms in nondecreasing index order, so each
-    multiset is produced once."""
-    n = len(atoms)
-    counts = [0] * n
-    zero = _zero_atom(atoms, block)
-    if zero is not None:
-        i, counts[i], block = zero
+def _count_vectors(packed, block, guard=FACTORIZATION_GUARD):
+    """Z(B) for a packed block: (y, positions, zs) with y = v_0(B), positions
+    the indices into ``packed.atoms`` of the nonzero atoms dividing B, and zs
+    the factorizations of B without its zeros as sorted tuples of counts of
+    those atoms.
+
+    The atoms are filtered once, at the root: an atom that does not divide B
+    divides no part of it.  The search is depth first over atoms in
+    nondecreasing order, so each multiset is produced once.  Counts are
+    packed too, at the block's width, the first atom in the highest field, so
+    that the order of the packed counts is the order of the tuples."""
+    y, block = packed.split_zeros(block)
+    guards = packed.guard
+    held = block | guards
+    positions = [p for p, u in enumerate(packed.atoms) if (held - u) & guards == guards]
+    atoms = [packed.atoms[p] for p in positions]
+    m = len(atoms)
+    shifts = [packed.width * (m - 1 - i) for i in range(m)]
+    ones = [1 << s for s in shifts]
     out = []
-    stack = [(block, 0, tuple(counts))]
+    stack = [(block, 0, 0)]
     while stack:
         rem, start, counts = stack.pop()
-        if not any(rem):
+        if not rem:
             out.append(counts)
             if len(out) > guard:
                 raise BoundExceededError("more than %d factorizations" % guard)
             continue
-        for i in range(start, n):
-            rest = tuple(map(sub, rem, atoms[i]))
-            if min(rest) >= 0:
-                stack.append((rest, i, counts[:i] + (counts[i] + 1,) + counts[i + 1 :]))
+        held = rem | guards
+        for i in range(start, m):
+            d = held - atoms[i]
+            if d & guards == guards:
+                stack.append((d ^ guards, i, counts + ones[i]))
     out.sort()
+    field = packed.field
+    zs = [tuple(c >> s & field for s in shifts) for c in out]
+    return y, positions, zs
+
+
+def _factorizations(packed, block, guard=FACTORIZATION_GUARD):
+    """Z(B) of a packed block as sorted count tuples over the AtomSet."""
+    y, positions, zs = _count_vectors(packed, block, guard)
+    base = [0] * packed.size
+    if y:
+        base[packed.zero[0]] = y
+    slots = [packed.indices[p] for p in positions]
+    out = []
+    for z in zs:
+        counts = base[:]
+        for i, c in zip(slots, z):
+            counts[i] = c
+        out.append(tuple(counts))
     return out
+
+
+def _packed(atomset, block, memo=None):
+    """(PackedAtoms fitted to the block, the packed block)."""
+    packed = PackedAtoms(atomset, max(block.mults, default=0), memo)
+    return packed, packed.pack(block.mults)
 
 
 def factorize(atomset, block, guard=FACTORIZATION_GUARD):
@@ -124,7 +216,7 @@ def factorize(atomset, block, guard=FACTORIZATION_GUARD):
     """
     if not block.is_zero_sum():
         raise DomainError("cannot factor a sequence with nonzero sum")
-    counts = _factorizations(atomset.vectors, block.mults, guard)
+    counts = _factorizations(*_packed(atomset, block), guard)
     return tuple(Factorization(atomset, c) for c in counts)
 
 
@@ -138,51 +230,53 @@ def distance(z1, z2):
     return _distance(z1.counts, z2.counts)
 
 
-def _lengths(atoms, block, memo):
-    """L(B) = v_0(B) + L(B without its zeros); for a zero-free B it is the
-    union over atoms u | B of 1 + L(B/u), memoized on the tuple and evaluated
-    children first with an explicit stack."""
-    hit = memo.get(block)
+def _lengths(packed, block):
+    """L(B) of a packed block as a bitmask.  L(B) = L(B without its zeros)
+    shifted by v_0(B); for a zero-free B it is the OR over atoms u | B of
+    L(B/u) << 1, memoized in ``packed.table`` and evaluated children first
+    with an explicit stack, over the atoms that divide B."""
+    table = packed.table
+    hit = table.get(block)
     if hit is not None:
         return hit
-    zero = _zero_atom(atoms, block)
-    if zero is not None:
-        _, y, rest = zero
-        memo[block] = frozenset(l + y for l in _lengths(atoms, rest, memo))
-        return memo[block]
+    y, rest = packed.split_zeros(block)
+    if y:
+        table[block] = mask = _lengths(packed, rest) << y
+        return mask
+    guard = packed.guard
+    held = block | guard
+    atoms = [u for u in packed.atoms if (held - u) & guard == guard]
     stack = [(block, None)]
     while stack:
         b, rests = stack.pop()
         if rests is None:
-            if b in memo:
+            if b in table:
                 continue
-            rests = [r for r in (tuple(map(sub, b, u)) for u in atoms) if min(r) >= 0]
-            missing = [r for r in rests if r not in memo]
+            held = b | guard
+            rests = [d ^ guard for u in atoms if (d := held - u) & guard == guard]
+            missing = [r for r in rests if r not in table]
             if missing:
                 stack.append((b, rests))
                 stack.extend((r, None) for r in missing)
                 continue
-        if any(b):
-            memo[b] = frozenset(l + 1 for r in rests for l in memo[r])
-        else:
-            memo[b] = frozenset((0,))
-    return memo[block]
+        mask = 0
+        for r in rests:
+            mask |= table[r]
+        table[b] = mask << 1
+    return table[block]
 
 
 def lengths_of(atomset, block, memo=None):
     """The set of lengths L(B) = {|z| : z in Z(B)}, as a frozenset.
 
-    ``memo`` maps multiplicity tuples to length sets and may be shared
-    across many blocks over the same atom set.
+    ``memo`` is a dict the kernels fill: for each packing of blocks, a table
+    from packed blocks to length bitmasks.  It may be shared across many
+    blocks over the same alphabet and the same atom set, or atom sets
+    restricted from it by ``AtomSet.restrict``.
     """
     if not block.is_zero_sum():
         raise DomainError("length set of a non-zero-sum sequence")
-    return _lengths(atomset.vectors, block.mults, {} if memo is None else memo)
-
-
-def min_length(atomset, block, memo=None):
-    ls = lengths_of(atomset, block, memo)
-    return min(ls) if ls else None
+    return _members(_lengths(*_packed(atomset, block, memo)))
 
 
 def _mst_bottleneck(nodes):
@@ -222,19 +316,22 @@ class CatenaryProfile:
         }
 
 
-def _catenary_profile(atoms, block, guard=FACTORIZATION_GUARD):
-    """catenary_profile() on a multiplicity tuple."""
-    zs = _factorizations(atoms, block, guard)
+def _catenary_profile(packed, block, guard=FACTORIZATION_GUARD):
+    """catenary_profile() on a packed block.  The atom 0 occurs equally often
+    in every factorization, so distances are taken on the counts of the
+    nonzero atoms and only the lengths add v_0(B)."""
+    y, _, zs = _count_vectors(packed, block, guard)
     by_len = {}
     for z in zs:
         by_len.setdefault(sum(z), []).append(z)
-    lengths = tuple(sorted(by_len))
+    lengths = tuple(sorted(l + y for l in by_len))
     if len(zs) <= 1:
         return CatenaryProfile(0, 0, 0, 0, len(zs), lengths)
     c = _mst_bottleneck(zs)
     c_eq = max(_mst_bottleneck(group) for group in by_len.values())
     c_adj = 0
-    for a, b in zip(lengths, lengths[1:]):
+    ls = sorted(by_len)
+    for a, b in zip(ls, ls[1:]):
         gap = min(_distance(z1, z2) for z1 in by_len[a] for z2 in by_len[b])
         c_adj = max(c_adj, gap)
     return CatenaryProfile(c, c_eq, c_adj, max(c_eq, c_adj), len(zs), lengths)
@@ -247,4 +344,4 @@ def catenary_profile(atomset, block, guard=FACTORIZATION_GUARD):
     """
     if not block.is_zero_sum():
         raise DomainError("cannot factor a sequence with nonzero sum")
-    return _catenary_profile(atomset.vectors, block.mults, guard)
+    return _catenary_profile(*_packed(atomset, block), guard)

@@ -8,10 +8,13 @@ level by level.  For unions of sets of lengths there is a second, exact
 engine based on integer programming that is used when the product sweep
 would be too large.
 
-Inside the sweeps and the cover search a block is its multiplicity tuple and
-an atom is its vector; the tuple kernels of ``factorizations`` are called on
-them directly, since every swept block is a product of atoms and so has zero
-sum.  ``Sequence`` is used only where a public function takes or returns one.
+Inside the sweeps a block and an atom are ints packed by one
+``factorizations.PackedAtoms``, wide enough for every product the sweep
+builds; the packed kernels of ``factorizations`` are called on them
+directly, since every swept block is a product of atoms and so has zero sum.
+Length sets stay bitmasks until a value is returned.  The cover search of
+omega and tame works on multiplicity tuples.  ``Sequence`` is used only where
+a public function takes or returns one.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from math import comb
 from operator import add, sub
 
 from .errors import ArgumentError, DomainError
-from .factorizations import _catenary_profile, _lengths, _product
+from .factorizations import PackedAtoms, _catenary_profile, _lengths, _members
 from .groups import subgroup_rank
 
 ENUM_PRODUCT_GUARD = 120_000
@@ -57,24 +60,27 @@ class BoundedResult:
         }
 
 
-def _nonzero_atoms(atomset):
-    """Vectors of the atoms other than the atom 0, the only atom of length 1."""
-    return [a for a in atomset.vectors if sum(a) > 1]
-
-
 def next_level(level, atoms):
-    """All products b * a of a block b in ``level`` with one of the atom
-    vectors, as multiplicity tuples."""
-    return {tuple(map(add, b, a)) for b in level for a in atoms}
+    """All products b * a of a packed block b in ``level`` with one of the
+    packed atoms."""
+    return {b + a for b in level for a in atoms}
 
 
-def product_levels(alphabet, atoms, max_count):
-    """levels[k] = set of all products of exactly k of the given atom
-    vectors, as multiplicity tuples over the alphabet."""
-    levels = [{(0,) * len(alphabet)}]
+def product_levels(atoms, max_count):
+    """levels[k] = set of all products of exactly k of the given packed
+    atoms, as packed blocks.  The packing must hold every product of
+    ``max_count`` atoms (``PackedAtoms.for_products``)."""
+    levels = [{0}]
     for _ in range(max_count):
         levels.append(next_level(levels[-1], atoms))
     return levels
+
+
+def _zero_free_sweep(atomset, count, memo=None):
+    """(packed, levels): the products of 0 to ``count`` atoms other than the
+    atom 0, level by level, packed wide enough for all of them."""
+    packed = PackedAtoms.for_products(atomset, count, memo)
+    return packed, product_levels(packed.nonzero(), count)
 
 
 def delta_of_set(lengths):
@@ -85,10 +91,11 @@ def delta_of_set(lengths):
 
 def _gaps(atomset, bound, memo):
     """Every gap of L(B) over products B of 2..``bound`` nonzero atoms."""
+    packed, levels = _zero_free_sweep(atomset, bound, memo)
+    masks = {_lengths(packed, b) for level in levels[2:] for b in level}
     gaps = set()
-    for level in product_levels(atomset.alphabet, _nonzero_atoms(atomset), bound)[2:]:
-        for b in level:
-            gaps.update(delta_of_set(_lengths(atomset.vectors, b, memo)))
+    for mask in masks:
+        gaps.update(delta_of_set(_members(mask)))
     return gaps
 
 
@@ -201,21 +208,19 @@ class UnionProfile:
 
 def _union_by_enumeration(atomset, k, memo):
     """U_k as the union of L(B) over all products B of exactly k atoms."""
-    zi = atomset.alphabet.zero_index()
-    atoms = _nonzero_atoms(atomset)
-    levels = product_levels(atomset.alphabet, atoms, k)
+    packed, levels = _zero_free_sweep(atomset, k, memo)
     core = []
-    for j in range(k + 1):
-        acc = set()
-        for b in levels[j]:
-            acc.update(_lengths(atomset.vectors, b, memo))
+    for level in levels:
+        acc = 0
+        for b in level:
+            acc |= _lengths(packed, b)
         core.append(acc)
-    if zi is None:
-        return core[k]
-    members = set()
+    if atomset.alphabet.zero_index() is None:
+        return _members(core[k])
+    members = 0
     for j in range(k + 1):
-        members.update(m + j for m in core[k - j])
-    return members
+        members |= core[k - j] << j
+    return _members(members)
 
 
 def _union_by_milp(atomset, k):
@@ -369,10 +374,14 @@ def tame(atomset, u, memo=None):
     covers = list(_minimal_covers(atomset.vectors, u.mults, lambda size, deficit: False))
     if max(size for size, _ in covers) == 1:
         return 0
-    return max(
-        max(size, 1 + min(_lengths(atomset.vectors, tuple(map(sub, prod, u.mults)), memo)))
-        for size, prod in covers
-    )
+    packed = PackedAtoms(atomset, max(max(prod) for _, prod in covers), memo)
+    atom = packed.pack(u.mults)
+    best = 0
+    for size, prod in covers:
+        mask = _lengths(packed, packed.pack(prod) - atom)
+        # mask & -mask is the lowest set bit, 1 << min L(prod(W) / u).
+        best = max(best, size, (mask & -mask).bit_length())
+    return best
 
 
 def monoid_omega(atomset, expected=None):
@@ -394,11 +403,11 @@ def monoid_catenary(atomset, bound, expected=None):
     (zeros stripped; they pad every factorization identically)."""
     if bound < 2:
         raise ArgumentError("monoid_catenary needs bound >= 2")
-    atoms = _nonzero_atoms(atomset)
+    packed, levels = _zero_free_sweep(atomset, bound)
     c = c_eq = c_adj = c_mon = 0
-    for level in product_levels(atomset.alphabet, atoms, bound)[2:]:
+    for level in levels[2:]:
         for b in level:
-            p = _catenary_profile(atomset.vectors, b)
+            p = _catenary_profile(packed, b)
             c = max(c, p.catenary)
             c_eq = max(c_eq, p.equal)
             c_adj = max(c_adj, p.adjacent)
@@ -424,16 +433,16 @@ def min_abs_irred_witness(atomset, memo=None):
     if memo is None:
         memo = {}
     d = atomset.davenport()
-    width = len(atomset.alphabet)
+    packed = PackedAtoms.for_products(atomset, d, memo)
     irr = [a for a in atomset.atoms if absolutely_irreducible(atomset, a)]
     for s in range(1, min(d, len(irr)) + 1):
         for subset in combinations(irr, s):
-            vectors = [w.mults for w in subset]
+            vectors = [packed.pack(w.mults) for w in subset]
             # Positive compositions of d into s parts, as s - 1 cut points.
             for cuts in combinations(range(1, d), s - 1):
                 ends = (0,) + cuts + (d,)
                 ks = tuple(b - a for a, b in zip(ends, ends[1:]))
-                block = _product(width, vectors, ks)
-                if 2 in _lengths(atomset.vectors, block, memo):
+                block = sum(k * v for k, v in zip(ks, vectors))
+                if _lengths(packed, block) >> 2 & 1:
                     return s, tuple(zip(subset, ks))
     return None, None

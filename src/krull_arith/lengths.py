@@ -11,9 +11,10 @@ with y, k nonnegative; a third family covers the symmetric rank-r presets,
 whose length sets are m + {2k* + d*lam : lam in [0,k*]} with d the single
 distance value.
 
-Collection and realization sweep products of atoms as multiplicity tuples
-and call the tuple kernel ``factorizations._lengths`` on them directly;
-every swept block is a product of atoms, so it has zero sum.
+Collection and realization sweep products of atoms as packed ints and call
+the packed kernel ``factorizations._lengths`` on them directly; every swept
+block is a product of atoms, so it has zero sum.  Length sets are bitmasks
+inside the sweeps and frozensets in what the functions return.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ArgumentError
-from .factorizations import _lengths
-from .invariants import _nonzero_atoms, delta_of_set, next_level, product_levels
+from .factorizations import PackedAtoms, _lengths, _members
+from .invariants import delta_of_set, next_level, product_levels
 
 
 def sumset(l1, l2):
@@ -152,13 +153,13 @@ def fit_aamp(lengths, d):
 
 def collect_length_sets(atomset, product_bound, memo=None):
     """All L(B) for B a product of at most ``product_bound`` atoms."""
-    if memo is None:
-        memo = {}
-    out = set()
-    for level in product_levels(atomset.alphabet, atomset.vectors, product_bound):
-        for b in level:
-            out.add(_lengths(atomset.vectors, b, memo))
-    return out
+    packed = PackedAtoms.for_products(atomset, product_bound, memo)
+    masks = {
+        _lengths(packed, b)
+        for level in product_levels(packed.atoms, product_bound)
+        for b in level
+    }
+    return {_members(mask) for mask in masks}
 
 
 def _realizer(atomset, vbound, memo):
@@ -171,12 +172,13 @@ def _realizer(atomset, vbound, memo):
     the length set of a product of m - y zero-free atoms (the rest of the
     block is a run of y zeros).  Levels of products are built only as far as
     the largest minimum asked about; the function keeps the current level
-    and the length sets realized at each level reached.
+    and the length sets, as bitmasks, realized at each level reached.
     """
-    atoms = _nonzero_atoms(atomset)
+    packed = PackedAtoms.for_products(atomset, vbound, memo)
+    atoms = packed.nonzero()
     zero_free = atomset.alphabet.zero_index() is None
-    level = {(0,) * len(atomset.alphabet)}
-    realized_at = [{frozenset((0,))}]
+    level = {0}
+    realized_at = [{1}]
 
     def realized(t):
         nonlocal level
@@ -185,9 +187,10 @@ def _realizer(atomset, vbound, memo):
             return None
         while len(realized_at) <= lo:
             level = next_level(level, atoms)
-            realized_at.append({_lengths(atomset.vectors, b, memo) for b in level})
+            realized_at.append({_lengths(packed, b) for b in level})
+        mask = sum(1 << x for x in t)
         shifts = (0,) if zero_free else range(lo + 1)
-        return any(frozenset(x - y for x in t) in realized_at[lo - y] for y in shifts)
+        return any(mask >> y in realized_at[lo - y] for y in shifts)
 
     return realized
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import AlphabetError, ShapeError
+from .errors import AlphabetError, ArgumentError, ShapeError
 from .groups import GroupElement, GroupSpec
 
 
@@ -227,7 +227,9 @@ class Sequence:
         return " * ".join(parts)
 
 
-_TERM_RE = re.compile(r"^(?P<elem>\([^)]*\)|-?\d+)(?:\^(?P<exp>\d+))?$")
+_TERM_RE = re.compile(
+    r"^(?P<elem>\((?:\s*-?\d+(?:\s*,\s*-?\d+)*)?\s*\)|-?\d+)(?:\^(?P<exp>\d+))?$"
+)
 
 
 def parse_sequence(alphabet, text):
@@ -259,9 +261,10 @@ def parse_sequence(alphabet, text):
     for term in text.split("*"):
         m = _TERM_RE.match(term.strip())
         if not m:
-            raise ValueError("cannot parse sequence term %r" % term.strip())
+            raise ArgumentError("cannot parse sequence term %r" % term.strip())
         raw = m.group("elem")
-        coords = [int(c) for c in raw.strip("()").split(",")] if raw.startswith("(") else [int(raw)]
+        inner = raw.strip("()")
+        coords = [int(c) for c in inner.split(",") if c.strip()] if raw.startswith("(") else [int(raw)]
         g = alphabet.spec.element_from_coords(coords)
         pairs.append((g, int(m.group("exp") or 1)))
     return alphabet.sequence(pairs)

@@ -15,7 +15,9 @@ verified on a bounded window.
 The window checks work on multiplicity tuples: ``_ZeroSums`` holds one
 coordinate column per group coordinate and enumerates zero-sum tuples with
 running sums, and ``_preimages`` splits a target tuple over the fibers of
-theta.  ``Sequence`` is built only for the failures a report lists.
+theta.  ``lengths_preserved`` packs each window tuple for the length kernel
+of ``factorizations``.  ``Sequence`` is built only for the failures a report
+lists.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from operator import add, mul
 
 from .atoms import _zero_sum_columns, minimal_nonneg_solutions
 from .errors import DomainError, ShapeError
-from .factorizations import _lengths
+from .factorizations import PackedAtoms, _lengths, _members
 from .groups import GroupSpec
 from .sequences import Alphabet, Sequence
 
@@ -204,19 +206,23 @@ def check_transfer(tmap, bound):
 
 def lengths_preserved(tmap, source_atoms, target_atoms, bound, memo_s=None, memo_t=None):
     """Check L(A) = L(theta(A)) for all zero-sum source sequences of length
-    at most ``bound``; returns (ok, failures) with the first 10 failures."""
-    memo_s = {} if memo_s is None else memo_s
-    memo_t = {} if memo_t is None else memo_t
+    at most ``bound``; returns (ok, failures) with the first 10 failures.
+    A window sequence and its image have multiplicities at most ``bound``,
+    which fixes both packings."""
+    packed_s = PackedAtoms(source_atoms, bound, memo_s)
+    packed_t = PackedAtoms(target_atoms, bound, memo_t)
     target = _ZeroSums(tmap.target)
     failures = []
     for a in _ZeroSums(tmap.source).window(bound):
         image = tmap._image(a)
         if not target(image):
             raise DomainError("length set of a non-zero-sum sequence")
-        ls = _lengths(source_atoms.vectors, a, memo_s)
-        lt = _lengths(target_atoms.vectors, image, memo_t)
+        ls = _lengths(packed_s, packed_s.pack(a))
+        lt = _lengths(packed_t, packed_t.pack(image))
         if ls != lt:
-            failures.append((Sequence(tmap.source, a), sorted(ls), sorted(lt)))
+            failures.append(
+                (Sequence(tmap.source, a), sorted(_members(ls)), sorted(_members(lt)))
+            )
     return not failures, failures[:10]
 
 

@@ -471,15 +471,17 @@ def test_criterion_9_universal_inequalities():
 def _per_block_checks(ats, sweep_bound, tag):
     """Sweep products of <= sweep_bound atoms: per-block catenary and
     distance lower bounds; returns (problems, is_factorial, max c(B))."""
+    from krull_arith.factorizations import PackedAtoms
     from krull_arith.invariants import product_levels
 
     problems = []
     factorial = True
     max_c = 0
     memo = {}
-    for level in product_levels(ats.alphabet, ats.vectors, sweep_bound):
-        for mults in level:
-            block = ats.alphabet.from_mults(mults)
+    packed = PackedAtoms.for_products(ats, sweep_bound)
+    for level in product_levels(packed.atoms, sweep_bound):
+        for b in level:
+            block = ats.alphabet.from_mults(packed.unpack(b))
             prof = catenary_profile(ats, block)
             if prof.num_factorizations > 1:
                 factorial = False

@@ -289,6 +289,13 @@ def test_unknown_preset_is_an_error(runner):
     _assert_one_line_error(result)
 
 
+@pytest.mark.parametrize("element", ["x", "1^-2", "(a)"])
+def test_unparsable_element_is_an_error(runner, element):
+    result = runner.invoke(main, ["factorize", "--preset", "cyclic:3", "--element", element])
+    _assert_one_line_error(result)
+    assert "cannot parse sequence term" in result.output
+
+
 @pytest.mark.parametrize(
     "args",
     [

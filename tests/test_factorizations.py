@@ -1,21 +1,39 @@
 """Factorizations, length sets, distances, catenary profiles."""
 
 from collections import Counter
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from krull_arith import (
+    Alphabet,
     Factorization,
     catenary_profile,
+    collect_length_sets,
+    delta_of_set,
+    delta_set,
+    delta_star,
     distance,
     enumerate_atoms,
     factorize,
+    is_length_set_realized,
     lengths_of,
+    min_abs_irred_witness,
+    monoid_tame,
+    parse_preset,
+    sumset,
+    tame,
+    unions,
 )
 from krull_arith.errors import BoundExceededError, DomainError
-from krull_arith.factorizations import min_length
-from krull_arith.invariants import product_levels
+from krull_arith.factorizations import (
+    PackedAtoms,
+    _factorizations,
+    _lengths,
+    _members,
+)
+from krull_arith.invariants import _minimal_covers, product_levels
 
 from conftest import cyclic_alphabet, int_alphabet, small_alphabets
 
@@ -60,17 +78,18 @@ def test_lengths_match_factorize_on_sweep(five_point_atoms):
     """L(B) from the memoized recursion equals the lengths read off Z(B)."""
     memo = {}
     alphabet = five_point_atoms.alphabet
-    for level in product_levels(alphabet, five_point_atoms.vectors, 3):
-        for mults in level:
-            block = alphabet.from_mults(mults)
+    packed = PackedAtoms.for_products(five_point_atoms, 3)
+    for level in product_levels(packed.atoms, 3):
+        for b in level:
+            block = alphabet.from_mults(packed.unpack(b))
             via_z = {z.length for z in factorize(five_point_atoms, block)}
             assert lengths_of(five_point_atoms, block, memo) == frozenset(via_z)
 
 
 def test_min_length(cyclic4_atoms):
     block = _block(cyclic4_atoms.alphabet, [(1, 4), (3, 4)])
-    assert min_length(cyclic4_atoms, block) == 2
-    assert min_length(cyclic4_atoms, cyclic4_atoms.alphabet.empty()) == 0
+    assert min(lengths_of(cyclic4_atoms, block)) == 2
+    assert min(lengths_of(cyclic4_atoms, cyclic4_atoms.alphabet.empty())) == 0
 
 
 def test_distance():
@@ -225,3 +244,154 @@ def test_kernels_match_sequence_references(case):
     assert prof.catenary == _chain_degree(zs)
     assert (prof.equal, prof.adjacent) == (equal, adjacent)
     assert prof.monotone == max(equal, adjacent)
+
+
+def _with_zero(alphabet, zero):
+    """The alphabet with 0 added (zero=True) or removed."""
+    z = alphabet.spec.zero()
+    return Alphabet(alphabet.spec, [g for g in alphabet if g != z] + ([z] if zero else []))
+
+
+@st.composite
+def _packed_cases(draw):
+    """An atom set over a small alphabet with or without 0, a product of 0 to
+    6 of its atoms, and a packing bound at least the block's largest
+    multiplicity, so that widths 8, 16 and 32 all occur."""
+    atomset = enumerate_atoms(_with_zero(draw(small_alphabets()), draw(st.booleans())))
+    picks = draw(st.lists(st.sampled_from(atomset.atoms), max_size=6)) if len(atomset) else []
+    block = atomset.alphabet.empty()
+    for u in picks:
+        block = block * u
+    top = max(block.mults, default=0) + draw(st.sampled_from([0, 1, 200, 40_000, 1 << 20]))
+    return atomset, block, top
+
+
+@settings(max_examples=200, deadline=None)
+@given(_packed_cases())
+def test_packed_kernels_match_sequence_references(case):
+    """_factorizations and _lengths on a packed block equal the Sequence
+    references, and so does every length set the search left in the memo."""
+    atomset, block, top = case
+    packed = PackedAtoms(atomset, top)
+    b = packed.pack(block.mults)
+    assert packed.unpack(b) == block.mults
+    assert _factorizations(packed, b) == _reference_factorizations(atomset, block)
+    reference = {}
+    assert _members(_lengths(packed, b)) == _reference_lengths(atomset, block, reference)
+    for key, mask in packed.table.items():
+        part = atomset.alphabet.from_mults(packed.unpack(key))
+        assert _members(mask) == _reference_lengths(atomset, part, reference)
+
+
+def _products(atomset, k):
+    """The products of exactly k atoms, by Sequence multiplication."""
+    out = set()
+    for picks in combinations_with_replacement(atomset.atoms, k):
+        block = atomset.alphabet.empty()
+        for u in picks:
+            block = block * u
+        out.add(block)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_alphabets(), st.booleans())
+def test_packed_sweeps_match_sequence_references(alphabet, zero):
+    """Product levels, collected length sets, the realizer, unions, the delta
+    set and tame degrees, each against products and length sets computed by
+    Sequence arithmetic."""
+    atomset = enumerate_atoms(_with_zero(alphabet, zero))
+    if not len(atomset):
+        return
+    bound = 3
+    products = [_products(atomset, k) for k in range(bound + 1)]
+    packed = PackedAtoms.for_products(atomset, bound)
+    levels = product_levels(packed.atoms, bound)
+    assert [{packed.unpack(b) for b in level} for level in levels] == [
+        {block.mults for block in level} for level in products
+    ]
+    reference = {}
+    sets = [{_reference_lengths(atomset, b, reference) for b in level} for level in products]
+    memo = {}
+    collected = collect_length_sets(atomset, bound, memo)
+    assert collected == set().union(*sets)
+    # A set with minimum m is a length set iff it is L(B) for a product B of
+    # exactly m atoms (a factorization of length m).
+    candidates = collected | {sumset(a, b) for a in collected for b in collected}
+    for t in candidates:
+        if min(t) <= bound:
+            assert is_length_set_realized(atomset, t, bound, memo) == (t in sets[min(t)])
+    for k in range(1, bound + 1):
+        union = set().union(*(ls for ls in sets[k] if k in ls))
+        assert unions(atomset, k, memo=memo, force="enum").members == tuple(sorted(union))
+    nonzero = [u for u in atomset.atoms if u.length > 1]
+    gaps = set()
+    for k in (2, 3):
+        for picks in combinations_with_replacement(nonzero, k):
+            block = atomset.alphabet.empty()
+            for u in picks:
+                block = block * u
+            gaps |= delta_of_set(_reference_lengths(atomset, block, reference))
+    assert delta_set(atomset, bound, memo=memo).value == gaps
+    for u in atomset.atoms[:4]:
+        covers = list(_minimal_covers(atomset.vectors, u.mults, lambda size, deficit: False))
+        expected = 0
+        if max(size for size, _ in covers) > 1:
+            expected = max(
+                max(size, 1 + min(_reference_lengths(atomset, atomset.alphabet.from_mults(p) // u, reference)))
+                for size, p in covers
+            )
+        assert tame(atomset, u, memo) == expected
+
+
+def test_packing_width_follows_the_largest_multiplicity(cyclic3_atoms):
+    widths = [PackedAtoms(cyclic3_atoms, top).width for top in (0, 127, 128, 2**15 - 1, 2**15, 99_999)]
+    assert widths == [8, 8, 16, 16, 32, 32]
+    packed = PackedAtoms(cyclic3_atoms, 99_999)
+    assert packed.unpack(packed.pack((99_999, 0, 2**31 - 1))) == (99_999, 0, 2**31 - 1)
+    # Over Z, the one atom of {1, -200} is 1^200 * -200: width 8 leaves it
+    # out, and lengths_of packs at width 16.
+    atomset = enumerate_atoms(int_alphabet(1, -200), cap=256)
+    assert PackedAtoms(atomset, 127).atoms == ()
+    assert PackedAtoms(atomset, 200).width == 16 and len(PackedAtoms(atomset, 200).atoms) == 1
+    (atom,) = atomset.atoms
+    assert lengths_of(atomset, atom**2) == frozenset((2,))
+
+
+def test_multiplicities_past_two_to_the_fifteen():
+    """Over Z/3, g^99999 = (g^3)^33333 has one factorization; the block and
+    a small one share a memo, each in the table of its own width."""
+    atomset = enumerate_atoms(cyclic_alphabet(3))
+    g = atomset.alphabet.spec.element(torsion=(1,))
+    block = atomset.alphabet.sequence([(g, 99_999)])
+    (z,) = factorize(atomset, block)
+    assert str(z) == "(1^3)^33333" and z.product() == block
+    memo = {}
+    assert lengths_of(atomset, block, memo) == frozenset((33_333,))
+    assert lengths_of(atomset, atomset.alphabet.sequence([(g, 3), (2 * g, 3)]), memo) == {2, 3}
+    assert sorted(memo) == [(3, 8), (3, 32)]
+    with_zeros = block * atomset.alphabet.sequence([(0 * g, 40_000), (g, 1), (2 * g, 1)])
+    assert lengths_of(atomset, with_zeros, memo) == frozenset((73_334,))
+    assert catenary_profile(atomset, with_zeros).lengths == (73_334,)
+
+
+@pytest.mark.parametrize("token", ["cyclic:4", "prop713", "thm74:2,1"])
+def test_shared_memo_gives_the_values_of_fresh_memos(token):
+    """One memo across every sweep of a report gives what a fresh memo per
+    call gives."""
+    atomset = enumerate_atoms(parse_preset(token).alphabet)
+
+    def values(memo):
+        fresh = memo is None
+        pick = (lambda: {}) if fresh else (lambda: memo)
+        return (
+            delta_set(atomset, 4, memo=pick()).value,
+            delta_star(atomset, 3, memo=pick(), atom_limit=12).value,
+            [unions(atomset, k, memo=pick()).members for k in range(1, 6)],
+            monoid_tame(atomset, memo=pick()).value,
+            min_abs_irred_witness(atomset, pick()),
+        )
+
+    shared = {}
+    assert values(shared) == values(None)
+    assert shared

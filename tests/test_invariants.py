@@ -10,6 +10,7 @@ from hypothesis import given, settings
 
 from krull_arith import (
     absolutely_irreducible,
+    collect_length_sets,
     delta_set,
     delta_star,
     elasticity,
@@ -23,7 +24,7 @@ from krull_arith import (
     unions,
 )
 from krull_arith.errors import ArgumentError
-from krull_arith.invariants import BoundedResult
+from krull_arith.invariants import BoundedResult, _zero_free_sweep
 from krull_arith.presets import build_preset
 
 from conftest import cyclic_alphabet, int_alphabet, small_alphabets
@@ -140,6 +141,23 @@ def test_monoid_catenary(cyclic4_atoms):
     assert res.exact
     with pytest.raises(ArgumentError):
         monoid_catenary(cyclic4_atoms, 1)
+
+
+def test_sweeps_whose_products_need_a_wider_packing():
+    """Over Z, {-70, -1, 1, 70} has the atoms -1*1, -70*70, -70*1^70 and
+    -1^70*70; products of two of them reach multiplicity 140, past a field
+    of 8 bits.  (-70*1^70)(-1^70*70) = (-1*1)^70 (-70*70) has L = {2, 71}, and
+    every other product of two atoms factors uniquely."""
+    atomset = enumerate_atoms(int_alphabet(-70, -1, 1, 70), cap=128)
+    assert len(atomset) == 4
+    assert delta_set(atomset, 2).value == frozenset((69,))
+    assert unions(atomset, 2, force="enum").members == (2, 71)
+    assert unions(atomset, 2, force="milp").members == (2, 71)
+    assert monoid_catenary(atomset, 2).value["catenary"] == 71
+    assert frozenset((2, 71)) in collect_length_sets(atomset, 2)
+    packed, levels = _zero_free_sweep(atomset, 2)
+    assert packed.width == 16
+    assert all(b & packed.guard == 0 for level in levels for b in level)
 
 
 def test_absolutely_irreducible(thm74_21, cyclic4_atoms):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from krull_arith import Alphabet, GroupSpec, Sequence, parse_sequence
-from krull_arith.errors import AlphabetError, ShapeError
+from krull_arith.errors import AlphabetError, ArgumentError, ShapeError
 
 from conftest import cyclic_alphabet, int_alphabet
 
@@ -97,6 +97,19 @@ def test_parse_tuple_elements():
     s = parse_sequence(a, "(1,0)^3 * (-1,-2)")
     assert s.length == 4
     assert str(s) == "(-1,-2) * (1,0)^3"
+
+
+def test_parse_malformed_terms_and_the_trivial_group():
+    spec = GroupSpec(2)
+    a = Alphabet(spec, [spec.element_from_coords(c) for c in [(1, 0), (-1, 0)]])
+    assert parse_sequence(a, "( 1 , 0 )^2 * (-1,0)") == parse_sequence(a, "(-1,0) * (1,0)^2")
+    for text in ["(a)", "(1,)", "(,)", "1^-2", "x"]:
+        with pytest.raises(ArgumentError):
+            parse_sequence(a, text)
+    trivial = GroupSpec(0, ())
+    b = Alphabet(trivial, [trivial.zero()])
+    s = b.sequence([(trivial.zero(), 2)])
+    assert str(s) == "()^2" and parse_sequence(b, str(s)) == s
 
 
 def test_json_round_trip():
