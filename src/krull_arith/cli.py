@@ -200,7 +200,11 @@ def _emit(ctx, data, out_path=None):
         with open(out_path, "w") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=False)
+        # An explicit stream: without one, click.echo caches a wrapper of
+        # sys.stdout in a WeakKeyDictionary whose value is sys.stdout itself,
+        # so every stream that stdout was redirected to in-process is kept
+        # alive for good.
+        click.echo(text, nl=False, file=click.get_text_stream("stdout"))
 
 
 def _exit_on_expectations(data):

@@ -1,10 +1,14 @@
 """End-to-end command line tests via the click test runner."""
 
+import contextlib
+import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -347,3 +351,19 @@ def test_threads_flag_is_gone(runner):
     result = runner.invoke(main, ["--threads", "4", "preset", "list"])
     assert result.exit_code == 2
     assert "No such option" in result.output
+
+
+def test_in_process_runs_do_not_keep_the_redirected_stdout(tmp_path):
+    # Each in-process run writes its report to a fresh stream; none of them
+    # may outlive its run, or memory grows with every run.
+    args = ["--cache-dir", str(tmp_path), "invariants", "--preset", "cyclic:3"]
+    refs = []
+    for _ in range(2):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main.main(args, prog_name="krull-arith", standalone_mode=False)
+        assert json.loads(out.getvalue())["atoms"]["count"] == 4
+        refs.append(weakref.ref(out))
+        del out
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
