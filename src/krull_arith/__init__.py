@@ -33,6 +33,7 @@ from .invariants import (
     monoid_tame,
     omega,
     tame,
+    union_profiles,
     unions,
 )
 from .lengths import (

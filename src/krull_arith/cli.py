@@ -28,7 +28,7 @@ from .invariants import (
     monoid_catenary,
     monoid_omega,
     monoid_tame,
-    unions,
+    union_profiles,
 )
 from .lengths import additive_closure_probe, collect_length_sets, member
 from .presets import (
@@ -144,9 +144,7 @@ def run_invariants(config):
             ).to_json()
         except KrullArithError as exc:
             inv["delta_star"] = {"error": str(exc)}
-    uk = {}
-    for k in range(1, config.max_k + 1):
-        uk[str(k)] = unions(atomset, k, memo=memo).to_json()
+    uk = {str(u.k): u.to_json() for u in union_profiles(atomset, config.max_k, memo=memo)}
     inv["unions"] = uk
     rho = elasticity(atomset, memo=memo)
     inv["elasticity"] = rho.to_json()

@@ -220,14 +220,14 @@ def factorize(atomset, block, guard=FACTORIZATION_GUARD):
     return tuple(Factorization(atomset, c) for c in counts)
 
 
-def _distance(c1, c2):
-    """distance() on count tuples."""
-    return max(sum(c1), sum(c2)) - sum(map(min, c1, c2))
+def _distance(c1, c2, l1, l2):
+    """distance() on count tuples of lengths l1 and l2."""
+    return max(l1, l2) - sum(map(min, c1, c2))
 
 
 def distance(z1, z2):
     """d(z, z') = max length of the two parts left after cancelling gcd(z, z')."""
-    return _distance(z1.counts, z2.counts)
+    return _distance(z1.counts, z2.counts, z1.length, z2.length)
 
 
 def _lengths(packed, block):
@@ -279,18 +279,21 @@ def lengths_of(atomset, block, memo=None):
     return _members(_lengths(*_packed(atomset, block, memo)))
 
 
-def _mst_bottleneck(nodes):
+def _mst_bottleneck(nodes, lengths):
     """Largest edge on a minimum spanning tree of the complete graph on the
-    count tuples, weighted by distance (Prim)."""
+    count tuples, weighted by distance (Prim); ``lengths[i]`` is the length
+    of ``nodes[i]``."""
     if len(nodes) <= 1:
         return 0
-    best = {i: _distance(nodes[0], nodes[i]) for i in range(1, len(nodes))}
+    first, l0 = nodes[0], lengths[0]
+    best = {i: _distance(first, nodes[i], l0, lengths[i]) for i in range(1, len(nodes))}
     bottleneck = 0
     while best:
         i = min(best, key=best.get)
         bottleneck = max(bottleneck, best.pop(i))
+        node, li = nodes[i], lengths[i]
         for j in best:
-            d = _distance(nodes[i], nodes[j])
+            d = _distance(node, nodes[j], li, lengths[j])
             if d < best[j]:
                 best[j] = d
     return bottleneck
@@ -321,18 +324,19 @@ def _catenary_profile(packed, block, guard=FACTORIZATION_GUARD):
     in every factorization, so distances are taken on the counts of the
     nonzero atoms and only the lengths add v_0(B)."""
     y, _, zs = _count_vectors(packed, block, guard)
+    sizes = [sum(z) for z in zs]
     by_len = {}
-    for z in zs:
-        by_len.setdefault(sum(z), []).append(z)
+    for z, l in zip(zs, sizes):
+        by_len.setdefault(l, []).append(z)
     lengths = tuple(sorted(l + y for l in by_len))
     if len(zs) <= 1:
         return CatenaryProfile(0, 0, 0, 0, len(zs), lengths)
-    c = _mst_bottleneck(zs)
-    c_eq = max(_mst_bottleneck(group) for group in by_len.values())
+    c = _mst_bottleneck(zs, sizes)
+    c_eq = max(_mst_bottleneck(group, [l] * len(group)) for l, group in by_len.items())
     c_adj = 0
     ls = sorted(by_len)
     for a, b in zip(ls, ls[1:]):
-        gap = min(_distance(z1, z2) for z1 in by_len[a] for z2 in by_len[b])
+        gap = min(_distance(z1, z2, a, b) for z1 in by_len[a] for z2 in by_len[b])
         c_adj = max(c_adj, gap)
     return CatenaryProfile(c, c_eq, c_adj, max(c_eq, c_adj), len(zs), lengths)
 

@@ -6,7 +6,19 @@ Everything here is computed by unbounded-exact or bounded-sweep methods; a
 BoundedResult records which.  Sweeps walk deduplicated products of atoms
 level by level.  For unions of sets of lengths there is a second, exact
 engine based on integer programming that is used when the product sweep
-would be too large.
+would be too large.  It starts from what the smaller unions prove
+(Geroldinger-Halter-Koch, *Non-Unique Factorizations*, 2006, 1.4;
+Freeze-Geroldinger, "Unions of sets of lengths", *Funct. Approx.* 39, 2008):
+m is in U_k exactly when k is in U_m, and U_i + U_{k-i} lies in U_k.  With
+D = D(G0), a nonzero atom has length at least 2 and the atom 0 has length 1
+and is prime, so for k >= 2 and D >= 2
+
+    U_k  lies in  [max(2, ceil(2k/D)), floor(kD/2)],
+
+the lower end following from the upper one by the symmetry above; for
+D <= 1 the only atom is 0 and U_k = {k}.  A program is solved for rho_k only
+when the witnesses stop short of kD/2, and for each m between k and rho_k
+that no witness proves; every solution is checked exactly in integers.
 
 Inside the sweeps a block and an atom are ints packed by one
 ``factorizations.PackedAtoms``, wide enough for every product the sweep
@@ -223,62 +235,96 @@ def _union_by_enumeration(atomset, k, memo):
     return _members(members)
 
 
-def _union_by_milp(atomset, k):
-    """U_k by integer programming: m is a member iff some block is at once a
-    product of k atoms and of m atoms.  Variables are the two exponent
-    vectors; equality of the products is imposed coordinatewise.
+def _union_program(atomset, k):
+    """solve(m) for the integer program of U_k: is there a block that is at
+    once a product of k atoms (counts x) and of m atoms (counts y)?  Equality
+    of the two products is imposed coordinatewise.  solve() maximizes |y| and
+    returns rho_k; solve(m) returns m, or None when the program is infeasible.
+    Every solution is rounded to integer counts and checked exactly, in
+    Python ints, before it is accepted.
     """
     import numpy as np
     from scipy.optimize import Bounds, LinearConstraint, milp
 
-    atoms = atomset.atoms
-    na = len(atoms)
-    ng = len(atomset.alphabet)
-    mat = np.array([a.mults for a in atoms], dtype=float).T  # ng x na
-    eq = np.hstack([mat, -mat])
-    kx = np.hstack([np.ones(na), np.zeros(na)])
+    vectors = atomset.vectors
+    na = len(vectors)
+    mat = np.array(vectors, dtype=float).T  # alphabet x atoms
     ky = np.hstack([np.zeros(na), np.ones(na)])
     base = [
-        LinearConstraint(eq, np.zeros(ng), np.zeros(ng)),
-        LinearConstraint(kx, k, k),
+        LinearConstraint(np.hstack([mat, -mat]), 0, 0),
+        LinearConstraint(np.hstack([np.ones(na), np.zeros(na)]), k, k),
     ]
-    integrality = np.ones(2 * na)
 
-    def solve(c, extra=None):
-        res = milp(
-            c=c,
-            constraints=base + (extra or []),
-            integrality=integrality,
-            bounds=Bounds(0, np.inf),
-        )
-        return res
+    def product(counts):
+        return [sum(c * v[j] for c, v in zip(counts, vectors)) for j in range(len(atomset.alphabet))]
 
-    lo = solve(ky)
-    hi = solve(-ky)
-    if not lo.success or not hi.success:
-        raise DomainError("union-of-lengths program infeasible for k=%d" % k)
-    lam = round(lo.fun)
-    rho = round(-hi.fun)
-    members = set()
-    for m in range(lam, rho + 1):
-        if m in (lam, rho):
-            members.add(m)
-            continue
-        probe = solve(np.zeros(2 * na), [LinearConstraint(ky, m, m)])
-        if probe.success:
-            members.add(m)
+    def solve(m=None):
+        if m is None:
+            c, extra = -ky, []
+        else:
+            c, extra = np.zeros(2 * na), [LinearConstraint(ky, m, m)]
+        res = milp(c, integrality=np.ones(2 * na), bounds=Bounds(0, np.inf), constraints=base + extra)
+        if m is not None and res.status == 2:  # infeasible
+            return None
+        if not res.success:
+            raise DomainError("union-of-lengths program for k=%d failed: %s" % (k, res.message))
+        claimed = round(-res.fun) if m is None else m
+        counts = [round(v) for v in res.x]
+        x, y = counts[:na], counts[na:]
+        if min(counts) < 0 or sum(x) != k or sum(y) != claimed or product(x) != product(y):
+            raise DomainError("MILP solution is no integer witness of %d in U_%d" % (claimed, k))
+        return claimed
+
+    return solve
+
+
+def _union_by_milp(atomset, k, lower):
+    """U_k from the members of U_1, ..., U_{k-1} (``lower``) and integer
+    programs for what they leave open.
+
+    m in U_k iff k in U_m, so the members up to k are read off ``lower``.
+    Above k, U_i + U_{k-i} lies in U_k, and rho_k <= kD/2 (module docstring)
+    bounds the rest: rho_k is solved for only when these witnesses stop
+    short of that bound, and then each m between k and rho_k that no
+    witness covers is probed.  scipy is imported only when a program is
+    solved.
+    """
+    members = {m for m, union in enumerate(lower, 1) if k in union}
+    members.add(k)
+    for i in range(1, k // 2 + 1):
+        members.update(a + b for a in lower[i - 1] for b in lower[k - i - 1])
+    d = atomset.davenport()
+    top = k * d // 2 if k > 1 and d > 1 else k
+    rho = max(members)
+    open_ms = [m for m in range(k + 1, rho) if m not in members]
+    if rho == top and not open_ms:
+        return members
+    solve = _union_program(atomset, k)
+    if rho < top:
+        found = solve()
+        if found < rho:
+            raise DomainError("MILP rho_%d = %d is below the witness %d" % (k, found, rho))
+        open_ms += range(rho + 1, found)
+        members.add(found)
+    members.update(m for m in open_ms if solve(m) is not None)
     return members
 
 
-def unions(atomset, k, guard=ENUM_PRODUCT_GUARD, memo=None, force=None):
+def unions(atomset, k, guard=ENUM_PRODUCT_GUARD, memo=None, force=None, lower=None):
     """U_k(H), the union of all length sets containing k, with rho_k = max
     and lambda_k = min.  Exact by either engine; the product sweep is used
     while the number of atom multisets stays under ``guard``.
+
+    The MILP engine starts from U_1, ..., U_{k-1}: ``lower`` holds their
+    profiles when the caller has them (``union_profiles`` passes them);
+    otherwise they are computed, each by its own engine.
     """
     if k < 0:
         raise ArgumentError("k must be nonnegative")
     if k == 0:
         return UnionProfile(0, (0,), 0, 0, True, "trivial")
+    if not atomset.atoms:
+        raise DomainError("U_%d is empty: B(G0) has no atoms" % k)
     if memo is None:
         memo = {}
     method = force
@@ -287,26 +333,37 @@ def unions(atomset, k, guard=ENUM_PRODUCT_GUARD, memo=None, force=None):
     if method == "enum":
         members = _union_by_enumeration(atomset, k, memo)
     elif method == "milp":
-        members = _union_by_milp(atomset, k)
+        if lower is None:
+            lower = union_profiles(atomset, k - 1, guard, memo)
+        members = _union_by_milp(atomset, k, [p.members for p in lower])
     else:
         raise ArgumentError("unknown union engine %r" % method)
     members = tuple(sorted(members))
     return UnionProfile(k, members, members[-1], members[0], True, method)
 
 
+def union_profiles(atomset, max_k, guard=ENUM_PRODUCT_GUARD, memo=None):
+    """[U_1, ..., U_max_k] in one pass, sharing one memo; each level picks
+    its own engine, and a MILP level starts from the levels below it."""
+    if memo is None:
+        memo = {}
+    profiles = []
+    for k in range(1, max_k + 1):
+        profiles.append(unions(atomset, k, guard, memo, lower=profiles))
+    return profiles
+
+
 def elasticity(atomset, bound=8, memo=None):
     """rho(H).  For a negation-closed G0 this is D(G0)/2 exactly (pair every
-    atom with its negative); otherwise sup rho_k / k is reported as a swept
+    atom with its negative); with no atom but 0 (D(G0) <= 1) B(G0) is
+    factorial and rho = 1; otherwise sup rho_k / k is reported as a swept
     lower bound.
     """
     d = atomset.davenport()
-    if atomset.alphabet.is_symmetric():
-        return BoundedResult(Fraction(d, 2), True, 0, "closed-form")
-    best = Fraction(1)
-    for k in range(1, bound + 1):
-        u = unions(atomset, k, memo=memo)
-        best = max(best, Fraction(u.rho, k))
-    return BoundedResult(best, False, bound, "rho_k-sweep")
+    if d <= 1 or atomset.alphabet.is_symmetric():
+        return BoundedResult(Fraction(max(d, 2), 2), True, 0, "closed-form")
+    ratios = [Fraction(u.rho, u.k) for u in union_profiles(atomset, bound, memo=memo)]
+    return BoundedResult(max(ratios + [Fraction(1)]), False, bound, "rho_k-sweep")
 
 
 def _minimal_covers(atoms, u, prune):

@@ -4,11 +4,15 @@ catenary, absolute irreducibility.  The two union engines are cross-checked.
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from krull_arith import (
+    Alphabet,
+    GroupSpec,
     absolutely_irreducible,
     collect_length_sets,
     delta_set,
@@ -21,13 +25,14 @@ from krull_arith import (
     monoid_tame,
     omega,
     tame,
+    union_profiles,
     unions,
 )
-from krull_arith.errors import ArgumentError
-from krull_arith.invariants import BoundedResult, _zero_free_sweep
+from krull_arith.errors import ArgumentError, DomainError
+from krull_arith.invariants import ENUM_PRODUCT_GUARD, BoundedResult, _zero_free_sweep
 from krull_arith.presets import build_preset
 
-from conftest import cyclic_alphabet, int_alphabet, small_alphabets
+from conftest import int_alphabet, small_alphabets
 
 
 def test_delta_set_cyclic(cyclic4_atoms, cyclic5_atoms):
@@ -68,6 +73,136 @@ def test_union_engines_agree(cyclic4_atoms, cyclic5_atoms, thm74_21):
             milp = unions(atomset, k, force="milp")
             assert enum.members == milp.members
             assert enum.rho == milp.rho and enum.lam == milp.lam
+
+
+def _unions_probing_every_m(atomset, k):
+    """Reference U_k by integer programming alone: minimize and maximize the
+    second length, then probe every m in between."""
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    na = len(atomset)
+    mat = np.array(atomset.vectors, dtype=float).T
+    ky = np.hstack([np.zeros(na), np.ones(na)])
+    base = [
+        LinearConstraint(np.hstack([mat, -mat]), 0, 0),
+        LinearConstraint(np.hstack([np.ones(na), np.zeros(na)]), k, k),
+    ]
+
+    def solve(c, extra=()):
+        return milp(c, integrality=np.ones(2 * na), bounds=Bounds(0, np.inf), constraints=base + list(extra))
+
+    lam = round(solve(ky).fun)
+    rho = round(-solve(-ky).fun)
+    probes = (m for m in range(lam + 1, rho) if solve(0 * ky, [LinearConstraint(ky, m, m)]).success)
+    return tuple(sorted({lam, rho, *probes}))
+
+
+def _union_alphabets():
+    """Strategy: subsets of Z/n (3 <= n <= 5) and subsets of [-3, 3] over Z,
+    negation-closed or not, whose atom sets are small."""
+    def over_cyclic(n, classes):
+        spec = GroupSpec(0, (n,))
+        return Alphabet(spec, [spec.element(torsion=(c,)) for c in sorted(classes)])
+
+    cyclic = st.integers(3, 5).flatmap(
+        lambda n: st.sets(st.integers(0, n - 1), min_size=2, max_size=n).map(
+            lambda cs: over_cyclic(n, cs)
+        )
+    )
+    line = st.sets(st.integers(-3, 3), min_size=2, max_size=5).map(lambda vs: int_alphabet(*sorted(vs)))
+    return st.one_of(cyclic, line)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_union_alphabets())
+@example(int_alphabet(-6, -5, -3, 4))
+def test_union_engines_match_a_probe_every_m_reference(alphabet):
+    """The MILP engine, which starts from the unions below k, equals the
+    enumeration engine and a MILP that probes every m; every U_k lies in
+    [max(2, ceil(2k/D)), kD/2] for k >= 2.  In the explicit example, 3 is a
+    member of U_2 that only a probe finds."""
+    atomset = enumerate_atoms(alphabet)
+    assume(1 <= len(atomset) <= 10)
+    d = atomset.davenport()
+    memo = {}
+    for k in range(1, 6):
+        enum = unions(atomset, k, memo=memo, force="enum").members
+        assert unions(atomset, k, memo=memo, force="milp").members == enum
+        assert _unions_probing_every_m(atomset, k) == enum
+        if k > 1 and d > 1:
+            assert max(2, -(-2 * k // d)) <= enum[0] and enum[-1] <= k * d // 2
+
+
+def _count_milp_calls(monkeypatch):
+    import scipy.optimize
+
+    calls = []
+    solve = scipy.optimize.milp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "milp", counted)
+    return calls
+
+
+def test_milp_engine_solves_only_what_smaller_unions_leave_open(monkeypatch):
+    """On C7, U_1..U_3 prove U_4 = [2, 14] up to its bound 4*7/2, and U_5 up
+    to 15 of its bound 17, so one program shows rho_5 = 15.  Over Z,
+    {-70, -1, 1, 70} has U_2 = {2, 71}: nothing below proves 71 or the gap,
+    so rho_2 is solved and each m in [3, 70] is probed."""
+    calls = _count_milp_calls(monkeypatch)
+    atomset = enumerate_atoms(build_preset("cyclic", 7).alphabet)
+    assert comb(len(atomset) + 3, 4) > ENUM_PRODUCT_GUARD
+    memo = {}
+    lower = union_profiles(atomset, 3, memo=memo)
+    u4 = unions(atomset, 4, memo=memo, lower=lower)
+    assert (u4.method, u4.members, len(calls)) == ("milp", tuple(range(2, 15)), 0)
+    u5 = unions(atomset, 5, memo=memo, lower=lower + [u4])
+    assert (u5.method, u5.members, len(calls)) == ("milp", tuple(range(2, 16)), 1)
+    assert unions(atomset, 5, memo=memo).members == u5.members
+    del calls[:]
+    gapped = enumerate_atoms(int_alphabet(-70, -1, 1, 70), cap=128)
+    assert unions(gapped, 2, force="milp").members == (2, 71)
+    assert len(calls) == 1 + 68
+
+
+def test_milp_solutions_are_checked_in_integers(monkeypatch, cyclic5_atoms):
+    """A solver answer that is no integer witness is refused: here one unit
+    of y moves to another atom, which keeps |y| but changes the product."""
+    import scipy.optimize
+
+    solve = scipy.optimize.milp
+
+    def corrupted(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        na = len(res.x) // 2
+        i = next(i for i in range(na, 2 * na) if res.x[i] > 0.5)
+        res.x[i] -= 1
+        res.x[na + (i + 1) % na] += 1
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "milp", corrupted)
+    with pytest.raises(DomainError):
+        unions(cyclic5_atoms, 2, force="milp")
+
+
+def test_alphabet_whose_only_atom_is_zero(monkeypatch):
+    """With only the atom 0, B(G0) is factorial: U_k = {k}, rho = 1, and no
+    program is solved.  Without any atom, U_k is empty for k >= 1."""
+    calls = _count_milp_calls(monkeypatch)
+    for alphabet in (int_alphabet(0), int_alphabet(0, 3)):
+        atomset = enumerate_atoms(alphabet)
+        assert atomset.davenport() == 1
+        for k in range(1, 5):
+            for force in ("enum", "milp"):
+                assert unions(atomset, k, force=force).members == (k,)
+        assert elasticity(atomset) == BoundedResult(Fraction(1), True, 0, "closed-form")
+    assert not calls
+    with pytest.raises(DomainError):
+        unions(enumerate_atoms(int_alphabet(1, 2)), 2)
 
 
 def test_union_values_cyclic(cyclic5_atoms):
