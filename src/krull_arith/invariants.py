@@ -310,15 +310,20 @@ def _union_by_milp(atomset, k, lower):
     return members
 
 
-def unions(atomset, k, guard=ENUM_PRODUCT_GUARD, memo=None, force=None, lower=None):
+def unions(atomset, k, guard=ENUM_PRODUCT_GUARD, memo=None, force=None):
     """U_k(H), the union of all length sets containing k, with rho_k = max
     and lambda_k = min.  Exact by either engine; the product sweep is used
-    while the number of atom multisets stays under ``guard``.
-
-    The MILP engine starts from U_1, ..., U_{k-1}: ``lower`` holds their
-    profiles when the caller has them (``union_profiles`` passes them);
-    otherwise they are computed, each by its own engine.
+    while the number of atom multisets stays under ``guard``.  The MILP
+    engine starts from U_1, ..., U_{k-1}, which this call computes, each by
+    its own engine; ``union_profiles`` computes every level once.
     """
+    return _union_profile(atomset, k, guard, memo, force, None)
+
+
+def _union_profile(atomset, k, guard, memo, force, lower):
+    """U_k as a UnionProfile.  ``lower`` is [U_1, ..., U_{k-1}] as profiles
+    of the same atom set, or None to compute them if the MILP engine needs
+    them."""
     if k < 0:
         raise ArgumentError("k must be nonnegative")
     if k == 0:
@@ -349,7 +354,7 @@ def union_profiles(atomset, max_k, guard=ENUM_PRODUCT_GUARD, memo=None):
         memo = {}
     profiles = []
     for k in range(1, max_k + 1):
-        profiles.append(unions(atomset, k, guard, memo, lower=profiles))
+        profiles.append(_union_profile(atomset, k, guard, memo, None, profiles))
     return profiles
 
 

@@ -32,7 +32,7 @@ from krull_arith.invariants import (
     monoid_catenary,
     monoid_omega,
     monoid_tame,
-    unions,
+    union_profiles,
 )
 from krull_arith.presets import (
     build_preset,
@@ -86,15 +86,17 @@ def test_criterion_1_symmetric_rank_suite():
         _add(problems, cat["monotone"] == d, tag + " monotone catenary")
         _add(problems, monoid_omega(ats).value == d, tag + " omega")
         _add(problems, monoid_tame(ats, None, memo).value == d, tag + " tame")
+        # uk[i] = U_i, every level computed once.
+        uk = [None] + union_profiles(ats, max(7, 3 * d - 1), memo=memo)
         for k in range(1, 4):
             _add(
                 problems,
-                unions(ats, 2 * k, memo=memo).rho == k * d,
+                uk[2 * k].rho == k * d,
                 tag + " rho_%d" % (2 * k),
             )
             _add(
                 problems,
-                unions(ats, 2 * k + 1, memo=memo).rho == k * d + 1,
+                uk[2 * k + 1].rho == k * d + 1,
                 tag + " rho_%d" % (2 * k + 1),
             )
         for l in range(3):
@@ -104,7 +106,7 @@ def test_criterion_1_symmetric_rank_suite():
                     continue
                 _add(
                     problems,
-                    unions(ats, idx, memo=memo).lam == 2 * l + j,
+                    uk[idx].lam == 2 * l + j,
                     tag + " lambda_%d" % idx,
                 )
     ok = _report(
@@ -190,9 +192,13 @@ def test_criterion_3_cyclic_suite():
             delta_set(ats, 3, memo=memo).value == frozenset(range(1, n - 1)),
             tag + " delta",
         )
+        lams = {idx: lam for idx, lam in preset.expected["lambda"].items() if idx < 2 * n}
+        # uk[i] = U_i, every level computed once; lams is the l = 1 row of
+        # the lambda table.
+        uk = [None] + union_profiles(ats, max([5, *lams]), memo=memo)
         _add(
             problems,
-            unions(ats, 2, memo=memo).members == tuple(range(2, n + 1)),
+            uk[2].members == tuple(range(2, n + 1)),
             tag + " U_2",
         )
         for k in (1, 2):
@@ -200,16 +206,15 @@ def test_criterion_3_cyclic_suite():
                 idx = 2 * k + j
                 _add(
                     problems,
-                    unions(ats, idx, memo=memo).rho == k * n + j,
+                    uk[idx].rho == k * n + j,
                     tag + " rho_%d" % idx,
                 )
-        for idx, lam in preset.expected["lambda"].items():
-            if idx < 2 * n:  # the l = 1 row of the table
-                _add(
-                    problems,
-                    unions(ats, idx, memo=memo).lam == lam,
-                    tag + " lambda_%d" % idx,
-                )
+        for idx, lam in lams.items():
+            _add(
+                problems,
+                uk[idx].lam == lam,
+                tag + " lambda_%d" % idx,
+            )
         ds = sorted(delta_star(ats, 3, memo=memo, atom_limit=12).value)
         if n >= 4:
             _add(problems, ds[-1] == n - 2, tag + " max delta*")
@@ -449,8 +454,7 @@ def test_criterion_9_universal_inequalities():
         if not factorial:
             _add(problems, 2 <= omega_v, tag + " 2 <= omega")
             _add(problems, rho.value <= omega_v, tag + " rho <= omega")
-        for k in range(1, 6):
-            u = unions(ats, k, memo=memo)
+        for k, u in enumerate(union_profiles(ats, 5, memo=memo), 1):
             _add(problems, k <= u.rho <= k * rho.value, tag + " k <= rho_%d <= k*rho" % k)
             _add(
                 problems,

@@ -24,6 +24,7 @@ from krull_arith import (
     parse_preset,
     sumset,
     tame,
+    union_profiles,
     unions,
 )
 from krull_arith.errors import BoundExceededError, DomainError
@@ -387,7 +388,7 @@ def test_shared_memo_gives_the_values_of_fresh_memos(token):
         return (
             delta_set(atomset, 4, memo=pick()).value,
             delta_star(atomset, 3, memo=pick(), atom_limit=12).value,
-            [unions(atomset, k, memo=pick()).members for k in range(1, 6)],
+            [u.members for u in union_profiles(atomset, 5, memo=pick())],
             monoid_tame(atomset, memo=pick()).value,
             min_abs_irred_witness(atomset, pick()),
         )

@@ -29,7 +29,7 @@ from krull_arith import (
     unions,
 )
 from krull_arith.errors import ArgumentError, DomainError
-from krull_arith.invariants import ENUM_PRODUCT_GUARD, BoundedResult, _zero_free_sweep
+from krull_arith.invariants import ENUM_PRODUCT_GUARD, BoundedResult, _union_by_milp, _zero_free_sweep
 from krull_arith.presets import build_preset
 
 from conftest import int_alphabet, small_alphabets
@@ -157,16 +157,35 @@ def test_milp_engine_solves_only_what_smaller_unions_leave_open(monkeypatch):
     atomset = enumerate_atoms(build_preset("cyclic", 7).alphabet)
     assert comb(len(atomset) + 3, 4) > ENUM_PRODUCT_GUARD
     memo = {}
-    lower = union_profiles(atomset, 3, memo=memo)
-    u4 = unions(atomset, 4, memo=memo, lower=lower)
+    u4 = union_profiles(atomset, 4, memo=memo)[-1]
     assert (u4.method, u4.members, len(calls)) == ("milp", tuple(range(2, 15)), 0)
-    u5 = unions(atomset, 5, memo=memo, lower=lower + [u4])
+    u5 = union_profiles(atomset, 5, memo=memo)[-1]
     assert (u5.method, u5.members, len(calls)) == ("milp", tuple(range(2, 16)), 1)
     assert unions(atomset, 5, memo=memo).members == u5.members
     del calls[:]
     gapped = enumerate_atoms(int_alphabet(-70, -1, 1, 70), cap=128)
     assert unions(gapped, 2, force="milp").members == (2, 71)
     assert len(calls) == 1 + 68
+
+
+def test_milp_engine_probes_gaps_below_a_witnessed_rho(monkeypatch, cyclic4_atoms, cyclic5_atoms):
+    """Cut U_i down to {i, rho_i} and, where present, k: the rule m in U_k
+    iff k in U_m still reads every member up to k, but the sums
+    U_i + U_{k-i} now leave gaps below the rho they witness, which only a
+    probe fills.  On C4 and C6 at k = 4 the witnesses reach rho_4 = 2D, so
+    no program is solved for rho, and 7 (C4) or 7, 9, 11 (C6) are probed."""
+    calls = _count_milp_calls(monkeypatch)
+    cyclic6_atoms = enumerate_atoms(build_preset("cyclic", 6).alphabet)
+    solved = {}
+    for atomset in (cyclic4_atoms, cyclic5_atoms, cyclic6_atoms):
+        memo = {}
+        full = [unions(atomset, k, memo=memo, force="enum").members for k in range(1, 6)]
+        for k in range(2, 6):
+            cut = [tuple(sorted({i, u[-1]} | ({k} & set(u)))) for i, u in enumerate(full[: k - 1], 1)]
+            del calls[:]
+            assert tuple(sorted(_union_by_milp(atomset, k, cut))) == full[k - 1]
+            solved[atomset.davenport(), k] = len(calls)
+    assert solved[4, 4] == 1 and solved[6, 4] == 3
 
 
 def test_milp_solutions_are_checked_in_integers(monkeypatch, cyclic5_atoms):

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from krull_arith import delta_star, enumerate_atoms, factorize, unions
+from krull_arith import delta_star, enumerate_atoms, factorize, union_profiles
 from krull_arith.errors import ArgumentError, DomainError
 from krull_arith.presets import (
     DefiningMatrix,
@@ -232,7 +232,6 @@ def test_delta_star_and_union_expectations(token):
     if "delta_star_superset" in expected:
         assert dstar >= expected["delta_star_superset"]
     if "unions_are_intervals" in expected:
-        for k in range(1, 6):
-            u = unions(ats, k, memo=memo)
+        for u in union_profiles(ats, 5, memo=memo):
             is_interval = u.members == tuple(range(u.lam, u.rho + 1))
             assert is_interval == expected["unions_are_intervals"]
