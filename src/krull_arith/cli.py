@@ -17,7 +17,7 @@ import click
 
 from . import __version__, report as reporting
 from .atoms import enumerate_atoms
-from .errors import KrullArithError
+from .errors import ArgumentError, KrullArithError
 from .factorizations import catenary_profile, factorize
 from .groups import GroupSpec
 from .invariants import (
@@ -65,11 +65,19 @@ class JobConfig:
 
 def _load_json_arg(value):
     """Inline JSON or a path to a JSON file."""
-    value = value.strip()
-    if value.startswith(("[", "{")):
-        return json.loads(value)
-    with open(value) as fh:
-        return json.load(fh)
+    text = value = value.strip()
+    if not value.startswith(("[", "{")):
+        try:
+            with open(value) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ArgumentError(
+                "%r is neither inline JSON nor a readable JSON file: %s" % (value, exc.strerror)
+            ) from None
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ArgumentError("%r does not hold valid JSON: %s" % (value, exc)) from None
 
 
 def _alphabet_from_args(group, elements):

@@ -3,7 +3,8 @@
 A factorization is a multiset of atoms; it is stored as a count vector
 parallel to an AtomSet.  This module enumerates Z(B), computes the usual
 distance between factorizations, the set of lengths L(B) (by a memoized
-search that never materializes Z(B)), and the catenary data of a block.
+search that never materializes Z(B) and branches only on the atoms holding
+the block's lowest element), and the catenary data of a block.
 
 The kernels (``_lengths``, ``_factorizations``, ``_catenary_profile``) work
 on packed blocks: ``PackedAtoms`` turns a multiplicity tuple into one int
@@ -90,11 +91,16 @@ class PackedAtoms:
     ``atoms`` holds the packed atoms, ``indices`` their AtomSet indices; an
     atom with a multiplicity too large for a field divides no such block and
     is left out.  ``zero`` is (AtomSet index, bit offset) of the atom 0, or None.
-    ``table``, the memo of length bitmasks, is ``memo[(length, width)]``,
-    so that blocks packed at different widths never share a table.
+    ``pivots[(B & -B).bit_length()]`` lists the packed atoms that hold the
+    lowest element of a nonzero block B, the element of B's lowest nonzero
+    field.  ``table``, the memo of length bitmasks, is
+    ``memo[(length, width)]``, so that blocks packed at different widths
+    never share a table.
     """
 
-    __slots__ = ("length", "width", "field", "guard", "size", "atoms", "indices", "zero", "table")
+    __slots__ = (
+        "length", "width", "field", "guard", "size", "atoms", "indices", "zero", "pivots", "table",
+    )
 
     def __init__(self, atomset, top, memo=None):
         width = 8
@@ -109,6 +115,8 @@ class PackedAtoms:
         self.indices = tuple(i for i, _ in kept)
         self.atoms = tuple(self.pack(v) for _, v in kept)
         self.zero = next(((i, v.index(1) * width) for i, v in kept if sum(v) == 1), None)
+        holding = [[u for u, (_, v) in zip(self.atoms, kept) if v[j]] for j in range(self.length)]
+        self.pivots = [()] + [held for held in holding for _ in range(width)]
         memo = {} if memo is None else memo
         self.table = memo.setdefault((self.length, width), {0: 1})
 
@@ -232,9 +240,12 @@ def distance(z1, z2):
 
 def _lengths(packed, block):
     """L(B) of a packed block as a bitmask.  L(B) = L(B without its zeros)
-    shifted by v_0(B); for a zero-free B it is the OR over atoms u | B of
-    L(B/u) << 1, memoized in ``packed.table`` and evaluated children first
-    with an explicit stack, over the atoms that divide B."""
+    shifted by v_0(B).  For a zero-free B it is the OR of L(B/u) << 1 over
+    the atoms u | B that hold B's lowest element: every factorization of B
+    has an atom holding that element, so these branches reach every length.
+    The pivot depends only on the block, never on the atom set, so tables
+    shared by restricted atom sets stay valid.  Memoized in ``packed.table``
+    and evaluated children first with an explicit stack."""
     table = packed.table
     hit = table.get(block)
     if hit is not None:
@@ -243,9 +254,7 @@ def _lengths(packed, block):
     if y:
         table[block] = mask = _lengths(packed, rest) << y
         return mask
-    guard = packed.guard
-    held = block | guard
-    atoms = [u for u in packed.atoms if (held - u) & guard == guard]
+    guard, pivots = packed.guard, packed.pivots
     stack = [(block, None)]
     while stack:
         b, rests = stack.pop()
@@ -253,7 +262,9 @@ def _lengths(packed, block):
             if b in table:
                 continue
             held = b | guard
-            rests = [d ^ guard for u in atoms if (d := held - u) & guard == guard]
+            rests = [
+                d ^ guard for u in pivots[(b & -b).bit_length()] if (d := held - u) & guard == guard
+            ]
             missing = [r for r in rests if r not in table]
             if missing:
                 stack.append((b, rests))

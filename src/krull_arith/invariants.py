@@ -4,7 +4,11 @@ irreducible elements.
 
 Everything here is computed by unbounded-exact or bounded-sweep methods; a
 BoundedResult records which.  Sweeps walk deduplicated products of atoms
-level by level.  For unions of sets of lengths there is a second, exact
+level by level, and one sweep serves many values: the sweep to level k
+gives U_1, ..., U_k, and delta* sweeps only the largest atom sets it keeps,
+recording the least gap of L(B) for each block support, so that
+min delta(B(G1)) of a kept subset G1 is the least gap recorded for a
+support inside G1.  For unions of sets of lengths there is a second, exact
 engine based on integer programming that is used when the product sweep
 would be too large.  It starts from what the smaller unions prove
 (Geroldinger-Halter-Koch, *Non-Unique Factorizations*, 2006, 1.4;
@@ -101,16 +105,6 @@ def delta_of_set(lengths):
     return frozenset(b - a for a, b in zip(ls, ls[1:]))
 
 
-def _gaps(atomset, bound, memo):
-    """Every gap of L(B) over products B of 2..``bound`` nonzero atoms."""
-    packed, levels = _zero_free_sweep(atomset, bound, memo)
-    masks = {_lengths(packed, b) for level in levels[2:] for b in level}
-    gaps = set()
-    for mask in masks:
-        gaps.update(delta_of_set(_members(mask)))
-    return gaps
-
-
 def delta_set(atomset, bound, expected=None, memo=None):
     """The set of distances of B(G0), swept over products of at most
     ``bound`` atoms.  Blocks of zeros only translate length sets, so the
@@ -120,7 +114,12 @@ def delta_set(atomset, bound, expected=None, memo=None):
         raise ArgumentError("delta_set needs bound >= 2")
     if memo is None:
         memo = {}
-    value = frozenset(_gaps(atomset, bound, memo))
+    packed, levels = _zero_free_sweep(atomset, bound, memo)
+    masks = {_lengths(packed, b) for level in levels[2:] for b in level}
+    gaps = set()
+    for mask in masks:
+        gaps.update(delta_of_set(_members(mask)))
+    value = frozenset(gaps)
     exact = expected is not None and value == frozenset(expected)
     return BoundedResult(value, exact, bound, "product-sweep")
 
@@ -147,6 +146,33 @@ def _symmetric_subsets(alphabet):
             yield tuple(sorted(base + [zi]))
 
 
+def _least_gaps_by_support(packed, atom_sets, bound):
+    """{support: least gap of L(B)} over the products B of 2..``bound``
+    nonzero atoms from any one of ``atom_sets`` (masks of AtomSet indices).
+    A support is the block's guard bits whose fields are nonzero."""
+    spread = packed.guard - sum(1 << (j * packed.width) for j in range(packed.length))
+    zero = packed.zero[0] if packed.zero else None
+    blocks = set()
+    for atoms in atom_sets:
+        chosen = [u for u, i in zip(packed.atoms, packed.indices) if atoms >> i & 1 and i != zero]
+        for level in product_levels(chosen, bound)[2:]:
+            blocks |= level
+    least = {}
+    by_mask = {}
+    for b in blocks:
+        mask = _lengths(packed, b)
+        if mask not in by_mask:
+            by_mask[mask] = min(delta_of_set(_members(mask)), default=None)
+        gap = by_mask[mask]
+        if gap is not None:
+            # A field v < 2**(width - 1) plus 2**(width - 1) - 1 reaches the
+            # guard bit exactly when v > 0, and never carries into the next.
+            support = (b + spread) & packed.guard
+            if gap < least.get(support, gap + 1):
+                least[support] = gap
+    return least
+
+
 def delta_star(atomset, bound, expected=None, memo=None, atom_limit=None):
     """{min delta(B(G1)) : G1 a subset of G0 with nonempty delta set}.
 
@@ -155,6 +181,12 @@ def delta_star(atomset, bound, expected=None, memo=None, atom_limit=None):
     negation-closed subsets only (and must be closed under negation).
     ``atom_limit`` skips subsets with more atoms than that (their minima may
     be missed; the result is then a certified subset of delta*).
+
+    A product of atoms supported in G1 is a product of atoms of B(G1), with
+    the same length set in both.  So one sweep serves every subset: only
+    the maximal kept atom sets are swept, over products of 2..``bound``
+    nonzero atoms, recording the least gap for each block support, and
+    min delta(B(G1)) is the least recorded gap over supports inside G1.
     """
     n = len(atomset.alphabet)
     if n > DELTA_STAR_SWEEP_LIMIT:
@@ -173,24 +205,33 @@ def delta_star(atomset, bound, expected=None, memo=None, atom_limit=None):
         subsets = (
             s for size in range(1, n + 1) for s in combinations(indices, size)
         )
-    mins = set()
+    packed = PackedAtoms.for_products(atomset, bound, memo)
+    top = packed.width - 1
+    supports = [sum(1 << j for j, m in enumerate(v) if m) for v in atomset.vectors]
+    # Each kept subset G1 as (mask of its atoms, guard bits of its elements).
+    kept = []
     seen_atom_sets = set()
     skipped = 0
     for subset in subsets:
-        atoms = atomset.restrict(subset)
-        if not atoms:
+        allowed = sum(1 << j for j in subset)
+        atoms = sum(1 << i for i, s in enumerate(supports) if s & allowed == s)
+        if not atoms or atoms in seen_atom_sets:
             continue
-        if atoms.vectors in seen_atom_sets:
-            continue
-        seen_atom_sets.add(atoms.vectors)
-        if atom_limit is not None and len(atoms) > atom_limit:
+        seen_atom_sets.add(atoms)
+        if atom_limit is not None and atoms.bit_count() > atom_limit:
             skipped += 1
             continue
-        # One memo serves every subset: a block supported in G1 has the same
-        # divisors in B(G1) as in B(G0).
-        gaps = _gaps(atoms, bound, memo)
-        if gaps:
-            mins.add(min(gaps))
+        kept.append((atoms, sum(1 << (j * packed.width + top) for j in subset)))
+    maximal = []
+    for atoms, _ in sorted(kept, key=lambda kg: kg[0].bit_count(), reverse=True):
+        if all(atoms & m != atoms for m in maximal):
+            maximal.append(atoms)
+    least = sorted(_least_gaps_by_support(packed, maximal, bound).items(), key=lambda sg: sg[1])
+    mins = set()
+    for _, g1 in kept:
+        gap = next((gap for s, gap in least if s & g1 == s), None)
+        if gap is not None:
+            mins.add(gap)
     value = frozenset(mins)
     exact = expected is not None and value == frozenset(expected)
     method = "symmetric-subset-sweep" if restricted else "subset-sweep"
@@ -219,7 +260,9 @@ class UnionProfile:
 
 
 def _union_by_enumeration(atomset, k, memo):
-    """U_k as the union of L(B) over all products B of exactly k atoms."""
+    """[U_1, ..., U_k] from one sweep: U_i is the union of L(B) over all
+    products B of exactly i atoms.  With the atom 0, which is prime, a
+    product of i atoms is 0^j times a zero-free product of i - j atoms."""
     packed, levels = _zero_free_sweep(atomset, k, memo)
     core = []
     for level in levels:
@@ -228,11 +271,13 @@ def _union_by_enumeration(atomset, k, memo):
             acc |= _lengths(packed, b)
         core.append(acc)
     if atomset.alphabet.zero_index() is None:
-        return _members(core[k])
-    members = 0
-    for j in range(k + 1):
-        members |= core[k - j] << j
-    return _members(members)
+        return [_members(core[i]) for i in range(1, k + 1)]
+    out = []
+    members = core[0]
+    for i in range(1, k + 1):
+        members = members << 1 | core[i]
+        out.append(_members(members))
+    return out
 
 
 def _union_program(atomset, k):
@@ -313,48 +358,59 @@ def _union_by_milp(atomset, k, lower):
 def unions(atomset, k, guard=ENUM_PRODUCT_GUARD, memo=None, force=None):
     """U_k(H), the union of all length sets containing k, with rho_k = max
     and lambda_k = min.  Exact by either engine; the product sweep is used
-    while the number of atom multisets stays under ``guard``.  The MILP
-    engine starts from U_1, ..., U_{k-1}, which this call computes, each by
-    its own engine; ``union_profiles`` computes every level once.
+    while the number of atom multisets stays under ``guard``.  Without
+    ``force`` this is the last of ``union_profiles(atomset, k)``.  The MILP
+    engine starts from U_1, ..., U_{k-1}, which this call computes.
     """
-    return _union_profile(atomset, k, guard, memo, force, None)
-
-
-def _union_profile(atomset, k, guard, memo, force, lower):
-    """U_k as a UnionProfile.  ``lower`` is [U_1, ..., U_{k-1}] as profiles
-    of the same atom set, or None to compute them if the MILP engine needs
-    them."""
     if k < 0:
         raise ArgumentError("k must be nonnegative")
     if k == 0:
         return UnionProfile(0, (0,), 0, 0, True, "trivial")
-    if not atomset.atoms:
-        raise DomainError("U_%d is empty: B(G0) has no atoms" % k)
+    if force is None:
+        return union_profiles(atomset, k, guard, memo)[-1]
+    if force not in ("enum", "milp"):
+        raise ArgumentError("unknown union engine %r" % force)
+    _check_atoms(atomset)
     if memo is None:
         memo = {}
-    method = force
-    if method is None:
-        method = "enum" if comb(len(atomset) + k - 1, k) <= guard else "milp"
-    if method == "enum":
-        members = _union_by_enumeration(atomset, k, memo)
-    elif method == "milp":
-        if lower is None:
-            lower = union_profiles(atomset, k - 1, guard, memo)
-        members = _union_by_milp(atomset, k, [p.members for p in lower])
+    if force == "enum":
+        members = _union_by_enumeration(atomset, k, memo)[-1]
     else:
-        raise ArgumentError("unknown union engine %r" % method)
+        lower = union_profiles(atomset, k - 1, guard, memo)
+        members = _union_by_milp(atomset, k, [p.members for p in lower])
+    return _profile(k, members, force)
+
+
+def _check_atoms(atomset):
+    if not atomset.atoms:
+        raise DomainError("B(G0) has no atoms, so U_k is empty for every k >= 1")
+
+
+def _profile(k, members, method):
     members = tuple(sorted(members))
     return UnionProfile(k, members, members[-1], members[0], True, method)
 
 
 def union_profiles(atomset, max_k, guard=ENUM_PRODUCT_GUARD, memo=None):
-    """[U_1, ..., U_max_k] in one pass, sharing one memo; each level picks
-    its own engine, and a MILP level starts from the levels below it."""
+    """[U_1, ..., U_max_k] in one pass, sharing one memo.  The product sweep
+    serves U_k while there are at most ``guard`` multisets of k atoms, a
+    prefix of the levels, so one sweep gives all of them; each level after
+    it is found by the MILP engine, starting from the levels below it."""
+    if max_k < 1:
+        return []
+    _check_atoms(atomset)
     if memo is None:
         memo = {}
-    profiles = []
-    for k in range(1, max_k + 1):
-        profiles.append(_union_profile(atomset, k, guard, memo, None, profiles))
+    n = len(atomset)
+    swept = 0
+    while swept < max_k and comb(n + swept, swept + 1) <= guard:
+        swept += 1
+    profiles = [
+        _profile(k, members, "enum")
+        for k, members in enumerate(_union_by_enumeration(atomset, swept, memo), 1)
+    ]
+    for k in range(swept + 1, max_k + 1):
+        profiles.append(_profile(k, _union_by_milp(atomset, k, [p.members for p in profiles]), "milp"))
     return profiles
 
 

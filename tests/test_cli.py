@@ -306,6 +306,9 @@ def test_unparsable_element_is_an_error(runner, element):
         ["factorize", "--preset", "cyclic:3", "--element", "1^2"],
         ["atoms", "--group", '{"free_rank": 1}', "--set", "[[1], [-101]]"],
         ["atoms", "--group", '{"free_rank": 1}', "--set", "[[1, 2]]"],
+        # Neither inline JSON nor an existing file, and malformed inline JSON.
+        ["invariants", "--group", "Z", "--set", "1,2"],
+        ["atoms", "--group", '{"free_rank": 1}', "--set", "[[1], [-1]"],
     ],
 )
 def test_package_errors_are_one_line_click_errors(runner, args):

@@ -1,7 +1,7 @@
 """Factorizations, length sets, distances, catenary profiles."""
 
 from collections import Counter
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -295,12 +295,43 @@ def _products(atomset, k):
     return out
 
 
+def _reference_subset_minima(atomset, bound, memo):
+    """delta* by one sweep per subset: for each subset G1 of the alphabet
+    whose atom set (``AtomSet.restrict``) is nonempty and new, (its atom
+    count, min delta over products of 2..``bound`` of its nonzero atoms, or
+    None when it has no gap).  A block supported in G1 has the same divisors
+    in B(G1) as in B(G0), so one ``_reference_lengths`` memo serves all."""
+    n = len(atomset.alphabet)
+    seen = set()
+    gaps_of = {}  # a multiset of atoms -> the gaps of L(its product)
+    out = []
+    for size in range(1, n + 1):
+        for subset in combinations(range(n), size):
+            restricted = atomset.restrict(subset)
+            if not len(restricted) or restricted.vectors in seen:
+                continue
+            seen.add(restricted.vectors)
+            nonzero = [u for u in restricted.atoms if u.length > 1]
+            gaps = set()
+            for k in range(2, bound + 1):
+                for picks in combinations_with_replacement(nonzero, k):
+                    if picks not in gaps_of:
+                        block = atomset.alphabet.empty()
+                        for u in picks:
+                            block = block * u
+                        gaps_of[picks] = delta_of_set(_reference_lengths(atomset, block, memo))
+                    gaps |= gaps_of[picks]
+            out.append((len(restricted), min(gaps, default=None)))
+    return out
+
+
 @settings(max_examples=80, deadline=None)
 @given(small_alphabets(), st.booleans())
 def test_packed_sweeps_match_sequence_references(alphabet, zero):
-    """Product levels, collected length sets, the realizer, unions, the delta
-    set and tame degrees, each against products and length sets computed by
-    Sequence arithmetic."""
+    """Product levels, collected length sets, the realizer, unions (one at a
+    time and all at once), the delta set, delta* with and without an atom
+    limit, and tame degrees, each against products and length sets computed
+    by Sequence arithmetic."""
     atomset = enumerate_atoms(_with_zero(alphabet, zero))
     if not len(atomset):
         return
@@ -322,9 +353,12 @@ def test_packed_sweeps_match_sequence_references(alphabet, zero):
     for t in candidates:
         if min(t) <= bound:
             assert is_length_set_realized(atomset, t, bound, memo) == (t in sets[min(t)])
+    expected_unions = []
     for k in range(1, bound + 1):
-        union = set().union(*(ls for ls in sets[k] if k in ls))
-        assert unions(atomset, k, memo=memo, force="enum").members == tuple(sorted(union))
+        union = tuple(sorted(set().union(*(ls for ls in sets[k] if k in ls))))
+        assert unions(atomset, k, memo=memo, force="enum").members == union
+        expected_unions.append(union)
+    assert [u.members for u in union_profiles(atomset, bound, memo=memo)] == expected_unions
     nonzero = [u for u in atomset.atoms if u.length > 1]
     gaps = set()
     for k in (2, 3):
@@ -334,6 +368,13 @@ def test_packed_sweeps_match_sequence_references(alphabet, zero):
                 block = block * u
             gaps |= delta_of_set(_reference_lengths(atomset, block, reference))
     assert delta_set(atomset, bound, memo=memo).value == gaps
+    minima = _reference_subset_minima(atomset, bound, reference)
+    for limit in (None, len(atomset) - 1, len(atomset) // 2):
+        kept = [gap for count, gap in minima if limit is None or count <= limit]
+        skipped = len(minima) - len(kept)
+        result = delta_star(atomset, bound, memo=memo, atom_limit=limit)
+        assert result.value == {gap for gap in kept if gap is not None}
+        assert result.note == ("%d subsets above the atom limit skipped" % skipped if skipped else "")
     for u in atomset.atoms[:4]:
         covers = list(_minimal_covers(atomset.vectors, u.mults, lambda size, deficit: False))
         expected = 0

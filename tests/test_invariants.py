@@ -73,6 +73,11 @@ def test_union_engines_agree(cyclic4_atoms, cyclic5_atoms, thm74_21):
             milp = unions(atomset, k, force="milp")
             assert enum.members == milp.members
             assert enum.rho == milp.rho and enum.lam == milp.lam
+    # The product sweep serves U_k while at most ``guard`` multisets of k
+    # atoms exist: 15 atoms give 120 pairs, so guard 120 sweeps k <= 2.
+    profiles = union_profiles(cyclic5_atoms, 4, guard=comb(16, 2))
+    assert [u.method for u in profiles] == ["enum", "enum", "milp", "milp"]
+    assert [u.members for u in profiles] == [u.members for u in union_profiles(cyclic5_atoms, 4)]
 
 
 def _unions_probing_every_m(atomset, k):
