@@ -8,10 +8,10 @@ package error is reported as one ``Error: ...`` line, without a traceback.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import click
 
@@ -24,6 +24,7 @@ from .invariants import (
     delta_set,
     delta_star,
     elasticity,
+    json_value,
     min_abs_irred_witness,
     monoid_catenary,
     monoid_omega,
@@ -63,8 +64,12 @@ class JobConfig:
     cap: int = 64
 
 
-def _load_json_arg(value):
-    """Inline JSON or a path to a JSON file."""
+def _json_input(option, value, build):
+    """``build`` applied to the JSON given to ``option``: inline JSON or a
+    path to a JSON file.  Every number in these inputs (a coordinate, a
+    multiplicity, a rank, a modulus or a matrix entry) must be a JSON
+    integer.  Input that is not JSON, holds any other scalar, or has the
+    wrong shape for ``build`` is an ArgumentError naming the option."""
     text = value = value.strip()
     if not value.startswith(("[", "{")):
         try:
@@ -72,54 +77,45 @@ def _load_json_arg(value):
                 text = fh.read()
         except OSError as exc:
             raise ArgumentError(
-                "%r is neither inline JSON nor a readable JSON file: %s" % (value, exc.strerror)
+                "%s: %r is neither inline JSON nor a readable JSON file: %s"
+                % (option, value, exc.strerror)
             ) from None
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ArgumentError("%r does not hold valid JSON: %s" % (value, exc)) from None
+        raise ArgumentError("%s: %r does not hold valid JSON: %s" % (option, value, exc)) from None
+    stack = [data]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (dict, list)):
+            stack.extend(item.values() if isinstance(item, dict) else item)
+        elif type(item) is not int:
+            raise ArgumentError("%s: %s is not an integer" % (option, json.dumps(item)))
+    try:
+        return build(data)
+    except KrullArithError:
+        raise
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise ArgumentError(
+            "%s has the wrong shape (%s: %s)" % (option, type(exc).__name__, exc)
+        ) from None
 
 
 def _alphabet_from_args(group, elements):
-    spec = GroupSpec.from_json(_load_json_arg(group))
-    coords = _load_json_arg(elements)
-    return Alphabet(spec, [spec.element_from_coords(c) for c in coords])
+    spec = _json_input("--group", group, GroupSpec.from_json)
+    members = _json_input("--set", elements, lambda cs: [spec.element_from_coords(c) for c in cs])
+    return Alphabet(spec, members)
 
 
-def _resolve_input(preset, group, elements, **params):
-    if preset:
-        return parse_preset(preset, **params)
-    if group and elements:
-        return Preset("custom", {}, _alphabet_from_args(group, elements))
-    raise click.UsageError("provide --preset, or --group together with --set")
-
-
-def _fraction_json(value):
-    if isinstance(value, Fraction):
-        return {"numerator": value.numerator, "denominator": value.denominator}
-    return value
-
-
-def _compare(name, expected, computed):
-    if isinstance(expected, frozenset):
-        expected = sorted(expected)
-    if isinstance(computed, frozenset):
-        computed = sorted(computed)
-    return {
-        "name": name,
-        "expected": _fraction_json(expected),
-        "computed": _fraction_json(computed),
-        "pass": expected == computed,
-    }
-
-
-def _compare_ge(name, lower, computed):
-    return {
-        "name": name,
-        "expected": ">= %s" % lower,
-        "computed": computed,
-        "pass": computed >= lower,
-    }
+def _check(name, expected, computed):
+    """One expectation of the report, rendered like a BoundedResult value.
+    ``davenport_lower_bound`` passes when the computed value reaches it."""
+    if name == "davenport_lower_bound":
+        expected, ok = ">= %s" % expected, computed >= expected
+    else:
+        expected, computed = json_value(expected), json_value(computed)
+        ok = expected == computed
+    return {"name": name, "expected": expected, "computed": computed, "pass": ok}
 
 
 def run_invariants(config):
@@ -148,7 +144,7 @@ def run_invariants(config):
     if len(preset.alphabet) <= 20:
         try:
             inv["delta_star"] = delta_star(
-                atomset, min(config.bound, 4), None, memo, atom_limit=12
+                atomset, min(config.bound, 4), memo, atom_limit=12
             ).to_json()
         except KrullArithError as exc:
             inv["delta_star"] = {"error": str(exc)}
@@ -188,11 +184,7 @@ def run_invariants(config):
     if "min_abs_irred_witness" in expected:
         computed["min_abs_irred_witness"] = min_abs_irred_witness(atomset, memo)[0]
     checks = [
-        (_compare_ge if name == "davenport_lower_bound" else _compare)(
-            name, wanted[name], value
-        )
-        for name, value in computed.items()
-        if name in wanted
+        _check(name, wanted[name], value) for name, value in computed.items() if name in wanted
     ]
     data["expectations"] = checks
     data["expectations_ok"] = all(c["pass"] for c in checks)
@@ -200,6 +192,8 @@ def run_invariants(config):
 
 
 def _emit(ctx, data, out_path=None):
+    """Write ``data`` in the chosen format to ``out_path`` or stdout, then
+    exit with code 2 when it records a failed expectation."""
     fmt = ctx.obj["fmt"]
     text = reporting.emit(data, fmt)
     if out_path:
@@ -211,9 +205,6 @@ def _emit(ctx, data, out_path=None):
         # so every stream that stdout was redirected to in-process is kept
         # alive for good.
         click.echo(text, nl=False, file=click.get_text_stream("stdout"))
-
-
-def _exit_on_expectations(data):
     if not data.get("expectations_ok", True):
         sys.exit(2)
 
@@ -232,7 +223,7 @@ class _Main(click.Group):
 @click.group(cls=_Main)
 @click.option("--cache-dir", default=None, help="Cache directory (overrides KRULL_ARITH_CACHE).")
 @click.option("--format", "fmt", default="json", type=click.Choice(["json", "csv", "markdown"]), show_default=True)
-@click.option("--bound", default=4, show_default=True, help="Default product/size bound.")
+@click.option("--bound", default=4, show_default=True, help="Product/size bound of every command that sweeps.")
 @click.pass_context
 def main(ctx, cache_dir, fmt, bound):
     """Arithmetic of monoids of zero-sum sequences over finitely generated
@@ -241,21 +232,44 @@ def main(ctx, cache_dir, fmt, bound):
     ctx.obj.update(cache_dir=cache_dir, fmt=fmt, bound=bound)
 
 
-_PARAM_OPTIONS = [
-    click.option("--r", "r", type=int, default=None),
-    click.option("--alpha", type=int, default=None),
-    click.option("--n", type=int, default=None),
-    click.option("--q", type=int, default=None),
-    click.option("--spl", type=int, default=None),
-    click.option("--type", "kind", default=None),
-    click.option("--include-zero/--no-include-zero", "include_zero", default=None),
-]
+# The parameters of the preset families, by keyword of parse_preset.
+_FAMILY_OPTIONS = {
+    "r": click.option("--r", "r", type=int, default=None),
+    "alpha": click.option("--alpha", type=int, default=None),
+    "n": click.option("--n", type=int, default=None),
+    "q": click.option("--q", type=int, default=None),
+    "spl": click.option("--spl", type=int, default=None),
+    "kind": click.option("--type", "kind", default=None),
+    "include_zero": click.option("--include-zero/--no-include-zero", "include_zero", default=None),
+}
 
 
-def _with_params(fn):
-    for opt in reversed(_PARAM_OPTIONS):
+def _family_options(fn):
+    for opt in reversed(list(_FAMILY_OPTIONS.values())):
         fn = opt(fn)
     return fn
+
+
+def _input_options(fn):
+    """Give a command --preset (with the family options), or --group with
+    --set, and pass it the resolved Preset as ``p``."""
+
+    @click.option("--preset", default=None, help="Preset token, e.g. cyclic:5.")
+    @click.option("--group", default=None, help="Group spec JSON (inline or file), with --set.")
+    @click.option("--set", "elements", default=None, help="Alphabet JSON (inline or file), with --group.")
+    @_family_options
+    @functools.wraps(fn)
+    def command(*args, preset, group, elements, **kwargs):
+        params = {name: kwargs.pop(name) for name in _FAMILY_OPTIONS}
+        if preset:
+            p = parse_preset(preset, **params)
+        elif group and elements:
+            p = Preset("custom", {}, _alphabet_from_args(group, elements))
+        else:
+            raise click.UsageError("provide --preset, or --group together with --set")
+        return fn(*args, p=p, **kwargs)
+
+    return command
 
 
 @main.command()
@@ -276,16 +290,12 @@ def atoms(ctx, group, elements, cap):
     _emit(ctx, data)
 
 
-@main.command()
-@click.option("--preset", default=None)
-@click.option("--group", default=None)
-@click.option("--set", "elements", default=None)
+@main.command("factorize")
+@_input_options
 @click.option("--element", required=True, help='Sequence text, e.g. "1^2 * -1^2".')
-@_with_params
 @click.pass_context
-def factorize_cmd(ctx, preset, group, elements, element, **params):
+def factorize_cmd(ctx, p, element):
     """Factor one zero-sum sequence and report its catenary data."""
-    p = _resolve_input(preset, group, elements, **params)
     atomset = enumerate_atoms(p.alphabet)
     block = parse_sequence(p.alphabet, element)
     zs = factorize(atomset, block)
@@ -306,31 +316,18 @@ def factorize_cmd(ctx, preset, group, elements, element, **params):
     _emit(ctx, data)
 
 
-main.add_command(factorize_cmd, name="factorize")
-
-
 @main.command()
-@click.option("--preset", default=None)
-@click.option("--group", default=None)
-@click.option("--set", "elements", default=None)
-@click.option("--bound", default=None, type=int, help="Product bound (default: global --bound).")
+@_input_options
 @click.option("--max-k", default=5, show_default=True)
 @click.option("--cap", default=64, show_default=True)
 @click.option("--report", "report_path", default=None, help="Write the report to this path.")
 @click.option("--timing/--no-timing", default=False, help="Include wall-clock timing (breaks byte-identical reports).")
-@_with_params
 @click.pass_context
-def invariants(ctx, preset, group, elements, bound, max_k, cap, report_path, timing, **params):
+def invariants(ctx, p, max_k, cap, report_path, timing):
     """Compute the invariant suite for a preset or custom alphabet."""
     import time
 
-    p = _resolve_input(preset, group, elements, **params)
-    config = JobConfig(
-        preset=p,
-        bound=bound if bound is not None else ctx.obj["bound"],
-        max_k=max_k,
-        cap=cap,
-    )
+    config = JobConfig(preset=p, bound=ctx.obj["bound"], max_k=max_k, cap=cap)
     cache_directory = reporting.cache_dir(ctx.obj["cache_dir"])
     key = reporting.cache_key(
         {
@@ -356,28 +353,19 @@ def invariants(ctx, preset, group, elements, bound, max_k, cap, report_path, tim
         data = dict(data)
         data["timing_seconds"] = round(elapsed, 3)
     _emit(ctx, data, report_path)
-    _exit_on_expectations(data)
 
 
 @main.command("transfer-check")
 @click.option("--map", "map_name", required=True, help="builtin:prop712|prop713 (candidate maps of an external transfer claim; T2 refutes both at --bound >= 6), builtin:collapse (negative control), or a JSON file.")
-@click.option("--bound", default=None, type=int)
 @click.pass_context
-def transfer_check(ctx, map_name, bound):
+def transfer_check(ctx, map_name):
     """Verify the transfer properties of a map on a bounded window."""
-    bound = bound if bound is not None else ctx.obj["bound"]
+    bound = ctx.obj["bound"]
     name = map_name.split(":", 1)[1] if map_name.startswith("builtin:") else map_name
     if name in ("prop712", "prop713", "collapse"):
         tmap = builtin_map(name)
     else:
-        raw = _load_json_arg(name)
-        source = Alphabet.from_json(raw["source"])
-        target = Alphabet.from_json(raw["target"])
-        images = {
-            source.spec.element_from_coords(pair[0]): target.spec.element_from_coords(pair[1])
-            for pair in raw["images"]
-        }
-        tmap = TransferMap(source, target, images)
+        tmap = _json_input("--map", name, TransferMap.from_json)
     result = check_transfer(tmap, bound)
     data = {"map": name, "result": result.to_json()}
     if result.ok:
@@ -389,11 +377,9 @@ def transfer_check(ctx, map_name, bound):
     # A window check can only refute, so the one expectation is that the
     # negative control fails; prop712/prop713 pass small windows and fail
     # from window 6 on, and neither outcome is expected.
-    expectations = {"collapse": False}
-    if name in expectations:
-        data["expectations_ok"] = result.ok == expectations[name]
+    if name == "collapse":
+        data["expectations_ok"] = not result.ok
     _emit(ctx, data)
-    _exit_on_expectations(data)
 
 
 @main.command("atom-count")
@@ -405,7 +391,7 @@ def atom_count(ctx, char_path, preset, brute_limit):
     """Count the atoms of the monoid given by a characteristic."""
     expected = {}
     if char_path:
-        char = Characteristic.from_json(_load_json_arg(char_path))
+        char = _json_input("--characteristic", char_path, Characteristic.from_json)
     elif preset:
         p = parse_preset(preset)
         if p.characteristic is None:
@@ -432,7 +418,6 @@ def atom_count(ctx, char_path, preset, brute_limit):
     if "atom_count" in expected:
         data["expectations_ok"] = formula == expected["atom_count"]
     _emit(ctx, data)
-    _exit_on_expectations(data)
 
 
 @main.group()
@@ -452,31 +437,26 @@ def preset_list(ctx):
 @click.option("--matrix", default=None, help="Matrix JSON {rows, columns:[{vec, mult}]} for from_matrix.")
 @click.option("--row-reduce/--no-row-reduce", default=False)
 @click.option("--out", default=None)
-@_with_params
+@_family_options
 @click.pass_context
 def preset_build(ctx, family, matrix, row_reduce, out, **params):
     if family == "from_matrix":
         if not matrix:
             raise click.UsageError("from_matrix needs --matrix")
-        p = from_matrix(DefiningMatrix.from_json(_load_json_arg(matrix)), row_reduce)
+        p = from_matrix(_json_input("--matrix", matrix, DefiningMatrix.from_json), row_reduce)
     else:
         p = parse_preset(family, **params)
     _emit(ctx, p.to_json(), out)
 
 
 @main.command()
-@click.option("--preset", "preset_token", default=None)
-@click.option("--group", default=None)
-@click.option("--set", "elements", default=None)
+@_input_options
 @click.option("--closure-probe/--no-closure-probe", default=False)
 @click.option("--family", default=None, help="Check collected length sets against this closed-form family.")
-@click.option("--bound", default=None, type=int)
-@_with_params
 @click.pass_context
-def lengths(ctx, preset_token, group, elements, closure_probe, family, bound, **params):
+def lengths(ctx, p, closure_probe, family):
     """Collect length sets; optionally probe additive closure."""
-    p = _resolve_input(preset_token, group, elements, **params)
-    bound = bound if bound is not None else ctx.obj["bound"]
+    bound = ctx.obj["bound"]
     atomset = enumerate_atoms(p.alphabet)
     memo = {}
     data = {"input": p.to_json(), "bound": bound}
@@ -493,18 +473,13 @@ def lengths(ctx, preset_token, group, elements, closure_probe, family, bound, **
     if closure_probe:
         data["closure_probe"] = additive_closure_probe(atomset, bound, memo).to_json()
     _emit(ctx, data)
-    _exit_on_expectations(data)
 
 
 @main.command("decompose")
-@click.option("--preset", "preset_token", default=None)
-@click.option("--group", default=None)
-@click.option("--set", "elements", default=None)
-@_with_params
+@_input_options
 @click.pass_context
-def decompose_cmd(ctx, preset_token, group, elements, **params):
+def decompose_cmd(ctx, p):
     """Finest direct-product decomposition of the block monoid."""
-    p = _resolve_input(preset_token, group, elements, **params)
     atomset = enumerate_atoms(p.alphabet)
     parts = decompose(atomset)
     data = {
@@ -516,18 +491,13 @@ def decompose_cmd(ctx, preset_token, group, elements, **params):
     if "components" in p.expected:
         data["expectations_ok"] = len(parts) == p.expected["components"]
     _emit(ctx, data)
-    _exit_on_expectations(data)
 
 
 @main.command("divisor-theory")
-@click.option("--preset", "preset_token", default=None)
-@click.option("--group", default=None)
-@click.option("--set", "elements", default=None)
-@_with_params
+@_input_options
 @click.pass_context
-def divisor_theory(ctx, preset_token, group, elements, **params):
+def divisor_theory(ctx, p):
     """Check whether the embedding over the prime divisors is a divisor theory."""
-    p = _resolve_input(preset_token, group, elements, **params)
     ok, reasons = check_divisor_theory(p)
     data = {
         "input": p.to_json(),
@@ -537,7 +507,6 @@ def divisor_theory(ctx, preset_token, group, elements, **params):
     if "divisor_theory" in p.expected:
         data["expectations_ok"] = ok == p.expected["divisor_theory"]
     _emit(ctx, data)
-    _exit_on_expectations(data)
 
 
 if __name__ == "__main__":

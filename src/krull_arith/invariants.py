@@ -50,6 +50,16 @@ DELTA_STAR_FULL_LIMIT = 12
 DELTA_STAR_SWEEP_LIMIT = 20
 
 
+def json_value(value):
+    """A value as it appears in a report: a frozenset as a sorted list, a
+    Fraction as {numerator, denominator}, anything else unchanged."""
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, Fraction):
+        return {"numerator": value.numerator, "denominator": value.denominator}
+    return value
+
+
 @dataclass(frozen=True)
 class BoundedResult:
     """A computed value plus the honesty bit: is it certified exact, and if
@@ -62,13 +72,8 @@ class BoundedResult:
     note: str = ""
 
     def to_json(self):
-        value = self.value
-        if isinstance(value, frozenset):
-            value = sorted(value)
-        elif isinstance(value, Fraction):
-            value = {"numerator": value.numerator, "denominator": value.denominator}
         return {
-            "value": value,
+            "value": json_value(self.value),
             "exact": self.exact,
             "bound": self.bound,
             "method": self.method,
@@ -124,26 +129,14 @@ def delta_set(atomset, bound, expected=None, memo=None):
     return BoundedResult(value, exact, bound, "product-sweep")
 
 
-def _symmetric_subsets(alphabet):
-    """Subsets closed under negation (zero optional), as index tuples."""
-    table = alphabet.negation_table()
-    zi = alphabet.zero_index()
-    pairs = []
-    seen = set()
-    for i in range(len(alphabet)):
-        if i == zi or i in seen:
-            continue
-        j = table[i]
-        seen.update((i, j))
-        pairs.append((i,) if i == j else (i, j))
-    for mask in range(1, 1 << len(pairs)):
-        base = []
-        for p, pair in enumerate(pairs):
-            if mask >> p & 1:
-                base.extend(pair)
-        yield tuple(sorted(base))
-        if zi is not None:
-            yield tuple(sorted(base + [zi]))
+def _unions_of_groups(groups):
+    """The nonempty unions of the given groups of alphabet indices, as
+    bitmasks of indices."""
+    unions = [0]
+    for group in groups:
+        mask = sum(1 << i for i in group)
+        unions += [u | mask for u in unions]
+    return unions[1:]
 
 
 def _least_gaps_by_support(packed, atom_sets, bound):
@@ -173,14 +166,16 @@ def _least_gaps_by_support(packed, atom_sets, bound):
     return least
 
 
-def delta_star(atomset, bound, expected=None, memo=None, atom_limit=None):
-    """{min delta(B(G1)) : G1 a subset of G0 with nonempty delta set}.
+def delta_star(atomset, bound, memo=None, atom_limit=None):
+    """{min delta(B(G1)) : G1 a subset of G0 with nonempty delta set}, swept
+    over products of at most ``bound`` atoms, so never certified exact.
 
     Atoms of each subset monoid are the ambient atoms with matching support,
     so atoms are enumerated once.  Alphabets larger than 12 are swept over
-    negation-closed subsets only (and must be closed under negation).
-    ``atom_limit`` skips subsets with more atoms than that (their minima may
-    be missed; the result is then a certified subset of delta*).
+    the unions of the pairs {g, -g} only (and must be closed under
+    negation; 0 and each g = -g form a group of one).  ``atom_limit`` skips
+    subsets with more atoms than that (their minima may be missed; the
+    result is then a certified subset of delta*).
 
     A product of atoms supported in G1 is a product of atoms of B(G1), with
     the same length set in both.  So one sweep serves every subset: only
@@ -195,16 +190,14 @@ def delta_star(atomset, bound, expected=None, memo=None, atom_limit=None):
         memo = {}
     restricted = n > DELTA_STAR_FULL_LIMIT
     if restricted:
-        if not atomset.alphabet.is_symmetric():
+        table = atomset.alphabet.negation_table()
+        if table is None:
             raise ArgumentError(
                 "restricted delta_star sweep needs a negation-closed alphabet"
             )
-        subsets = _symmetric_subsets(atomset.alphabet)
+        groups = sorted({tuple(sorted({i, j})) for i, j in enumerate(table)})
     else:
-        indices = range(n)
-        subsets = (
-            s for size in range(1, n + 1) for s in combinations(indices, size)
-        )
+        groups = [(i,) for i in range(n)]
     packed = PackedAtoms.for_products(atomset, bound, memo)
     top = packed.width - 1
     supports = [sum(1 << j for j, m in enumerate(v) if m) for v in atomset.vectors]
@@ -212,8 +205,7 @@ def delta_star(atomset, bound, expected=None, memo=None, atom_limit=None):
     kept = []
     seen_atom_sets = set()
     skipped = 0
-    for subset in subsets:
-        allowed = sum(1 << j for j in subset)
+    for allowed in _unions_of_groups(groups):
         atoms = sum(1 << i for i, s in enumerate(supports) if s & allowed == s)
         if not atoms or atoms in seen_atom_sets:
             continue
@@ -221,7 +213,8 @@ def delta_star(atomset, bound, expected=None, memo=None, atom_limit=None):
         if atom_limit is not None and atoms.bit_count() > atom_limit:
             skipped += 1
             continue
-        kept.append((atoms, sum(1 << (j * packed.width + top) for j in subset)))
+        g1 = sum(1 << (j * packed.width + top) for j in range(n) if allowed >> j & 1)
+        kept.append((atoms, g1))
     maximal = []
     for atoms, _ in sorted(kept, key=lambda kg: kg[0].bit_count(), reverse=True):
         if all(atoms & m != atoms for m in maximal):
@@ -232,11 +225,9 @@ def delta_star(atomset, bound, expected=None, memo=None, atom_limit=None):
         gap = next((gap for s, gap in least if s & g1 == s), None)
         if gap is not None:
             mins.add(gap)
-    value = frozenset(mins)
-    exact = expected is not None and value == frozenset(expected)
     method = "symmetric-subset-sweep" if restricted else "subset-sweep"
     note = "%d subsets above the atom limit skipped" % skipped if skipped else ""
-    return BoundedResult(value, exact, bound, method, note)
+    return BoundedResult(frozenset(mins), False, bound, method, note)
 
 
 @dataclass(frozen=True)
@@ -355,35 +346,15 @@ def _union_by_milp(atomset, k, lower):
     return members
 
 
-def unions(atomset, k, guard=ENUM_PRODUCT_GUARD, memo=None, force=None):
+def unions(atomset, k, memo=None):
     """U_k(H), the union of all length sets containing k, with rho_k = max
-    and lambda_k = min.  Exact by either engine; the product sweep is used
-    while the number of atom multisets stays under ``guard``.  Without
-    ``force`` this is the last of ``union_profiles(atomset, k)``.  The MILP
-    engine starts from U_1, ..., U_{k-1}, which this call computes.
-    """
+    and lambda_k = min: the last of ``union_profiles(atomset, k)``, so its
+    method is "enum" or "milp" as the multiset count of k atoms picks."""
     if k < 0:
         raise ArgumentError("k must be nonnegative")
     if k == 0:
         return UnionProfile(0, (0,), 0, 0, True, "trivial")
-    if force is None:
-        return union_profiles(atomset, k, guard, memo)[-1]
-    if force not in ("enum", "milp"):
-        raise ArgumentError("unknown union engine %r" % force)
-    _check_atoms(atomset)
-    if memo is None:
-        memo = {}
-    if force == "enum":
-        members = _union_by_enumeration(atomset, k, memo)[-1]
-    else:
-        lower = union_profiles(atomset, k - 1, guard, memo)
-        members = _union_by_milp(atomset, k, [p.members for p in lower])
-    return _profile(k, members, force)
-
-
-def _check_atoms(atomset):
-    if not atomset.atoms:
-        raise DomainError("B(G0) has no atoms, so U_k is empty for every k >= 1")
+    return union_profiles(atomset, k, memo)[-1]
 
 
 def _profile(k, members, method):
@@ -391,19 +362,21 @@ def _profile(k, members, method):
     return UnionProfile(k, members, members[-1], members[0], True, method)
 
 
-def union_profiles(atomset, max_k, guard=ENUM_PRODUCT_GUARD, memo=None):
-    """[U_1, ..., U_max_k] in one pass, sharing one memo.  The product sweep
-    serves U_k while there are at most ``guard`` multisets of k atoms, a
-    prefix of the levels, so one sweep gives all of them; each level after
-    it is found by the MILP engine, starting from the levels below it."""
+def union_profiles(atomset, max_k, memo=None):
+    """[U_1, ..., U_max_k] in one pass, sharing one memo, each exact.  The
+    product sweep serves U_k while there are at most ENUM_PRODUCT_GUARD
+    multisets of k atoms, a prefix of the levels, so one sweep gives all of
+    them; each level after it is found by the MILP engine, starting from
+    the levels below it."""
     if max_k < 1:
         return []
-    _check_atoms(atomset)
+    if not atomset.atoms:
+        raise DomainError("B(G0) has no atoms, so U_k is empty for every k >= 1")
     if memo is None:
         memo = {}
     n = len(atomset)
     swept = 0
-    while swept < max_k and comb(n + swept, swept + 1) <= guard:
+    while swept < max_k and comb(n + swept, swept + 1) <= ENUM_PRODUCT_GUARD:
         swept += 1
     profiles = [
         _profile(k, members, "enum")

@@ -33,6 +33,8 @@ from .factorizations import PackedAtoms, _lengths, _members
 from .groups import GroupSpec
 from .sequences import Alphabet, Sequence
 
+BRUTE_CAP = 64
+
 
 class TransferMap:
     """A map of alphabets theta: G0 -> G0' extended multiplicatively."""
@@ -50,6 +52,18 @@ class TransferMap:
                 raise ShapeError("image %s outside the target alphabet" % h)
             table.append(target.index(h))
         self.images = tuple(table)
+
+    @classmethod
+    def from_json(cls, data):
+        """{source, target, images}: two alphabets as ``Alphabet.to_json``
+        writes them, and images as [source coords, target coords] pairs."""
+        source = Alphabet.from_json(data["source"])
+        target = Alphabet.from_json(data["target"])
+        images = {
+            source.spec.element_from_coords(pair[0]): target.spec.element_from_coords(pair[1])
+            for pair in data["images"]
+        }
+        return cls(source, target, images)
 
     def _image(self, mults):
         """theta on a source multiplicity tuple."""
@@ -204,13 +218,13 @@ def check_transfer(tmap, bound):
     return TransferReport(not t1_failures, not t2_failures, bound, t1_failures, t2_failures)
 
 
-def lengths_preserved(tmap, source_atoms, target_atoms, bound, memo_s=None, memo_t=None):
+def lengths_preserved(tmap, source_atoms, target_atoms, bound):
     """Check L(A) = L(theta(A)) for all zero-sum source sequences of length
     at most ``bound``; returns (ok, failures) with the first 10 failures.
     A window sequence and its image have multiplicities at most ``bound``,
     which fixes both packings."""
-    packed_s = PackedAtoms(source_atoms, bound, memo_s)
-    packed_t = PackedAtoms(target_atoms, bound, memo_t)
+    packed_s = PackedAtoms(source_atoms, bound)
+    packed_t = PackedAtoms(target_atoms, bound)
     target = _ZeroSums(tmap.target)
     failures = []
     for a in _ZeroSums(tmap.source).window(bound):
@@ -290,13 +304,14 @@ def count_lifted_atoms(char, atomset):
     return total
 
 
-def count_lifted_atoms_brute(char, cap=64):
+def count_lifted_atoms_brute(char):
     """Independent count: one column per labelled prime (m_g copies of each
-    class), minimal zero-sum solutions counted directly."""
+    class), minimal zero-sum solutions counted directly, with each prime's
+    multiplicity capped at BRUTE_CAP."""
     primes = [g for g, m in char.classes for _ in range(m)]
     cols = _zero_sum_columns(char.spec, primes)
     k = len(primes)
-    caps = [cap] * k + [None] * (len(cols) - k)
+    caps = [BRUTE_CAP] * k + [None] * (len(cols) - k)
     if not cols:
         return 0
     solutions = minimal_nonneg_solutions(cols, caps)

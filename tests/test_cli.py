@@ -6,9 +6,11 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -309,6 +311,20 @@ def test_unparsable_element_is_an_error(runner, element):
         # Neither inline JSON nor an existing file, and malformed inline JSON.
         ["invariants", "--group", "Z", "--set", "1,2"],
         ["atoms", "--group", '{"free_rank": 1}', "--set", "[[1], [-1]"],
+        # Valid JSON of the wrong shape, and numbers that are not integers.
+        ["atoms", "--group", "[1]", "--set", "[[1]]"],
+        ["atoms", "--group", '{"free_rank": 1}', "--set", "[1, 2]"],
+        ["atoms", "--group", '{"free_rank": -1}', "--set", "[[1]]"],
+        ["atoms", "--group", '{"torsion": [1]}', "--set", "[[1]]"],
+        ["atoms", "--group", '{"free_rank": 1}', "--set", '[["a"]]'],
+        ["atoms", "--group", '{"free_rank": 1}', "--set", "[[1.5], [-1]]"],
+        ["atom-count", "--characteristic", '{"group": {"torsion": [3]}}'],
+        ["preset", "build", "--family", "from_matrix", "--matrix", '{"rows": 1}'],
+        [
+            "preset", "build", "--family", "from_matrix", "--matrix",
+            '{"rows": 1, "columns": [{"vec": [1.5]}, {"vec": [-1]}]}',
+        ],
+        ["transfer-check", "--map", '{"source": 1}'],
     ],
 )
 def test_package_errors_are_one_line_click_errors(runner, args):
@@ -354,6 +370,51 @@ def test_threads_flag_is_gone(runner):
     result = runner.invoke(main, ["--threads", "4", "preset", "list"])
     assert result.exit_code == 2
     assert "No such option" in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["invariants", "--bound", "3", "--preset", "cube:2"],
+        ["lengths", "--bound", "3", "--preset", "cube:2"],
+        ["transfer-check", "--bound", "3", "--map", "builtin:collapse"],
+    ],
+)
+def test_bound_is_a_global_option_only(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "No such option" in result.output
+
+
+def test_global_bound_reaches_the_report(runner, tmp_path):
+    result = runner.invoke(
+        main, ["--cache-dir", str(tmp_path), "--bound", "3", "invariants", "--preset", "cube:2"]
+    )
+    assert result.exit_code == 0
+    assert json.loads(result.output)["bounds"]["product_bound"] == 3
+    digest = hashlib.sha256(result.output.encode()).hexdigest()
+    assert digest == "0a8ca073da86d7a21fbcdc5aedeab41d4310708a5987970a02820613873ce7e7"
+
+
+def _readme_commands():
+    """The command lines of README's "Command line" section."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("krull-arith ")]
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_commands_run(runner, tmp_path, line):
+    """Each README command runs: exit 0, or 2 for a failed expectation, and
+    no click error or traceback (an option the CLI lost is a usage error)."""
+    args = shlex.split(line)[1:]
+    if "--cache-dir" in args:
+        args[args.index("--cache-dir") + 1] = str(tmp_path)
+    else:
+        args = ["--cache-dir", str(tmp_path)] + args
+    result = runner.invoke(main, args)
+    assert result.exit_code in (0, 2), result.output
+    assert "Error:" not in result.output and "Traceback" not in result.output
 
 
 def test_in_process_runs_do_not_keep_the_redirected_stdout(tmp_path):

@@ -25,7 +25,6 @@ from krull_arith import (
     sumset,
     tame,
     union_profiles,
-    unions,
 )
 from krull_arith.errors import BoundExceededError, DomainError
 from krull_arith.factorizations import (
@@ -34,7 +33,7 @@ from krull_arith.factorizations import (
     _lengths,
     _members,
 )
-from krull_arith.invariants import _minimal_covers, product_levels
+from krull_arith.invariants import _minimal_covers, _union_by_enumeration, product_levels
 
 from conftest import cyclic_alphabet, int_alphabet, small_alphabets
 
@@ -356,7 +355,7 @@ def test_packed_sweeps_match_sequence_references(alphabet, zero):
     expected_unions = []
     for k in range(1, bound + 1):
         union = tuple(sorted(set().union(*(ls for ls in sets[k] if k in ls))))
-        assert unions(atomset, k, memo=memo, force="enum").members == union
+        assert tuple(sorted(_union_by_enumeration(atomset, k, memo)[-1])) == union
         expected_unions.append(union)
     assert [u.members for u in union_profiles(atomset, bound, memo=memo)] == expected_unions
     nonzero = [u for u in atomset.atoms if u.length > 1]

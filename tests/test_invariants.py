@@ -28,8 +28,16 @@ from krull_arith import (
     union_profiles,
     unions,
 )
+from krull_arith import invariants
 from krull_arith.errors import ArgumentError, DomainError
-from krull_arith.invariants import ENUM_PRODUCT_GUARD, BoundedResult, _union_by_milp, _zero_free_sweep
+from krull_arith.invariants import (
+    ENUM_PRODUCT_GUARD,
+    BoundedResult,
+    _profile,
+    _union_by_enumeration,
+    _union_by_milp,
+    _zero_free_sweep,
+)
 from krull_arith.presets import build_preset
 
 from conftest import int_alphabet, small_alphabets
@@ -65,19 +73,67 @@ def test_delta_star_atom_limit(cyclic5_atoms):
     assert "skipped" in res.note
 
 
-def test_union_engines_agree(cyclic4_atoms, cyclic5_atoms, thm74_21):
+def _z_plus_z2(with_zero):
+    """{(a, b) : -3 <= a <= 3, b in {0, 1}} in Z + Z/2, with or without 0:
+    14 or 13 elements, so delta* walks the unions of the groups {g, -g},
+    where 0 and (0, 1) are groups of one."""
+    spec = GroupSpec(1, (2,))
+    coords = [(a, b) for a in range(-3, 4) for b in (0, 1) if with_zero or (a, b) != (0, 0)]
+    return Alphabet(spec, [spec.element_from_coords(c) for c in coords])
+
+
+# delta*(., 3) in the negation-closed mode at atom limits 4, 6 and 8:
+# (value, number of skipped subsets) per limit.
+RESTRICTED_DELTA_STAR = {
+    ("z+z2", True): [((1, 2, 3, 4, 6, 8), 213), ((1, 2, 3, 4, 6, 8), 186), ((1, 2, 3, 4, 6, 8), 168)],
+    ("z+z2", False): [((1, 2, 3, 4, 6, 8), 99), ((1, 2, 3, 4, 6, 8), 93), ((1, 2, 3, 4, 6, 8), 84)],
+    ("cube3", True): [((), 140), ((1, 2, 3), 93), ((1, 2, 3), 58)],
+    ("cube3", False): [((), 70), ((1, 2, 3), 29), ((1, 2, 3), 29)],
+}
+
+
+@pytest.mark.parametrize("family, with_zero", sorted(RESTRICTED_DELTA_STAR))
+def test_delta_star_negation_closed_walk(family, with_zero):
+    if family == "cube3":
+        alphabet = build_preset("cube", 3, include_zero=with_zero).alphabet
+    else:
+        alphabet = _z_plus_z2(with_zero)
+    assert len(alphabet) > 12 and alphabet.is_symmetric()
+    atomset = enumerate_atoms(alphabet)
+    for limit, (value, skipped) in zip((4, 6, 8), RESTRICTED_DELTA_STAR[family, with_zero]):
+        res = delta_star(atomset, 3, atom_limit=limit)
+        assert (res.method, sorted(res.value)) == ("symmetric-subset-sweep", list(value))
+        assert res.note == "%d subsets above the atom limit skipped" % skipped
+
+
+def _engine(atomset, k, engine, memo=None):
+    """U_k by one engine: the product sweep alone ("enum"), or the MILP
+    engine started from U_1, ..., U_{k-1} ("milp")."""
+    memo = {} if memo is None else memo
+    if engine == "enum":
+        members = _union_by_enumeration(atomset, k, memo)[-1]
+    else:
+        lower = [u.members for u in union_profiles(atomset, k - 1, memo=memo)]
+        members = _union_by_milp(atomset, k, lower)
+    return _profile(k, members, engine)
+
+
+def test_union_engines_agree(monkeypatch, cyclic4_atoms, cyclic5_atoms, thm74_21):
     _, ats74 = thm74_21
     for atomset in (cyclic4_atoms, cyclic5_atoms, ats74):
         for k in range(1, 5):
-            enum = unions(atomset, k, force="enum")
-            milp = unions(atomset, k, force="milp")
+            enum = _engine(atomset, k, "enum")
+            milp = _engine(atomset, k, "milp")
             assert enum.members == milp.members
             assert enum.rho == milp.rho and enum.lam == milp.lam
-    # The product sweep serves U_k while at most ``guard`` multisets of k
-    # atoms exist: 15 atoms give 120 pairs, so guard 120 sweeps k <= 2.
-    profiles = union_profiles(cyclic5_atoms, 4, guard=comb(16, 2))
+    # The product sweep serves U_k while at most ENUM_PRODUCT_GUARD multisets
+    # of k atoms exist: 15 atoms give 120 pairs, so a guard of 120 sweeps
+    # k <= 2.
+    default = [u.members for u in union_profiles(cyclic5_atoms, 4)]
+    monkeypatch.setattr(invariants, "ENUM_PRODUCT_GUARD", comb(16, 2))
+    profiles = union_profiles(cyclic5_atoms, 4)
     assert [u.method for u in profiles] == ["enum", "enum", "milp", "milp"]
-    assert [u.members for u in profiles] == [u.members for u in union_profiles(cyclic5_atoms, 4)]
+    assert [u.members for u in profiles] == default
 
 
 def _unions_probing_every_m(atomset, k):
@@ -132,8 +188,8 @@ def test_union_engines_match_a_probe_every_m_reference(alphabet):
     d = atomset.davenport()
     memo = {}
     for k in range(1, 6):
-        enum = unions(atomset, k, memo=memo, force="enum").members
-        assert unions(atomset, k, memo=memo, force="milp").members == enum
+        enum = _engine(atomset, k, "enum", memo).members
+        assert _engine(atomset, k, "milp", memo).members == enum
         assert _unions_probing_every_m(atomset, k) == enum
         if k > 1 and d > 1:
             assert max(2, -(-2 * k // d)) <= enum[0] and enum[-1] <= k * d // 2
@@ -169,7 +225,7 @@ def test_milp_engine_solves_only_what_smaller_unions_leave_open(monkeypatch):
     assert unions(atomset, 5, memo=memo).members == u5.members
     del calls[:]
     gapped = enumerate_atoms(int_alphabet(-70, -1, 1, 70), cap=128)
-    assert unions(gapped, 2, force="milp").members == (2, 71)
+    assert _engine(gapped, 2, "milp").members == (2, 71)
     assert len(calls) == 1 + 68
 
 
@@ -184,7 +240,7 @@ def test_milp_engine_probes_gaps_below_a_witnessed_rho(monkeypatch, cyclic4_atom
     solved = {}
     for atomset in (cyclic4_atoms, cyclic5_atoms, cyclic6_atoms):
         memo = {}
-        full = [unions(atomset, k, memo=memo, force="enum").members for k in range(1, 6)]
+        full = [_engine(atomset, k, "enum", memo).members for k in range(1, 6)]
         for k in range(2, 6):
             cut = [tuple(sorted({i, u[-1]} | ({k} & set(u)))) for i, u in enumerate(full[: k - 1], 1)]
             del calls[:]
@@ -210,7 +266,7 @@ def test_milp_solutions_are_checked_in_integers(monkeypatch, cyclic5_atoms):
 
     monkeypatch.setattr(scipy.optimize, "milp", corrupted)
     with pytest.raises(DomainError):
-        unions(cyclic5_atoms, 2, force="milp")
+        _engine(cyclic5_atoms, 2, "milp")
 
 
 def test_alphabet_whose_only_atom_is_zero(monkeypatch):
@@ -221,8 +277,8 @@ def test_alphabet_whose_only_atom_is_zero(monkeypatch):
         atomset = enumerate_atoms(alphabet)
         assert atomset.davenport() == 1
         for k in range(1, 5):
-            for force in ("enum", "milp"):
-                assert unions(atomset, k, force=force).members == (k,)
+            for engine in ("enum", "milp"):
+                assert _engine(atomset, k, engine).members == (k,)
         assert elasticity(atomset) == BoundedResult(Fraction(1), True, 0, "closed-form")
     assert not calls
     with pytest.raises(DomainError):
@@ -310,8 +366,8 @@ def test_sweeps_whose_products_need_a_wider_packing():
     atomset = enumerate_atoms(int_alphabet(-70, -1, 1, 70), cap=128)
     assert len(atomset) == 4
     assert delta_set(atomset, 2).value == frozenset((69,))
-    assert unions(atomset, 2, force="enum").members == (2, 71)
-    assert unions(atomset, 2, force="milp").members == (2, 71)
+    assert _engine(atomset, 2, "enum").members == (2, 71)
+    assert _engine(atomset, 2, "milp").members == (2, 71)
     assert monoid_catenary(atomset, 2).value["catenary"] == 71
     assert frozenset((2, 71)) in collect_length_sets(atomset, 2)
     packed, levels = _zero_free_sweep(atomset, 2)
