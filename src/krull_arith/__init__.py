@@ -54,6 +54,7 @@ from .presets import (
     DefiningMatrix,
     Preset,
     build_preset,
+    builtin_map,
     check_cofinal,
     check_divisor_theory,
     decompose,
@@ -65,7 +66,6 @@ from .sequences import Alphabet, Sequence, parse_sequence
 from .transfer import (
     Characteristic,
     TransferMap,
-    builtin_map,
     check_transfer,
     count_lifted_atoms,
     count_lifted_atoms_brute,

@@ -24,7 +24,7 @@ from __future__ import annotations
 from itertools import product
 from operator import mul
 
-from .errors import BoundExceededError
+from .errors import BoundExceededError, DomainError
 from .sequences import Sequence
 
 
@@ -157,6 +157,32 @@ def _zero_sum_columns(spec, elements):
         slack[r + j] = -n
         cols.append(slack)
     return cols
+
+
+def _integer_point(rows, rhs, maximize=None):
+    """A nonnegative integer x with rows . x = rhs, maximizing maximize . x
+    when ``maximize`` is given, or None when the system has no such x.
+
+    Solved by scipy's MILP, imported here so that only a caller that solves
+    a program loads scipy.  The answer is rounded and checked exactly in
+    Python ints; an answer that fails the check, and any solver failure
+    other than infeasibility, raise DomainError.
+    """
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    n = len(rows[0])
+    c = np.zeros(n) if maximize is None else -np.array(maximize, dtype=float)
+    equations = LinearConstraint(np.array(rows, dtype=float), rhs, rhs)
+    res = milp(c, integrality=np.ones(n), bounds=Bounds(0, np.inf), constraints=[equations])
+    if res.status == 2:  # infeasible
+        return None
+    if not res.success:
+        raise DomainError("integer program failed: %s" % res.message)
+    x = [round(v) for v in res.x]
+    if min(x) < 0 or any(sum(map(mul, row, x)) != b for row, b in zip(rows, rhs)):
+        raise DomainError("integer program answer %s does not solve the system" % x)
+    return x
 
 
 def enumerate_atoms(alphabet, cap=64):

@@ -94,8 +94,8 @@ class PackedAtoms:
     ``pivots[(B & -B).bit_length()]`` lists the packed atoms that hold the
     lowest element of a nonzero block B, the element of B's lowest nonzero
     field.  ``table``, the memo of length bitmasks, is
-    ``memo[(length, width)]``, so that blocks packed at different widths
-    never share a table.
+    ``memo[(alphabet, width)]``, so that blocks over other alphabets or
+    packed at other widths never share a table.
     """
 
     __slots__ = (
@@ -118,7 +118,7 @@ class PackedAtoms:
         holding = [[u for u, (_, v) in zip(self.atoms, kept) if v[j]] for j in range(self.length)]
         self.pivots = [()] + [held for held in holding for _ in range(width)]
         memo = {} if memo is None else memo
-        self.table = memo.setdefault((self.length, width), {0: 1})
+        self.table = memo.setdefault((atomset.alphabet, width), {0: 1})
 
     @classmethod
     def for_products(cls, atomset, count, memo=None):
@@ -156,7 +156,7 @@ def _members(mask):
     return frozenset(l for l in range(mask.bit_length()) if mask >> l & 1)
 
 
-def _count_vectors(packed, block, guard=FACTORIZATION_GUARD):
+def _count_vectors(packed, block):
     """Z(B) for a packed block: (y, positions, zs) with y = v_0(B), positions
     the indices into ``packed.atoms`` of the nonzero atoms dividing B, and zs
     the factorizations of B without its zeros as sorted tuples of counts of
@@ -181,8 +181,8 @@ def _count_vectors(packed, block, guard=FACTORIZATION_GUARD):
         rem, start, counts = stack.pop()
         if not rem:
             out.append(counts)
-            if len(out) > guard:
-                raise BoundExceededError("more than %d factorizations" % guard)
+            if len(out) > FACTORIZATION_GUARD:
+                raise BoundExceededError("more than %d factorizations" % FACTORIZATION_GUARD)
             continue
         held = rem | guards
         for i in range(start, m):
@@ -195,9 +195,9 @@ def _count_vectors(packed, block, guard=FACTORIZATION_GUARD):
     return y, positions, zs
 
 
-def _factorizations(packed, block, guard=FACTORIZATION_GUARD):
+def _factorizations(packed, block):
     """Z(B) of a packed block as sorted count tuples over the AtomSet."""
-    y, positions, zs = _count_vectors(packed, block, guard)
+    y, positions, zs = _count_vectors(packed, block)
     base = [0] * packed.size
     if y:
         base[packed.zero[0]] = y
@@ -217,14 +217,14 @@ def _packed(atomset, block, memo=None):
     return packed, packed.pack(block.mults)
 
 
-def factorize(atomset, block, guard=FACTORIZATION_GUARD):
+def factorize(atomset, block):
     """All factorizations Z(B) of a zero-sum sequence, sorted canonically.
 
-    Raises BoundExceededError past ``guard`` results.
+    Raises BoundExceededError past FACTORIZATION_GUARD results.
     """
     if not block.is_zero_sum():
         raise DomainError("cannot factor a sequence with nonzero sum")
-    counts = _factorizations(*_packed(atomset, block), guard)
+    counts = _factorizations(*_packed(atomset, block))
     return tuple(Factorization(atomset, c) for c in counts)
 
 
@@ -280,10 +280,10 @@ def _lengths(packed, block):
 def lengths_of(atomset, block, memo=None):
     """The set of lengths L(B) = {|z| : z in Z(B)}, as a frozenset.
 
-    ``memo`` is a dict the kernels fill: for each packing of blocks, a table
-    from packed blocks to length bitmasks.  It may be shared across many
-    blocks over the same alphabet and the same atom set, or atom sets
-    restricted from it by ``AtomSet.restrict``.
+    ``memo`` is a dict the kernels fill: for each alphabet and packing width,
+    a table from packed blocks to length bitmasks.  It may be shared across
+    blocks and alphabets, as long as each alphabet keeps one atom set or atom
+    sets restricted from it by ``AtomSet.restrict``.
     """
     if not block.is_zero_sum():
         raise DomainError("length set of a non-zero-sum sequence")
@@ -330,11 +330,11 @@ class CatenaryProfile:
         }
 
 
-def _catenary_profile(packed, block, guard=FACTORIZATION_GUARD):
+def _catenary_profile(packed, block):
     """catenary_profile() on a packed block.  The atom 0 occurs equally often
     in every factorization, so distances are taken on the counts of the
     nonzero atoms and only the lengths add v_0(B)."""
-    y, _, zs = _count_vectors(packed, block, guard)
+    y, _, zs = _count_vectors(packed, block)
     sizes = [sum(z) for z in zs]
     by_len = {}
     for z, l in zip(zs, sizes):
@@ -352,11 +352,11 @@ def _catenary_profile(packed, block, guard=FACTORIZATION_GUARD):
     return CatenaryProfile(c, c_eq, c_adj, max(c_eq, c_adj), len(zs), lengths)
 
 
-def catenary_profile(atomset, block, guard=FACTORIZATION_GUARD):
+def catenary_profile(atomset, block):
     """Catenary data of one block: c(B) (bottleneck over all of Z(B)),
     the equal-length and adjacent-length refinements, and their maximum
     (the monotone catenary degree of the block).
     """
     if not block.is_zero_sum():
         raise DomainError("cannot factor a sequence with nonzero sum")
-    return _catenary_profile(*_packed(atomset, block), guard)
+    return _catenary_profile(*_packed(atomset, block))

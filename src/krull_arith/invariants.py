@@ -41,6 +41,7 @@ from itertools import combinations
 from math import comb
 from operator import add, sub
 
+from .atoms import _integer_point
 from .errors import ArgumentError, DomainError
 from .factorizations import PackedAtoms, _catenary_profile, _lengths, _members
 from .groups import subgroup_rank
@@ -110,10 +111,10 @@ def delta_of_set(lengths):
     return frozenset(b - a for a, b in zip(ls, ls[1:]))
 
 
-def delta_set(atomset, bound, expected=None, memo=None):
+def delta_set(atomset, bound, memo=None):
     """The set of distances of B(G0), swept over products of at most
-    ``bound`` atoms.  Blocks of zeros only translate length sets, so the
-    zero atom is left out of the sweep.
+    ``bound`` atoms, so never certified exact.  Blocks of zeros only
+    translate length sets, so the zero atom is left out of the sweep.
     """
     if bound < 2:
         raise ArgumentError("delta_set needs bound >= 2")
@@ -124,9 +125,7 @@ def delta_set(atomset, bound, expected=None, memo=None):
     gaps = set()
     for mask in masks:
         gaps.update(delta_of_set(_members(mask)))
-    value = frozenset(gaps)
-    exact = expected is not None and value == frozenset(expected)
-    return BoundedResult(value, exact, bound, "product-sweep")
+    return BoundedResult(frozenset(gaps), False, bound, "product-sweep")
 
 
 def _unions_of_groups(groups):
@@ -276,40 +275,18 @@ def _union_program(atomset, k):
     once a product of k atoms (counts x) and of m atoms (counts y)?  Equality
     of the two products is imposed coordinatewise.  solve() maximizes |y| and
     returns rho_k; solve(m) returns m, or None when the program is infeasible.
-    Every solution is rounded to integer counts and checked exactly, in
-    Python ints, before it is accepted.
+    ``atoms._integer_point`` checks every solution exactly in integers.
     """
-    import numpy as np
-    from scipy.optimize import Bounds, LinearConstraint, milp
-
     vectors = atomset.vectors
     na = len(vectors)
-    mat = np.array(vectors, dtype=float).T  # alphabet x atoms
-    ky = np.hstack([np.zeros(na), np.ones(na)])
-    base = [
-        LinearConstraint(np.hstack([mat, -mat]), 0, 0),
-        LinearConstraint(np.hstack([np.ones(na), np.zeros(na)]), k, k),
-    ]
-
-    def product(counts):
-        return [sum(c * v[j] for c, v in zip(counts, vectors)) for j in range(len(atomset.alphabet))]
+    rows = [[v[j] for v in vectors] + [-v[j] for v in vectors] for j in range(len(atomset.alphabet))]
+    rows.append([1] * na + [0] * na)
+    rhs = [0] * len(atomset.alphabet) + [k]
+    ys = [0] * na + [1] * na
 
     def solve(m=None):
-        if m is None:
-            c, extra = -ky, []
-        else:
-            c, extra = np.zeros(2 * na), [LinearConstraint(ky, m, m)]
-        res = milp(c, integrality=np.ones(2 * na), bounds=Bounds(0, np.inf), constraints=base + extra)
-        if m is not None and res.status == 2:  # infeasible
-            return None
-        if not res.success:
-            raise DomainError("union-of-lengths program for k=%d failed: %s" % (k, res.message))
-        claimed = round(-res.fun) if m is None else m
-        counts = [round(v) for v in res.x]
-        x, y = counts[:na], counts[na:]
-        if min(counts) < 0 or sum(x) != k or sum(y) != claimed or product(x) != product(y):
-            raise DomainError("MILP solution is no integer witness of %d in U_%d" % (claimed, k))
-        return claimed
+        point = _integer_point(rows, rhs, ys) if m is None else _integer_point(rows + [ys], rhs + [m])
+        return None if point is None else sum(point[na:])
 
     return solve
 
@@ -338,8 +315,8 @@ def _union_by_milp(atomset, k, lower):
     solve = _union_program(atomset, k)
     if rho < top:
         found = solve()
-        if found < rho:
-            raise DomainError("MILP rho_%d = %d is below the witness %d" % (k, found, rho))
+        if found is None or found < rho:
+            raise DomainError("MILP rho_%d = %s is below the witness %d" % (k, found, rho))
         open_ms += range(rho + 1, found)
         members.add(found)
     members.update(m for m in open_ms if solve(m) is not None)
@@ -475,23 +452,22 @@ def tame(atomset, u, memo=None):
     return best
 
 
-def monoid_omega(atomset, expected=None):
-    value = max(omega(atomset, u) for u in atomset.atoms)
-    exact = True if expected is None else value == expected
-    return BoundedResult(value, exact, 0, "atomwise-covers")
+def monoid_omega(atomset):
+    """omega(H), the largest omega(H, u) over the atoms: exact, since the
+    cover search of each atom is exhaustive."""
+    return BoundedResult(max(omega(atomset, u) for u in atomset.atoms), True, 0, "atomwise-covers")
 
 
-def monoid_tame(atomset, expected=None, memo=None):
-    if memo is None:
-        memo = {}
-    value = max(tame(atomset, u, memo) for u in atomset.atoms)
-    exact = True if expected is None else value == expected
-    return BoundedResult(value, exact, 0, "atomwise-covers")
+def monoid_tame(atomset, memo=None):
+    """t(H), the largest t(H, u) over the atoms: exact, like monoid_omega."""
+    memo = {} if memo is None else memo
+    return BoundedResult(max(tame(atomset, u, memo) for u in atomset.atoms), True, 0, "atomwise-covers")
 
 
-def monoid_catenary(atomset, bound, expected=None):
+def monoid_catenary(atomset, bound):
     """Catenary degrees of H swept over products of at most ``bound`` atoms
-    (zeros stripped; they pad every factorization identically)."""
+    (zeros stripped; they pad every factorization identically), so never
+    certified exact."""
     if bound < 2:
         raise ArgumentError("monoid_catenary needs bound >= 2")
     packed, levels = _zero_free_sweep(atomset, bound)
@@ -503,9 +479,8 @@ def monoid_catenary(atomset, bound, expected=None):
             c_eq = max(c_eq, p.equal)
             c_adj = max(c_adj, p.adjacent)
             c_mon = max(c_mon, p.monotone)
-    exact = expected is not None and c == expected
     value = {"catenary": c, "equal": c_eq, "adjacent": c_adj, "monotone": c_mon}
-    return BoundedResult(value, exact, bound, "product-sweep")
+    return BoundedResult(value, False, bound, "product-sweep")
 
 
 def absolutely_irreducible(atomset, u):

@@ -1,6 +1,7 @@
 """Named alphabet families with their known closed-form invariant values,
-matrix-defined Diophantine monoids, and structural checks (divisor theory,
-cofinality, direct-product decomposition).
+the built-in alphabet maps between them, matrix-defined Diophantine monoids,
+and structural checks (divisor theory, cofinality, direct-product
+decomposition).
 """
 
 from __future__ import annotations
@@ -9,11 +10,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .atoms import _zero_sum_columns
+from .atoms import _integer_point, _zero_sum_columns
 from .errors import ArgumentError, DomainError
 from .groups import GroupSpec, _row_reduce
 from .sequences import Alphabet
-from .transfer import Characteristic
+from .transfer import Characteristic, TransferMap
 
 
 def fibonacci(n):
@@ -428,19 +429,8 @@ def _in_submonoid(target, generators):
     Feasibility as an integer program (torsion congruences via slacks)."""
     if not generators:
         return target.is_zero()
-    import numpy as np
-    from scipy.optimize import Bounds, LinearConstraint, milp
-
-    cols = _zero_sum_columns(target.spec, generators)
-    a = np.array(cols, dtype=float).T
-    rhs = np.array(list(target.free) + list(target.torsion), dtype=float)
-    res = milp(
-        c=np.zeros(len(cols)),
-        constraints=[LinearConstraint(a, rhs, rhs)],
-        integrality=np.ones(len(cols)),
-        bounds=Bounds(0, np.inf),
-    )
-    return bool(res.success)
+    rows = list(zip(*_zero_sum_columns(target.spec, generators)))
+    return _integer_point(rows, list(target.free) + list(target.torsion)) is not None
 
 
 def check_divisor_theory(preset):
@@ -464,6 +454,36 @@ def check_divisor_theory(preset):
             reasons[g] = "not generated by the other classes"
             ok = False
     return ok, reasons
+
+
+# The built-in alphabet maps: name -> (source preset, target preset, {source
+# coordinates: target coordinates}).  The source alphabet is the elements of
+# the source preset that the table maps.
+_MAPS = {
+    "prop712": ("five_point", "cyclic:3", {(0,): (0,), (1,): (1,), (-2,): (1,), (-1,): (2,), (2,): (2,)}),
+    "prop713": ("prop713", "cyclic:4", {
+        (0, 0): (0,), (1, 0): (1,), (0, 1): (1,), (-1, -2): (1,), (-1, 0): (3,),
+        (0, -1): (3,), (1, 2): (3,), (0, 2): (2,), (0, -2): (2,),
+    }),
+    "collapse": ("frt_t:1", "hypersurface:E8", {(1,): (), (-1,): ()}),
+}
+
+
+def builtin_map(name):
+    """The named built-in alphabet maps.
+
+    ``prop712`` (five_point onto C3) and ``prop713`` (prop713 onto C4) are
+    the candidate maps of an external claim that they are transfer maps;
+    ``check_transfer`` refutes both by divisor lifting (T2) on every window
+    of size >= 6.  ``collapse`` ({1, -1} in Z onto the trivial group) is a
+    negative control that fails surjectivity.
+    """
+    if name not in _MAPS:
+        raise DomainError("unknown built-in map %r" % name)
+    source, target, coords = _MAPS[name]
+    source, target = parse_preset(source).alphabet, parse_preset(target).alphabet
+    images = {source.spec.element_from_coords(a): target.spec.element_from_coords(b) for a, b in coords.items()}
+    return TransferMap(Alphabet(source.spec, [g for g in source if g in images]), target, images)
 
 
 def check_cofinal(atomset):

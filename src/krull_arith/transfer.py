@@ -317,53 +317,3 @@ def count_lifted_atoms_brute(char):
     solutions = minimal_nonneg_solutions(cols, caps)
     return len({v[:k] for v in solutions})
 
-
-def builtin_map(name):
-    """The named built-in alphabet maps.
-
-    ``prop712`` (onto C3) and ``prop713`` (onto C4) are the candidate maps of
-    an external claim that they are transfer maps; ``check_transfer`` refutes
-    both by divisor lifting (T2) on every window of size >= 6.  ``collapse``
-    (onto the trivial group) is a negative control that fails surjectivity.
-    """
-    if name == "prop712":
-        src_spec = GroupSpec(1)
-        e = src_spec.element(free=(1,))
-        source = Alphabet(src_spec, [0 * e, e, -e, 2 * e, -2 * e])
-        tgt_spec = GroupSpec(0, (3,))
-        g = tgt_spec.element(torsion=(1,))
-        target = Alphabet(tgt_spec, [0 * g, g, 2 * g])
-        images = {0 * e: 0 * g, e: g, -2 * e: g, -e: 2 * g, 2 * e: 2 * g}
-        return TransferMap(source, target, images)
-    if name == "prop713":
-        src_spec = GroupSpec(2)
-        e1 = src_spec.element(free=(1, 0))
-        e2 = src_spec.element(free=(0, 1))
-        elems = [e1, e2, 2 * e2, e1 + 2 * e2]
-        source = Alphabet(
-            src_spec, [src_spec.zero()] + elems + [-x for x in elems]
-        )
-        tgt_spec = GroupSpec(0, (4,))
-        g = tgt_spec.element(torsion=(1,))
-        target = Alphabet(tgt_spec, [0 * g, g, 2 * g, 3 * g])
-        images = {
-            src_spec.zero(): 0 * g,
-            e1: g,
-            e2: g,
-            -(e1 + 2 * e2): g,
-            -e1: 3 * g,
-            -e2: 3 * g,
-            e1 + 2 * e2: 3 * g,
-            2 * e2: 2 * g,
-            -2 * e2: 2 * g,
-        }
-        return TransferMap(source, target, images)
-    if name == "collapse":
-        src_spec = GroupSpec(1)
-        e = src_spec.element(free=(1,))
-        source = Alphabet(src_spec, [e, -e])
-        tgt_spec = GroupSpec(0, ())
-        target = Alphabet(tgt_spec, [tgt_spec.zero()])
-        images = {e: tgt_spec.zero(), -e: tgt_spec.zero()}
-        return TransferMap(source, target, images)
-    raise DomainError("unknown built-in map %r" % name)

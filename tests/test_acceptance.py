@@ -36,6 +36,7 @@ from krull_arith.invariants import (
 )
 from krull_arith.presets import (
     build_preset,
+    builtin_map,
     check_divisor_theory,
     decompose,
     fibonacci,
@@ -43,7 +44,6 @@ from krull_arith.presets import (
     thm74_closed_form,
 )
 from krull_arith.transfer import (
-    builtin_map,
     check_transfer,
     count_lifted_atoms,
     count_lifted_atoms_brute,
@@ -78,14 +78,14 @@ def test_criterion_1_symmetric_rank_suite():
         _add(problems, ats.davenport() == d, tag + " davenport")
         _add(
             problems,
-            delta_set(ats, 6, {d - 2}, memo).value == frozenset((d - 2,)),
+            delta_set(ats, 6, memo).value == frozenset((d - 2,)),
             tag + " delta",
         )
-        cat = monoid_catenary(ats, 3, d).value
+        cat = monoid_catenary(ats, 3).value
         _add(problems, cat["catenary"] == d, tag + " catenary")
         _add(problems, cat["monotone"] == d, tag + " monotone catenary")
         _add(problems, monoid_omega(ats).value == d, tag + " omega")
-        _add(problems, monoid_tame(ats, None, memo).value == d, tag + " tame")
+        _add(problems, monoid_tame(ats, memo).value == d, tag + " tame")
         # uk[i] = U_i, every level computed once.
         uk = [None] + union_profiles(ats, max(7, 3 * d - 1), memo=memo)
         for k in range(1, 4):
@@ -444,7 +444,7 @@ def test_criterion_9_universal_inequalities():
         omega_v = monoid_omega(ats).value
         tame_v = None
         if len(ats) <= TAME_ATOM_LIMIT:
-            tame_v = monoid_tame(ats, None, memo).value
+            tame_v = monoid_tame(ats, memo).value
         sweep_bound = 2 if len(ats) > 18 else 3
         block_problems, factorial, max_c = _per_block_checks(ats, sweep_bound, tag)
         problems.extend(block_problems)

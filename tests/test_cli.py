@@ -16,7 +16,7 @@ import pytest
 from click.testing import CliRunner
 
 from krull_arith import cli, report as reporting
-from krull_arith.cli import JobConfig, main, run_invariants
+from krull_arith.cli import main, run_invariants
 from krull_arith.presets import parse_preset
 from krull_arith.report import canonical_json
 
@@ -78,7 +78,7 @@ def test_invariants_deterministic_and_cached(runner, tmp_path):
     assert {"davenport", "delta", "elasticity", "omega", "tame"} <= names
 
 
-# sha256 of canonical_json(run_invariants(...)) with the default JobConfig,
+# sha256 of canonical_json(run_invariants(...)) with the default bounds,
 # and the names of the report's expectation checks in order.
 GOLDEN_REPORTS = {
     "thm74:2,1": (
@@ -98,10 +98,27 @@ GOLDEN_REPORTS = {
 @pytest.mark.parametrize("token", sorted(GOLDEN_REPORTS))
 def test_run_invariants_golden(token):
     digest, names = GOLDEN_REPORTS[token]
-    data = run_invariants(JobConfig(preset=parse_preset(token)))
+    data = run_invariants(parse_preset(token))
     assert [c["name"] for c in data["expectations"]] == names
     assert data["expectations_ok"] is True
     assert hashlib.sha256(canonical_json(data).encode()).hexdigest() == digest
+
+
+def test_report_exact_flags_follow_the_check_table():
+    """The report's "exact" flag of delta, catenary, omega and tame is the
+    pass of its check when the preset has one, and the library's flag
+    otherwise: False for the sweeps, True for the cover searches."""
+    p = parse_preset("cyclic:4")
+    p.expected = {"delta": frozenset((7,)), "omega": 99}
+    data = run_invariants(p, bound=3, max_k=2)
+    checks = {c["name"]: c["pass"] for c in data["expectations"]}
+    assert checks == {"delta": False, "omega": False}
+    inv = data["invariants"]
+    flags = {name: inv[name]["exact"] for name in ("delta", "catenary", "omega", "tame")}
+    assert flags == {"delta": False, "catenary": False, "omega": False, "tame": True}
+    p.expected = {"delta": frozenset((1, 2)), "catenary": 4, "omega": 4, "tame": 4}
+    inv = run_invariants(p, bound=3, max_k=2)["invariants"]
+    assert all(inv[name]["exact"] for name in ("delta", "catenary", "omega", "tame"))
 
 
 def test_invariants_env_cache(runner, tmp_path):
@@ -364,6 +381,24 @@ def test_report_cached_under_another_schema_or_version_is_a_miss(runner, tmp_pat
     monkeypatch.setattr(cli, "__version__", "0.0.0+other")
     assert runner.invoke(main, args).output == first.output
     assert len(list(tmp_path.glob("*.json"))) == 3
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        [
+            "decompose", "--preset", "split1", "--q", "2",
+            "--group", '{"free_rank":1}', "--set", "[[1],[-1]]",
+        ],
+        ["decompose", "--group", '{"free_rank":1}', "--set", "[[1],[-1]]", "--r", "5"],
+    ],
+)
+def test_inputs_of_two_kinds_are_a_usage_error(runner, args):
+    """--preset with --group/--set, or a family option without --preset,
+    would answer for an input other than the one typed."""
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "Usage:" in result.output and "Error:" in result.output
 
 
 def test_threads_flag_is_gone(runner):

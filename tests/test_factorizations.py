@@ -26,6 +26,7 @@ from krull_arith import (
     tame,
     union_profiles,
 )
+from krull_arith import factorizations
 from krull_arith.errors import BoundExceededError, DomainError
 from krull_arith.factorizations import (
     PackedAtoms,
@@ -61,10 +62,13 @@ def test_factorize_rejects_nonzero_sum(cyclic3_atoms):
         lengths_of(cyclic3_atoms, block)
 
 
-def test_factorize_guard(cyclic3_atoms):
+def test_factorize_guard(monkeypatch, cyclic3_atoms):
     block = _block(cyclic3_atoms.alphabet, [(1, 3), (2, 3)])
+    monkeypatch.setattr(factorizations, "FACTORIZATION_GUARD", 1)
     with pytest.raises(BoundExceededError):
-        factorize(cyclic3_atoms, block, guard=1)
+        factorize(cyclic3_atoms, block)
+    with pytest.raises(BoundExceededError):
+        catenary_profile(cyclic3_atoms, block)
 
 
 def test_factorization_product_and_length(cyclic3_atoms):
@@ -410,10 +414,21 @@ def test_multiplicities_past_two_to_the_fifteen():
     memo = {}
     assert lengths_of(atomset, block, memo) == frozenset((33_333,))
     assert lengths_of(atomset, atomset.alphabet.sequence([(g, 3), (2 * g, 3)]), memo) == {2, 3}
-    assert sorted(memo) == [(3, 8), (3, 32)]
+    assert sorted(width for _, width in memo) == [8, 32]
     with_zeros = block * atomset.alphabet.sequence([(0 * g, 40_000), (g, 1), (2 * g, 1)])
     assert lengths_of(atomset, with_zeros, memo) == frozenset((73_334,))
     assert catenary_profile(atomset, with_zeros).lengths == (73_334,)
+
+
+def test_memo_shared_by_alphabets_of_equal_length():
+    """cyclic:5 and five_point both have five elements; one memo serves
+    each alphabet its own lengths, as fresh memos do."""
+    mults = (0, 1, 3, 1, 0)
+    cyclic, five = (enumerate_atoms(parse_preset(t).alphabet) for t in ("cyclic:5", "five_point"))
+    memo = {}
+    assert lengths_of(cyclic, cyclic.alphabet.from_mults(mults), memo) == {2}
+    assert lengths_of(five, five.alphabet.from_mults(mults), memo) == {4}
+    assert lengths_of(five, five.alphabet.from_mults(mults)) == {4}
 
 
 @pytest.mark.parametrize("token", ["cyclic:4", "prop713", "thm74:2,1"])

@@ -44,20 +44,20 @@ from conftest import int_alphabet, small_alphabets
 
 
 def test_delta_set_cyclic(cyclic4_atoms, cyclic5_atoms):
-    res = delta_set(cyclic4_atoms, 3, expected={1, 2})
+    res = delta_set(cyclic4_atoms, 3)
     assert res.value == frozenset((1, 2))
-    assert res.exact
-    res5 = delta_set(cyclic5_atoms, 3, expected={1, 2, 3})
+    assert not res.exact
+    res5 = delta_set(cyclic5_atoms, 3)
     assert res5.value == frozenset((1, 2, 3))
-    assert res5.exact
+    assert not res5.exact
     with pytest.raises(ArgumentError):
         delta_set(cyclic4_atoms, 1)
 
 
 def test_delta_set_inexact_flag(cyclic5_atoms):
-    # Without a matching expectation the sweep is only a lower bound.
-    assert not delta_set(cyclic5_atoms, 2).exact
-    assert not delta_set(cyclic5_atoms, 2, expected={1, 2}).exact
+    # A sweep is only a lower bound, whatever value it finds.
+    res = delta_set(cyclic5_atoms, 2)
+    assert (res.exact, res.bound, res.method) == (False, 2, "product-sweep")
 
 
 def test_delta_star_cyclic(cyclic4_atoms, cyclic5_atoms):
@@ -313,6 +313,9 @@ def test_omega_and_tame_cyclic(cyclic4_atoms, cyclic5_atoms):
     assert monoid_omega(cyclic5_atoms).value == 5
     # Computed fact: the tame degree exceeds omega over the full C5.
     assert monoid_tame(cyclic5_atoms).value == 6
+    # The cover searches are exhaustive, so both values are exact.
+    assert monoid_omega(cyclic5_atoms) == BoundedResult(5, True, 0, "atomwise-covers")
+    assert monoid_tame(cyclic5_atoms) == BoundedResult(6, True, 0, "atomwise-covers")
 
 
 def test_omega_of_single_atoms(cyclic3_atoms):
@@ -350,10 +353,10 @@ def test_omega_matches_brute_force(alphabet):
 
 
 def test_monoid_catenary(cyclic4_atoms):
-    res = monoid_catenary(cyclic4_atoms, 3, expected=4)
+    res = monoid_catenary(cyclic4_atoms, 3)
     assert res.value["catenary"] == 4
     assert res.value["monotone"] == 4
-    assert res.exact
+    assert not res.exact
     with pytest.raises(ArgumentError):
         monoid_catenary(cyclic4_atoms, 1)
 

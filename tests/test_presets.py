@@ -10,6 +10,7 @@ from krull_arith import delta_star, enumerate_atoms, factorize, union_profiles
 from krull_arith.errors import ArgumentError, DomainError
 from krull_arith.presets import (
     DefiningMatrix,
+    Preset,
     build_preset,
     check_cofinal,
     check_divisor_theory,
@@ -190,6 +191,36 @@ def test_check_divisor_theory():
     for r, alpha in [(2, 1), (2, 2), (3, 1)]:
         ok, _ = check_divisor_theory(build_preset("thm74", r, alpha))
         assert ok
+
+
+def _patch_milp(monkeypatch, answer):
+    """Make scipy.optimize.milp return answer(result of the real solver)."""
+    import scipy.optimize
+
+    solve = scipy.optimize.milp
+    monkeypatch.setattr(scipy.optimize, "milp", lambda *a, **kw: answer(solve(*a, **kw)))
+
+
+def test_divisor_theory_refuses_a_corrupted_solver_answer(monkeypatch):
+    def corrupted(res):
+        res.x[0] += 1
+        return res
+
+    _patch_milp(monkeypatch, corrupted)
+    with pytest.raises(DomainError):
+        check_divisor_theory(build_preset("four_point"))
+
+
+def test_divisor_theory_solver_failure_is_no_verdict(monkeypatch):
+    """A failure other than infeasibility proves nothing either way."""
+    from scipy.optimize import OptimizeResult
+
+    def failed(res):
+        return OptimizeResult(status=1, success=False, message="time limit reached", x=None)
+
+    _patch_milp(monkeypatch, failed)
+    with pytest.raises(DomainError):
+        check_divisor_theory(Preset("custom", {}, int_alphabet(-1, 1)))
 
 
 def test_check_cofinal():

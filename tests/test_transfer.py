@@ -15,12 +15,11 @@ from krull_arith import (
     lengths_of,
 )
 from krull_arith.errors import DomainError, ShapeError
-from krull_arith.presets import build_preset
+from krull_arith.presets import build_preset, builtin_map
 from krull_arith.transfer import (
     Characteristic,
     TransferMap,
     TransferReport,
-    builtin_map,
     check_transfer,
     count_lifted_atoms,
     count_lifted_atoms_brute,
