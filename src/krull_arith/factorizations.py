@@ -11,8 +11,15 @@ on packed blocks: ``PackedAtoms`` turns a multiplicity tuple into one int
 with a fixed-width field per alphabet element, so that B * u is one addition
 and the test u | B with the quotient B / u is one subtraction and one mask
 test, and holds the atoms of an AtomSet in that form.  A set of lengths is a
-bitmask int, bit l set for l in L(B).  The kernels use explicit stacks,
-so their depth is not limited by the interpreter's recursion limit.
+bitmask int, bit l set for l in L(B).  A factorization inside the kernels is
+a packed int too, of atom counts (``PackedCounts``), whose fields are wide
+enough for the longest factorization, at most |B|/2 for a zero-free B, and
+not only for each count: then the fieldwise minimum gcd(z, z') is one
+guard-bit subtraction, and one multiplication by the all-ones field pattern
+reads |z| or |gcd(z, z')|, so d(z, z') = max(|z|, |z'|) - |gcd(z, z')| is a
+few int operations ("SIMD within a register", Lamport, *CACM* 18, 1975).
+The kernels use explicit stacks, so their depth is not limited by the
+interpreter's recursion limit.
 ``Sequence``, multiplicity tuples and ``frozenset`` appear only at the API
 boundary, where the public functions check the zero sum.
 """
@@ -130,10 +137,6 @@ class PackedAtoms:
         width = self.width
         return sum(m << (j * width) for j, m in enumerate(mults))
 
-    def unpack(self, block):
-        width, field = self.width, self.field
-        return tuple(block >> (j * width) & field for j in range(self.length))
-
     def nonzero(self):
         """The packed atoms other than the atom 0."""
         if self.zero is None:
@@ -156,58 +159,107 @@ def _members(mask):
     return frozenset(l for l in range(mask.bit_length()) if mask >> l & 1)
 
 
+class PackedCounts:
+    """Count vectors over ``m`` atoms packed into ints, with the first atom in
+    the highest field, so that the order of the packed counts is the order
+    of the count tuples.
+
+    Each field is ``width`` bits wide, the smallest of 8, 16, 32, ... whose
+    fields hold ``longest`` below their top (guard) bit.  With ``longest`` at
+    least every length |z|, no field and no sum of fields ever carries:
+    the product z * ones holds |z| in field m - 1, and the guard-bit
+    subtraction of ``PackedAtoms`` gives the fieldwise minimum gcd(z, z'),
+    whose length the same product reads.  A bound on the counts alone is
+    not enough for the sums: m counts of 127 fit 8-bit fields, their sum
+    does not.
+    """
+
+    __slots__ = ("field", "top", "guard", "ones", "shift", "shifts")
+
+    def __init__(self, m, longest):
+        width = 8
+        while longest >> (width - 1):
+            width *= 2
+        self.field = (1 << width) - 1
+        self.top = width - 1
+        self.guard = sum(1 << (i * width + width - 1) for i in range(m))
+        self.ones = sum(1 << (i * width) for i in range(m))
+        self.shift = width * max(m - 1, 0)
+        self.shifts = [width * (m - 1 - i) for i in range(m)]
+
+    def unpack(self, z):
+        field = self.field
+        return tuple(z >> s & field for s in self.shifts)
+
+    def lengths(self, zs):
+        """|z| for each packed z."""
+        ones, shift, field = self.ones, self.shift, self.field
+        return [(z * ones) >> shift & field for z in zs]
+
+    def overlaps(self, z, others):
+        """|gcd(z, w)| for each packed w in ``others``.  The guard bit of a
+        field of (z | guard) - w stays set exactly when z's count there is
+        at least w's; spread to a mask, it picks w's count there, and z's
+        elsewhere."""
+        guard, top, ones, shift, field = self.guard, self.top, self.ones, self.shift, self.field
+        held = z | guard
+        return [
+            ((z ^ ((z ^ w) & ((f := (held - w) & guard) - (f >> top)))) * ones) >> shift & field
+            for w in others
+        ]
+
+
 def _count_vectors(packed, block):
-    """Z(B) for a packed block: (y, positions, zs) with y = v_0(B), positions
-    the indices into ``packed.atoms`` of the nonzero atoms dividing B, and zs
-    the factorizations of B without its zeros as sorted tuples of counts of
-    those atoms.
+    """Z(B) for a packed block: (y, positions, counts, zs) with y = v_0(B),
+    positions the indices into ``packed.atoms`` of the nonzero atoms dividing
+    B, and zs the factorizations of B without its zeros, sorted, as counts
+    of those atoms packed by the ``PackedCounts`` ``counts``.
 
     The atoms are filtered once, at the root: an atom that does not divide B
     divides no part of it.  The search is depth first over atoms in
-    nondecreasing order, so each multiset is produced once.  Counts are
-    packed too, at the block's width, the first atom in the highest field, so
-    that the order of the packed counts is the order of the tuples."""
+    nondecreasing order, so each multiset is produced once.  A nonzero atom
+    has at least two elements, so no factorization of the zero-free part is
+    longer than half its size, which sets the count width."""
     y, block = packed.split_zeros(block)
     guards = packed.guard
     held = block | guards
     positions = [p for p, u in enumerate(packed.atoms) if (held - u) & guards == guards]
     atoms = [packed.atoms[p] for p in positions]
-    m = len(atoms)
-    shifts = [packed.width * (m - 1 - i) for i in range(m)]
-    ones = [1 << s for s in shifts]
+    width, field = packed.width, packed.field
+    size = sum(block >> s & field for s in range(0, packed.length * width, width))
+    counts = PackedCounts(len(atoms), size // 2)
+    ones = [1 << s for s in counts.shifts]
     out = []
     stack = [(block, 0, 0)]
     while stack:
-        rem, start, counts = stack.pop()
+        rem, start, z = stack.pop()
         if not rem:
-            out.append(counts)
+            out.append(z)
             if len(out) > FACTORIZATION_GUARD:
                 raise BoundExceededError("more than %d factorizations" % FACTORIZATION_GUARD)
             continue
         held = rem | guards
-        for i in range(start, m):
+        for i in range(start, len(atoms)):
             d = held - atoms[i]
             if d & guards == guards:
-                stack.append((d ^ guards, i, counts + ones[i]))
+                stack.append((d ^ guards, i, z + ones[i]))
     out.sort()
-    field = packed.field
-    zs = [tuple(c >> s & field for s in shifts) for c in out]
-    return y, positions, zs
+    return y, positions, counts, out
 
 
 def _factorizations(packed, block):
     """Z(B) of a packed block as sorted count tuples over the AtomSet."""
-    y, positions, zs = _count_vectors(packed, block)
+    y, positions, counts, zs = _count_vectors(packed, block)
     base = [0] * packed.size
     if y:
         base[packed.zero[0]] = y
     slots = [packed.indices[p] for p in positions]
     out = []
     for z in zs:
-        counts = base[:]
-        for i, c in zip(slots, z):
-            counts[i] = c
-        out.append(tuple(counts))
+        row = base[:]
+        for i, c in zip(slots, counts.unpack(z)):
+            row[i] = c
+        out.append(tuple(row))
     return out
 
 
@@ -228,14 +280,9 @@ def factorize(atomset, block):
     return tuple(Factorization(atomset, c) for c in counts)
 
 
-def _distance(c1, c2, l1, l2):
-    """distance() on count tuples of lengths l1 and l2."""
-    return max(l1, l2) - sum(map(min, c1, c2))
-
-
 def distance(z1, z2):
     """d(z, z') = max length of the two parts left after cancelling gcd(z, z')."""
-    return _distance(z1.counts, z2.counts, z1.length, z2.length)
+    return max(z1.length, z2.length) - sum(map(min, z1.counts, z2.counts))
 
 
 def _lengths(packed, block):
@@ -290,23 +337,26 @@ def lengths_of(atomset, block, memo=None):
     return _members(_lengths(*_packed(atomset, block, memo)))
 
 
-def _mst_bottleneck(nodes, lengths):
+def _mst_bottleneck(counts, nodes, lengths):
     """Largest edge on a minimum spanning tree of the complete graph on the
-    count tuples, weighted by distance (Prim); ``lengths[i]`` is the length
-    of ``nodes[i]``."""
+    packed counts ``nodes``, weighted by distance (Prim); ``lengths[i]`` is
+    the length of ``nodes[i]``, and d(z, z') = max(|z|, |z'|) - |gcd(z, z')|."""
     if len(nodes) <= 1:
         return 0
-    first, l0 = nodes[0], lengths[0]
-    best = {i: _distance(first, nodes[i], l0, lengths[i]) for i in range(1, len(nodes))}
+    node, length = nodes[0], lengths[0]
+    nodes, lengths = nodes[1:], lengths[1:]
+    best = [max(length, l) - o for l, o in zip(lengths, counts.overlaps(node, nodes))]
     bottleneck = 0
     while best:
-        i = min(best, key=best.get)
-        bottleneck = max(bottleneck, best.pop(i))
-        node, li = nodes[i], lengths[i]
-        for j in best:
-            d = _distance(node, nodes[j], li, lengths[j])
-            if d < best[j]:
-                best[j] = d
+        d = min(best)
+        i = best.index(d)
+        bottleneck = max(bottleneck, d)
+        best.pop(i)
+        node, length = nodes.pop(i), lengths.pop(i)
+        best = [
+            min(b, max(length, l) - o)
+            for b, l, o in zip(best, lengths, counts.overlaps(node, nodes))
+        ]
     return bottleneck
 
 
@@ -332,23 +382,24 @@ class CatenaryProfile:
 
 def _catenary_profile(packed, block):
     """catenary_profile() on a packed block.  The atom 0 occurs equally often
-    in every factorization, so distances are taken on the counts of the
-    nonzero atoms and only the lengths add v_0(B)."""
-    y, _, zs = _count_vectors(packed, block)
-    sizes = [sum(z) for z in zs]
+    in every factorization, so distances are taken on the packed counts of
+    the nonzero atoms and only the lengths add v_0(B)."""
+    y, _, counts, zs = _count_vectors(packed, block)
+    sizes = counts.lengths(zs)
     by_len = {}
     for z, l in zip(zs, sizes):
         by_len.setdefault(l, []).append(z)
     lengths = tuple(sorted(l + y for l in by_len))
     if len(zs) <= 1:
         return CatenaryProfile(0, 0, 0, 0, len(zs), lengths)
-    c = _mst_bottleneck(zs, sizes)
-    c_eq = max(_mst_bottleneck(group, [l] * len(group)) for l, group in by_len.items())
+    c = _mst_bottleneck(counts, zs, sizes)
+    c_eq = max(_mst_bottleneck(counts, group, [l] * len(group)) for l, group in by_len.items())
     c_adj = 0
     ls = sorted(by_len)
     for a, b in zip(ls, ls[1:]):
-        gap = min(_distance(z1, z2, a, b) for z1 in by_len[a] for z2 in by_len[b])
-        c_adj = max(c_adj, gap)
+        # For |z| = a < b = |z'|, d(z, z') = b - |gcd(z, z')|.
+        common = max(max(counts.overlaps(z, by_len[b])) for z in by_len[a])
+        c_adj = max(c_adj, b - common)
     return CatenaryProfile(c, c_eq, c_adj, max(c_eq, c_adj), len(zs), lengths)
 
 

@@ -163,6 +163,27 @@ class GroupElement:
             k = lcm(k, n // gcd(x, n))
         return k
 
+    def multipliers(self, other):
+        """The integers k with k * self = other in a finite group, as (k0, m):
+        exactly the k = k0 mod m, where m = self.order().  None when other
+        is not a multiple of self.
+
+        >>> g = GroupSpec(0, (2, 6)).element(torsion=(1, 2))
+        >>> g.multipliers(5 * g), g.multipliers(GroupSpec(0, (2, 6)).element(torsion=(0, 1)))
+        ((5, 6), None)
+        """
+        k, m = 0, 1
+        for x, y, n in zip(self.torsion, other.torsion, self.spec.torsion):
+            d = gcd(x, n)
+            if y % d:
+                return None
+            step = n // d
+            joined = congruence(k, m, y // d * pow(x // d, -1, step), step)
+            if joined is None:
+                return None
+            k, m = joined
+        return k, m
+
     def key(self):
         return (self.free, self.torsion)
 
@@ -206,6 +227,18 @@ class GroupElement:
 
     def __str__(self):
         return self.render()
+
+
+def congruence(a, m, b, n):
+    """The k with k = a mod m and k = b mod n, as (c, lcm(m, n)) meaning
+    exactly the k = c mod lcm(m, n); None when there are none (Chinese
+    remainder theorem for moduli that need not be coprime)."""
+    d = gcd(m, n)
+    if (b - a) % d:
+        return None
+    step = m // d
+    t = (b - a) // d * pow(step, -1, n // d) % (n // d)
+    return (a + m * t) % (step * n), step * n
 
 
 def _row_reduce(rows):

@@ -31,6 +31,15 @@ directly, since every swept block is a product of atoms and so has zero sum.
 Length sets stay bitmasks until a value is returned.  The cover search of
 omega and tame works on multiplicity tuples.  ``Sequence`` is used only where
 a public function takes or returns one.
+
+The catenary sweep factors one block per orbit of the maps x -> kx that send
+G0 onto itself (``Alphabet.unit_maps``; k a unit mod exp(G), or k = -1 for an
+infinite G).  Each is an automorphism of G that keeps G0, hence of B(G0): it
+permutes the atoms and keeps Z(B), L(B) and every distance, so all blocks of
+an orbit have the same catenary data, and the maxima over the
+representatives are the maxima over the whole bounded sweep.  The Delta,
+Delta* and U_k sweeps stay unreduced, since their repeated blocks are memo
+hits in ``_lengths``.
 """
 
 from __future__ import annotations
@@ -103,6 +112,50 @@ def _zero_free_sweep(atomset, count, memo=None):
     atom 0, level by level, packed wide enough for all of them."""
     packed = PackedAtoms.for_products(atomset, count, memo)
     return packed, product_levels(packed.nonzero(), count)
+
+
+def _permute(packed, block, perm):
+    """A packed block with the field of element j moved to element perm[j]."""
+    width, field = packed.width, packed.field
+    return sum((block >> (j * width) & field) << (p * width) for j, p in enumerate(perm))
+
+
+def orbit_levels(packed, maps, max_count):
+    """levels[k] = one block for each orbit of the products of exactly k
+    nonzero atoms, namely its least packed image, under a group of index
+    permutations given by its elements other than the identity (``maps``,
+    as ``Alphabet.unit_maps`` returns them).
+
+    A map permutes the atoms, so every product of k + 1 atoms is the image
+    of r * u for some representative r of level k and some nonzero atom u:
+    level k + 1 is the set of least images of these r * u.  Each block is
+    carried with its images under the whole group, identity first, so that
+    the images of r * u are the sums of the images of r and of u, and
+    ``compose`` reorders the images of r * u into those of its least image.
+    The whole orbit of a new block is marked, so that each orbit is entered
+    once.  With no maps this is ``product_levels`` of the nonzero atoms.
+    """
+    group = [tuple(range(packed.length))] + [tuple(perm) for perm in maps]
+    index = {perm: i for i, perm in enumerate(group)}
+    # compose[j][i] is the index of group[i] after group[j].
+    compose = [[index[tuple(p[q] for q in pj)] for p in group] for pj in group]
+    atoms = [[_permute(packed, u, perm) for perm in group] for u in packed.nonzero()]
+    level = {0: [0] * len(group)}
+    levels = [[0]]
+    for _ in range(max_count):
+        seen = set()
+        nxt = {}
+        for r, rimages in level.items():
+            for uimages in atoms:
+                if r + uimages[0] in seen:
+                    continue
+                images = list(map(add, rimages, uimages))
+                seen.update(images)
+                least = min(images)
+                nxt[least] = [images[i] for i in compose[images.index(least)]]
+        level = nxt
+        levels.append(list(level))
+    return levels
 
 
 def delta_of_set(lengths):
@@ -467,12 +520,13 @@ def monoid_tame(atomset, memo=None):
 def monoid_catenary(atomset, bound):
     """Catenary degrees of H swept over products of at most ``bound`` atoms
     (zeros stripped; they pad every factorization identically), so never
-    certified exact."""
+    certified exact.  One block is factored per orbit of the unit maps
+    (module docstring), which gives the maxima of the unreduced sweep."""
     if bound < 2:
         raise ArgumentError("monoid_catenary needs bound >= 2")
-    packed, levels = _zero_free_sweep(atomset, bound)
+    packed = PackedAtoms.for_products(atomset, bound)
     c = c_eq = c_adj = c_mon = 0
-    for level in levels[2:]:
+    for level in orbit_levels(packed, atomset.alphabet.unit_maps(), bound)[2:]:
         for b in level:
             p = _catenary_profile(packed, b)
             c = max(c, p.catenary)

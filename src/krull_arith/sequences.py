@@ -8,9 +8,10 @@ multisets always compare and hash equal.
 from __future__ import annotations
 
 import re
+from math import gcd
 
 from .errors import AlphabetError, ArgumentError, ShapeError
-from .groups import GroupElement, GroupSpec
+from .groups import GroupElement, GroupSpec, congruence
 
 
 class Alphabet:
@@ -61,6 +62,48 @@ class Alphabet:
 
     def is_symmetric(self):
         return self.negation_table() is not None
+
+    def unit_maps(self):
+        """The maps x -> kx of the group that send G0 onto itself, other than
+        the identity, as index permutations: ``perm[i]`` is the index of
+        k * element[i].  Each is an automorphism of the group, so it permutes
+        the atoms of B(G0) and keeps every length and distance.
+
+        k runs over the units mod exp(G) for a finite group, and over k = -1
+        otherwise.  On G0 such a map depends only on k mod L, the exponent of
+        the subgroup that G0 generates, and distinct k mod L give distinct
+        maps.  The units k mod L with k * G0 in G0 are found element by
+        element, largest order first: a class k0 mod m either fixes the
+        image of the next element g already (ord(g) divides m), or is split
+        by the multipliers k with k * g = h over the h in G0.  So the whole
+        alphabet is never multiplied by every unit.
+
+        >>> spec = GroupSpec(0, (5,))
+        >>> Alphabet(spec, [spec.element(torsion=(i,)) for i in range(5)]).unit_maps()
+        [(0, 2, 4, 1, 3), (0, 3, 1, 4, 2), (0, 4, 3, 2, 1)]
+        """
+        if self.spec.free_rank:
+            table = self.negation_table()
+            return [tuple(table)] if table and table != list(range(len(self))) else []
+        nonzero = sorted((g for g in self.elements if not g.is_zero()), key=lambda g: -g.order())
+        classes = [(0, 1)]
+        for g in nonzero:
+            order = g.order()
+            split = []
+            for k, m in classes:
+                if m % order == 0:
+                    if k * g in self._index:
+                        split.append((k, m))
+                    continue
+                for h in self.elements:
+                    found = g.multipliers(h)
+                    joined = found and congruence(k, m, *found)
+                    if joined and gcd(*joined) == 1:
+                        split.append(joined)
+            classes = split
+        return [
+            tuple(self._index[k * g] for g in self.elements) for k, m in sorted(classes) if (k - 1) % m
+        ]
 
     def empty(self):
         return Sequence(self, (0,) * len(self.elements))

@@ -92,6 +92,16 @@ GOLDEN_REPORTS = {
         "99837bd17c0f723e998f0f0b61392265a5218403d6a7ba8cb879b6af9c6baece",
         ["davenport_lower_bound"],
     ),
+    "cyclic:5": (
+        "776154fde816d6aa855ae75740048506e05794d7efdb434941472ae9d2115694",
+        ["davenport", "delta", "elasticity", "catenary", "omega", "rho_2", "rho_3",
+         "rho_4", "rho_5", "lambda_5"],
+    ),
+    "cyclic:7": (
+        "e4d30bdfe539a49120c8fca4a219c47ea1b1b50a1167af50d0bd6e1d29e3495e",
+        ["davenport", "delta", "elasticity", "catenary", "omega", "rho_2", "rho_3",
+         "rho_4", "rho_5"],
+    ),
 }
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from krull_arith import (
     Alphabet,
     Factorization,
+    GroupSpec,
     catenary_profile,
     collect_length_sets,
     delta_of_set,
@@ -29,6 +30,7 @@ from krull_arith import (
 from krull_arith import factorizations
 from krull_arith.errors import BoundExceededError, DomainError
 from krull_arith.factorizations import (
+    CatenaryProfile,
     PackedAtoms,
     _factorizations,
     _lengths,
@@ -36,7 +38,7 @@ from krull_arith.factorizations import (
 )
 from krull_arith.invariants import _minimal_covers, _union_by_enumeration, product_levels
 
-from conftest import cyclic_alphabet, int_alphabet, small_alphabets
+from conftest import cyclic_alphabet, int_alphabet, small_alphabets, unpack
 
 
 def _block(alphabet, text_pairs):
@@ -85,7 +87,7 @@ def test_lengths_match_factorize_on_sweep(five_point_atoms):
     packed = PackedAtoms.for_products(five_point_atoms, 3)
     for level in product_levels(packed.atoms, 3):
         for b in level:
-            block = alphabet.from_mults(packed.unpack(b))
+            block = alphabet.from_mults(unpack(packed, b))
             via_z = {z.length for z in factorize(five_point_atoms, block)}
             assert lengths_of(five_point_atoms, block, memo) == frozenset(via_z)
 
@@ -278,12 +280,12 @@ def test_packed_kernels_match_sequence_references(case):
     atomset, block, top = case
     packed = PackedAtoms(atomset, top)
     b = packed.pack(block.mults)
-    assert packed.unpack(b) == block.mults
+    assert unpack(packed, b) == block.mults
     assert _factorizations(packed, b) == _reference_factorizations(atomset, block)
     reference = {}
     assert _members(_lengths(packed, b)) == _reference_lengths(atomset, block, reference)
     for key, mask in packed.table.items():
-        part = atomset.alphabet.from_mults(packed.unpack(key))
+        part = atomset.alphabet.from_mults(unpack(packed, key))
         assert _members(mask) == _reference_lengths(atomset, part, reference)
 
 
@@ -342,7 +344,7 @@ def test_packed_sweeps_match_sequence_references(alphabet, zero):
     products = [_products(atomset, k) for k in range(bound + 1)]
     packed = PackedAtoms.for_products(atomset, bound)
     levels = product_levels(packed.atoms, bound)
-    assert [{packed.unpack(b) for b in level} for level in levels] == [
+    assert [{unpack(packed, b) for b in level} for level in levels] == [
         {block.mults for block in level} for level in products
     ]
     reference = {}
@@ -393,7 +395,7 @@ def test_packing_width_follows_the_largest_multiplicity(cyclic3_atoms):
     widths = [PackedAtoms(cyclic3_atoms, top).width for top in (0, 127, 128, 2**15 - 1, 2**15, 99_999)]
     assert widths == [8, 8, 16, 16, 32, 32]
     packed = PackedAtoms(cyclic3_atoms, 99_999)
-    assert packed.unpack(packed.pack((99_999, 0, 2**31 - 1))) == (99_999, 0, 2**31 - 1)
+    assert unpack(packed, packed.pack((99_999, 0, 2**31 - 1))) == (99_999, 0, 2**31 - 1)
     # Over Z, the one atom of {1, -200} is 1^200 * -200: width 8 leaves it
     # out, and lengths_of packs at width 16.
     atomset = enumerate_atoms(int_alphabet(1, -200), cap=256)
@@ -418,6 +420,31 @@ def test_multiplicities_past_two_to_the_fifteen():
     with_zeros = block * atomset.alphabet.sequence([(0 * g, 40_000), (g, 1), (2 * g, 1)])
     assert lengths_of(atomset, with_zeros, memo) == frozenset((73_334,))
     assert catenary_profile(atomset, with_zeros).lengths == (73_334,)
+
+
+def test_count_width_holds_the_longest_factorization():
+    """Every multiplicity below fits a field of 8 bits, but the lengths do
+    not: the count fields are sized by the longest factorization, so that
+    their sum, which gives |z| and every distance, never carries."""
+    spec = GroupSpec(3)
+    e = [spec.basis_element(i) for i in range(3)]
+    pairs = e + [-g for g in e]
+    atomset = enumerate_atoms(Alphabet(spec, pairs))
+    block = atomset.alphabet.sequence([(g, 127) for g in pairs])
+    assert PackedAtoms(atomset, max(block.mults)).width == 8
+    prof = catenary_profile(atomset, block)
+    assert (prof.lengths, prof.num_factorizations, prof.catenary) == ((381,), 1, 0)
+    # (e2 * -e2)^127 (e3 * -e3)^127 times 1^2 (-1)^2 2 (-2) on the first axis,
+    # which is (1 * -1)^2 (2 * -2) or (1^2 * -2)(-1^2 * 2): L = {256, 257},
+    # and the two factorizations are at distance 3.
+    atomset = enumerate_atoms(Alphabet(spec, pairs + [2 * e[0], -2 * e[0]]))
+    block = atomset.alphabet.sequence(
+        [(g, 127) for g in (e[1], e[2], -e[1], -e[2])]
+        + [(e[0], 2), (-e[0], 2), (2 * e[0], 1), (-2 * e[0], 1)]
+    )
+    prof = catenary_profile(atomset, block)
+    assert prof == CatenaryProfile(3, 0, 3, 3, 2, (256, 257))
+    assert sorted(z.length for z in factorize(atomset, block)) == [256, 257]
 
 
 def test_memo_shared_by_alphabets_of_equal_length():

@@ -1,9 +1,12 @@
 """Group arithmetic: canonical forms, orders, ranks, serialization."""
 
+from math import lcm
+
 import pytest
 from hypothesis import given, strategies as st
 
 from krull_arith import GroupElement, GroupSpec, subgroup_rank
+from krull_arith.groups import congruence
 from krull_arith.errors import ShapeError
 
 
@@ -130,3 +133,29 @@ def test_rank_stable_under_dependent_generator(cs):
     for g in gens[1:]:
         total = total + g
     assert subgroup_rank(gens) == subgroup_rank(gens + [total])
+
+
+@given(st.sampled_from([(7,), (12,), (2, 6), (3, 9), (2, 2, 4)]), st.data())
+def test_multipliers_match_every_k(torsion, data):
+    spec = GroupSpec(0, torsion)
+    coords = st.tuples(*(st.integers(0, n - 1) for n in torsion))
+    g = spec.element(torsion=data.draw(coords))
+    h = spec.element(torsion=data.draw(coords))
+    order = g.order()
+    solutions = [k for k in range(order) if k * g == h]
+    found = g.multipliers(h)
+    if found is None:
+        assert solutions == []
+    else:
+        assert found[1] == order
+        assert solutions == [found[0] % order]
+    assert g.multipliers(5 * g) == (5 % order, order)
+
+
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(-50, 50), st.integers(-50, 50))
+def test_congruence_matches_a_search(m, n, a, b):
+    both = [k for k in range(lcm(m, n)) if k % m == a % m and k % n == b % n]
+    joined = congruence(a, m, b, n)
+    assert (joined is None) == (not both)
+    if joined:
+        assert joined == (both[0], lcm(m, n)) and len(both) == 1

@@ -3,8 +3,8 @@ catenary, absolute irreducibility.  The two union engines are cross-checked.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import comb
+from itertools import combinations_with_replacement, product
+from math import comb, gcd, prod
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from krull_arith import (
     Alphabet,
+    GroupElement,
     GroupSpec,
     absolutely_irreducible,
+    catenary_profile,
     collect_length_sets,
     delta_set,
     delta_star,
@@ -24,12 +26,14 @@ from krull_arith import (
     monoid_omega,
     monoid_tame,
     omega,
+    parse_preset,
     tame,
     union_profiles,
     unions,
 )
 from krull_arith import invariants
 from krull_arith.errors import ArgumentError, DomainError
+from krull_arith.factorizations import PackedAtoms
 from krull_arith.invariants import (
     ENUM_PRODUCT_GUARD,
     BoundedResult,
@@ -37,10 +41,12 @@ from krull_arith.invariants import (
     _union_by_enumeration,
     _union_by_milp,
     _zero_free_sweep,
+    orbit_levels,
+    product_levels,
 )
 from krull_arith.presets import build_preset
 
-from conftest import int_alphabet, small_alphabets
+from conftest import int_alphabet, small_alphabets, unpack
 
 
 def test_delta_set_cyclic(cyclic4_atoms, cyclic5_atoms):
@@ -402,3 +408,123 @@ def test_bounded_result_json():
     assert res.to_json()["value"] == [1, 2]
     frac = BoundedResult(Fraction(5, 2), True)
     assert frac.to_json()["value"] == {"numerator": 5, "denominator": 2}
+
+
+# Presets of the sweep-level tests below: products of up to three atoms.
+SWEEP_PRESETS = [
+    "thm74:2,1", "thm74:3,2", "cyclic:3", "cyclic:4", "cyclic:5", "cyclic:6", "full_box:2",
+    "prop713", "cube:2", "five_point", "four_point", "split1:2", "split2:2",
+]
+
+
+def _apply(packed, block, perm):
+    """A packed block with the multiplicity of element j moved to perm[j]."""
+    mults = [0] * packed.length
+    for j, m in enumerate(unpack(packed, block)):
+        mults[perm[j]] = m
+    return packed.pack(mults)
+
+
+@pytest.mark.parametrize(
+    "token, count", [("cyclic:5", 3), ("cyclic:6", 1), ("cyclic:7", 5), ("full_box:2", 1)]
+)
+def test_unit_maps_permute_the_alphabet_and_the_atoms(token, count):
+    atomset = enumerate_atoms(parse_preset(token).alphabet)
+    alphabet = atomset.alphabet
+    maps = alphabet.unit_maps()
+    identity = tuple(range(len(alphabet)))
+    assert len(maps) == count
+    for perm in maps:
+        assert perm != identity and sorted(perm) == list(identity)
+        moved = set()
+        for v in atomset.vectors:
+            w = [0] * len(v)
+            for j, m in enumerate(v):
+                w[perm[j]] = m
+            moved.add(tuple(w))
+        assert moved == set(atomset.vectors)
+    for p in maps:
+        for q in maps:
+            assert tuple(p[q[j]] for j in identity) in set(maps) | {identity}
+
+
+def _subsets_of_finite_groups():
+    """Strategy: nonempty subsets of small finite abelian groups."""
+
+    def subset(torsion, picks):
+        spec = GroupSpec(0, torsion)
+        elements = [spec.element(torsion=t) for t in product(*(range(n) for n in torsion))]
+        return Alphabet(spec, [g for g, keep in zip(elements, picks) if keep] or elements[:1])
+
+    tors = st.sampled_from([(n,) for n in range(2, 13)] + [(2, 4), (2, 6), (3, 3), (2, 2, 2)])
+    return tors.flatmap(
+        lambda t: st.lists(st.booleans(), min_size=prod(t), max_size=prod(t)).map(
+            lambda picks: subset(t, picks)
+        )
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_subsets_of_finite_groups())
+def test_unit_maps_match_multiplying_by_every_unit(alphabet):
+    e = alphabet.spec.exponent()
+    identity = tuple(range(len(alphabet)))
+    expected = set()
+    for k in range(1, e + 1):
+        images = [k * g for g in alphabet]
+        if gcd(k, e) == 1 and all(h in alphabet for h in images):
+            expected.add(tuple(alphabet.index(h) for h in images))
+    maps = alphabet.unit_maps()
+    assert len(set(maps)) == len(maps)
+    assert set(maps) == expected - {identity}
+
+
+def test_unit_maps_of_a_small_subset_of_a_large_group(monkeypatch):
+    """{0, 1, -1} in Z/1000003 has only negation, found without multiplying
+    the alphabet by each of the 1,000,002 units."""
+    calls = []
+    mul = GroupElement.__mul__
+
+    def counted(self, k):
+        calls.append(k)
+        return mul(self, k)
+
+    monkeypatch.setattr(GroupElement, "__mul__", counted)
+    monkeypatch.setattr(GroupElement, "__rmul__", counted)
+    spec = GroupSpec(0, (1_000_003,))
+    alphabet = Alphabet(spec, [spec.element(torsion=(t,)) for t in (0, 1, -1)])
+    assert alphabet.unit_maps() == [tuple(alphabet.negation_table())]
+    assert len(calls) < 20
+    spec = GroupSpec(0, (5,))
+    assert Alphabet(spec, [spec.element(torsion=(t,)) for t in (0, 1, 2)]).unit_maps() == []
+
+
+@pytest.mark.parametrize("token", SWEEP_PRESETS)
+def test_orbit_levels_keep_the_least_block_of_each_orbit(token):
+    atomset = enumerate_atoms(parse_preset(token).alphabet)
+    maps = atomset.alphabet.unit_maps()
+    group = [tuple(range(len(atomset.alphabet)))] + maps
+    packed = PackedAtoms.for_products(atomset, 3)
+    full = product_levels(packed.nonzero(), 3)
+    assert [set(level) for level in orbit_levels(packed, [], 3)] == full
+    for level, kept in zip(full, orbit_levels(packed, maps, 3)):
+        orbits = [{_apply(packed, b, perm) for perm in group} for b in kept]
+        assert [min(orbit) for orbit in orbits] == kept
+        assert sum(map(len, orbits)) == len(level)
+        assert set().union(*orbits) == level
+
+
+@pytest.mark.parametrize("token", SWEEP_PRESETS)
+def test_monoid_catenary_matches_the_unreduced_sweep(token):
+    """The orbit sweep gives the largest profile over every product of two
+    or three nonzero atoms, each factored by the public catenary_profile."""
+    atomset = enumerate_atoms(parse_preset(token).alphabet)
+    packed = PackedAtoms.for_products(atomset, 3)
+    best = dict.fromkeys(("catenary", "equal", "adjacent", "monotone"), 0)
+    for level in product_levels(packed.nonzero(), 3)[2:]:
+        for b in level:
+            prof = catenary_profile(atomset, atomset.alphabet.from_mults(unpack(packed, b)))
+            for name in best:
+                best[name] = max(best[name], getattr(prof, name))
+    result = monoid_catenary(atomset, 3)
+    assert (result.value, result.method) == (best, "product-sweep")
