@@ -32,12 +32,16 @@ Length sets stay bitmasks until a value is returned.  The cover search of
 omega and tame works on multiplicity tuples.  ``Sequence`` is used only where
 a public function takes or returns one.
 
-The catenary sweep factors one block per orbit of the maps x -> kx that send
-G0 onto itself (``Alphabet.unit_maps``; k a unit mod exp(G), or k = -1 for an
-infinite G).  Each is an automorphism of G that keeps G0, hence of B(G0): it
-permutes the atoms and keeps Z(B), L(B) and every distance, so all blocks of
-an orbit have the same catenary data, and the maxima over the
-representatives are the maxima over the whole bounded sweep.  The Delta,
+The catenary sweep factors one block per orbit of the maps x -> kx that
+send G0 onto itself (``Alphabet.unit_maps``; k a unit mod exp(G), or k = -1
+for an infinite G) and the swept atoms onto themselves (``_atom_maps``; a
+restricted AtomSet can be kept by fewer maps than its alphabet).  Each is an
+automorphism of G that keeps G0, hence of B(G0): it permutes the atoms and
+keeps Z(B), L(B) and every distance, so all blocks of an orbit have the same
+catenary data.  The kept maps form a group and permute the swept blocks, so
+each orbit of a swept block lies in the sweep; a block is factored only when
+no kept map sends it to a smaller packed int, once per orbit, and the maxima
+over these blocks are the maxima over the whole bounded sweep.  The Delta,
 Delta* and U_k sweeps stay unreduced, since their repeated blocks are memo
 hits in ``_lengths``.
 """
@@ -48,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from operator import add, sub
+from operator import add, itemgetter, sub
 
 from .atoms import _integer_point
 from .errors import ArgumentError, DomainError
@@ -112,50 +116,6 @@ def _zero_free_sweep(atomset, count, memo=None):
     atom 0, level by level, packed wide enough for all of them."""
     packed = PackedAtoms.for_products(atomset, count, memo)
     return packed, product_levels(packed.nonzero(), count)
-
-
-def _permute(packed, block, perm):
-    """A packed block with the field of element j moved to element perm[j]."""
-    width, field = packed.width, packed.field
-    return sum((block >> (j * width) & field) << (p * width) for j, p in enumerate(perm))
-
-
-def orbit_levels(packed, maps, max_count):
-    """levels[k] = one block for each orbit of the products of exactly k
-    nonzero atoms, namely its least packed image, under a group of index
-    permutations given by its elements other than the identity (``maps``,
-    as ``Alphabet.unit_maps`` returns them).
-
-    A map permutes the atoms, so every product of k + 1 atoms is the image
-    of r * u for some representative r of level k and some nonzero atom u:
-    level k + 1 is the set of least images of these r * u.  Each block is
-    carried with its images under the whole group, identity first, so that
-    the images of r * u are the sums of the images of r and of u, and
-    ``compose`` reorders the images of r * u into those of its least image.
-    The whole orbit of a new block is marked, so that each orbit is entered
-    once.  With no maps this is ``product_levels`` of the nonzero atoms.
-    """
-    group = [tuple(range(packed.length))] + [tuple(perm) for perm in maps]
-    index = {perm: i for i, perm in enumerate(group)}
-    # compose[j][i] is the index of group[i] after group[j].
-    compose = [[index[tuple(p[q] for q in pj)] for p in group] for pj in group]
-    atoms = [[_permute(packed, u, perm) for perm in group] for u in packed.nonzero()]
-    level = {0: [0] * len(group)}
-    levels = [[0]]
-    for _ in range(max_count):
-        seen = set()
-        nxt = {}
-        for r, rimages in level.items():
-            for uimages in atoms:
-                if r + uimages[0] in seen:
-                    continue
-                images = list(map(add, rimages, uimages))
-                seen.update(images)
-                least = min(images)
-                nxt[least] = [images[i] for i in compose[images.index(least)]]
-        level = nxt
-        levels.append(list(level))
-    return levels
 
 
 def delta_of_set(lengths):
@@ -517,22 +477,57 @@ def monoid_tame(atomset, memo=None):
     return BoundedResult(max(tame(atomset, u, memo) for u in atomset.atoms), True, 0, "atomwise-covers")
 
 
+def _key(packed, block):
+    """The big-endian bytes of a packed block.  Fields are whole bytes
+    (widths are 8, 16, 32, ...), so an index permutation moves bytes, and
+    of two blocks the smaller int has the smaller key."""
+    return block.to_bytes(packed.width // 8 * packed.length, "big")
+
+
+def _atom_maps(packed, maps):
+    """The index permutations among ``maps`` that send the packed nonzero
+    atoms onto themselves, each as an ``itemgetter`` that moves the bytes
+    of a key (``_key``): ``bytes(move(key))`` is the key of the image.  They
+    form a group, the part of the group of ``maps`` that keeps the atom
+    set; an AtomSet restricted to a divisor-closed piece can be kept by
+    fewer maps than its alphabet.  A map other than the identity moves two
+    elements, so a key has at least two bytes and ``itemgetter`` returns a
+    tuple."""
+    step, last = packed.width // 8, packed.length - 1
+    keys = {_key(packed, u) for u in packed.nonzero()}
+    kept = []
+    for perm in maps:
+        source = [0] * (step * packed.length)
+        for j, p in enumerate(perm):
+            for t in range(step):
+                source[(last - p) * step + t] = (last - j) * step + t
+        move = itemgetter(*source)
+        if all(bytes(move(key)) in keys for key in keys):
+            kept.append(move)
+    return kept
+
+
 def monoid_catenary(atomset, bound):
     """Catenary degrees of H swept over products of at most ``bound`` atoms
     (zeros stripped; they pad every factorization identically), so never
-    certified exact.  One block is factored per orbit of the unit maps
-    (module docstring), which gives the maxima of the unreduced sweep."""
+    certified exact.  Only the least block of each orbit of the unit maps
+    that keep the atoms is factored (module docstring), which gives the
+    maxima of the whole sweep."""
     if bound < 2:
         raise ArgumentError("monoid_catenary needs bound >= 2")
-    packed = PackedAtoms.for_products(atomset, bound)
+    packed, levels = _zero_free_sweep(atomset, bound)
+    moves = _atom_maps(packed, atomset.alphabet.unit_maps())
     c = c_eq = c_adj = c_mon = 0
-    for level in orbit_levels(packed, atomset.alphabet.unit_maps(), bound)[2:]:
-        for b in level:
-            p = _catenary_profile(packed, b)
-            c = max(c, p.catenary)
-            c_eq = max(c_eq, p.equal)
-            c_adj = max(c_adj, p.adjacent)
-            c_mon = max(c_mon, p.monotone)
+    # A block with lengths 2 and 3 lies on two levels; it is factored once.
+    for b in set().union(*levels[2:]):
+        key = _key(packed, b)
+        if any(bytes(move(key)) < key for move in moves):
+            continue
+        p = _catenary_profile(packed, b)
+        c = max(c, p.catenary)
+        c_eq = max(c_eq, p.equal)
+        c_adj = max(c_adj, p.adjacent)
+        c_mon = max(c_mon, p.monotone)
     value = {"catenary": c, "equal": c_eq, "adjacent": c_adj, "monotone": c_mon}
     return BoundedResult(value, False, bound, "product-sweep")
 

@@ -41,7 +41,6 @@ from krull_arith.invariants import (
     _union_by_enumeration,
     _union_by_milp,
     _zero_free_sweep,
-    orbit_levels,
     product_levels,
 )
 from krull_arith.presets import build_preset
@@ -499,26 +498,60 @@ def test_unit_maps_of_a_small_subset_of_a_large_group(monkeypatch):
     assert Alphabet(spec, [spec.element(torsion=(t,)) for t in (0, 1, 2)]).unit_maps() == []
 
 
-@pytest.mark.parametrize("token", SWEEP_PRESETS)
-def test_orbit_levels_keep_the_least_block_of_each_orbit(token):
-    atomset = enumerate_atoms(parse_preset(token).alphabet)
-    maps = atomset.alphabet.unit_maps()
-    group = [tuple(range(len(atomset.alphabet)))] + maps
+# Divisor-closed pieces (alphabet indices) that fewer unit maps keep than
+# keep the whole alphabet: cyclic:5 on {1, 2, 3} is kept by no map, and on
+# {1, 4} by negation only; the thm74:3,2 piece drops (1,0,0) and (0,0,-1) but
+# keeps their negatives, so negation does not keep it.  In cyclic:5 on
+# {1, 2, 3}, 2^5 * 3^5 = (2 * 3)^5 has catenary degree 5, and its image
+# 1^5 * 4^5 under x -> 2x is not a block of the piece.
+PIECES = [("cyclic:5", (1, 2, 3)), ("cyclic:5", (1, 4)), ("thm74:2,1", (0, 1, 2, 5)),
+          ("thm74:3,2", (0, 1, 2, 4, 5, 7))]
+
+
+def _sweep_atomset(token, piece):
+    """The atoms of a preset, or of {±1, ±50} in Z for "wide": a product of
+    three of its atoms has a count of 150, so its fields are two bytes."""
+    alphabet = int_alphabet(-50, -1, 1, 50) if token == "wide" else parse_preset(token).alphabet
+    atomset = enumerate_atoms(alphabet)
+    return atomset if piece is None else atomset.restrict(piece)
+
+
+def _kept_maps(atomset, packed):
+    """The unit maps that send the packed nonzero atoms onto themselves."""
+    atoms = set(packed.nonzero())
+    return [
+        perm for perm in atomset.alphabet.unit_maps() if {_apply(packed, u, perm) for u in atoms} == atoms
+    ]
+
+
+@pytest.mark.parametrize(
+    "token, piece, count",
+    [("cyclic:5", None, 3), ("cyclic:5", (1, 2, 3), 0), ("cyclic:5", (1, 4), 1),
+     ("thm74:2,1", None, 1), ("thm74:2,1", (0, 1, 2, 5), 0), ("wide", None, 1)],
+)
+def test_catenary_sweep_uses_only_the_maps_that_keep_the_atoms(token, piece, count):
+    atomset = _sweep_atomset(token, piece)
     packed = PackedAtoms.for_products(atomset, 3)
-    full = product_levels(packed.nonzero(), 3)
-    assert [set(level) for level in orbit_levels(packed, [], 3)] == full
-    for level, kept in zip(full, orbit_levels(packed, maps, 3)):
-        orbits = [{_apply(packed, b, perm) for perm in group} for b in kept]
-        assert [min(orbit) for orbit in orbits] == kept
-        assert sum(map(len, orbits)) == len(level)
-        assert set().union(*orbits) == level
+    assert packed.width == (16 if token == "wide" else 8)
+    moves = invariants._atom_maps(packed, atomset.alphabet.unit_maps())
+    kept = _kept_maps(atomset, packed)
+    assert len(moves) == len(kept) == count
+    blocks = {b for level in product_levels(packed.nonzero(), 3) for b in level}
+    for move, perm in zip(moves, kept):
+        for b in blocks:
+            image = bytes(move(invariants._key(packed, b)))
+            assert int.from_bytes(image, "big") == _apply(packed, b, perm)
 
 
-@pytest.mark.parametrize("token", SWEEP_PRESETS)
-def test_monoid_catenary_matches_the_unreduced_sweep(token):
-    """The orbit sweep gives the largest profile over every product of two
-    or three nonzero atoms, each factored by the public catenary_profile."""
-    atomset = enumerate_atoms(parse_preset(token).alphabet)
+@pytest.mark.parametrize(
+    "token, piece", [(token, None) for token in SWEEP_PRESETS + ["wide"]] + PIECES
+)
+def test_monoid_catenary_matches_the_unreduced_sweep(token, piece):
+    """Factoring the least block of each orbit gives the largest profile
+    over every product of two or three nonzero atoms, each factored by the
+    public catenary_profile; also on restricted atom sets, which fewer maps
+    keep."""
+    atomset = _sweep_atomset(token, piece)
     packed = PackedAtoms.for_products(atomset, 3)
     best = dict.fromkeys(("catenary", "equal", "adjacent", "monotone"), 0)
     for level in product_levels(packed.nonzero(), 3)[2:]:
@@ -528,3 +561,22 @@ def test_monoid_catenary_matches_the_unreduced_sweep(token):
                 best[name] = max(best[name], getattr(prof, name))
     result = monoid_catenary(atomset, 3)
     assert (result.value, result.method) == (best, "product-sweep")
+
+
+@pytest.mark.parametrize("token, piece", [("cyclic:5", None), ("cyclic:6", None), ("cyclic:5", (1, 4))])
+def test_monoid_catenary_factors_one_block_per_orbit(token, piece, monkeypatch):
+    """Each orbit of the swept blocks is factored once, at its least block,
+    and a block on two levels is factored once."""
+    atomset = _sweep_atomset(token, piece)
+    packed = PackedAtoms.for_products(atomset, 3)
+    group = [tuple(range(len(atomset.alphabet)))] + _kept_maps(atomset, packed)
+    orbits = {
+        frozenset(_apply(packed, b, perm) for perm in group)
+        for level in product_levels(packed.nonzero(), 3)[2:]
+        for b in level
+    }
+    factored = []
+    profile = invariants._catenary_profile
+    monkeypatch.setattr(invariants, "_catenary_profile", lambda p, b: factored.append(b) or profile(p, b))
+    monoid_catenary(atomset, 3)
+    assert sorted(factored) == sorted(min(orbit) for orbit in orbits)
