@@ -20,6 +20,7 @@ from .errors import ArgumentError, KrullArithError
 from .factorizations import catenary_profile, factorize
 from .groups import GroupSpec
 from .invariants import (
+    DELTA_STAR_SWEEP_LIMIT,
     delta_set,
     delta_star,
     elasticity,
@@ -44,6 +45,7 @@ from .presets import (
 )
 from .sequences import Alphabet, parse_sequence
 from .transfer import (
+    BRUTE_PRIME_LIMIT,
     Characteristic,
     TransferMap,
     check_transfer,
@@ -131,7 +133,7 @@ def run_invariants(preset, bound=4, max_k=5, cap=64):
     expected = preset.expected
     inv = {}
     inv["delta"] = delta_set(atomset, bound, memo).to_json()
-    if len(preset.alphabet) <= 20:
+    if len(preset.alphabet) <= DELTA_STAR_SWEEP_LIMIT:
         try:
             inv["delta_star"] = delta_star(atomset, min(bound, 4), memo, atom_limit=12).to_json()
         except KrullArithError as exc:
@@ -318,12 +320,9 @@ def factorize_cmd(ctx, p, element):
 @click.option("--max-k", default=5, show_default=True)
 @click.option("--cap", default=64, show_default=True)
 @click.option("--report", "report_path", default=None, help="Write the report to this path.")
-@click.option("--timing/--no-timing", default=False, help="Include wall-clock timing (breaks byte-identical reports).")
 @click.pass_context
-def invariants(ctx, p, max_k, cap, report_path, timing):
+def invariants(ctx, p, max_k, cap, report_path):
     """Compute the invariant suite for a preset or custom alphabet."""
-    import time
-
     bound = ctx.obj["bound"]
     cache_directory = reporting.cache_dir(ctx.obj["cache_dir"])
     key = reporting.cache_key(
@@ -340,15 +339,8 @@ def invariants(ctx, p, max_k, cap, report_path, timing):
     )
     data = reporting.cache_get(cache_directory, key)
     if data is None:
-        start = time.monotonic()
         data = run_invariants(p, bound, max_k, cap)
-        elapsed = time.monotonic() - start
         reporting.cache_put(cache_directory, key, data)
-    else:
-        elapsed = 0.0
-    if timing:
-        data = dict(data)
-        data["timing_seconds"] = round(elapsed, 3)
     _emit(ctx, data, report_path)
 
 
@@ -382,9 +374,8 @@ def transfer_check(ctx, map_name):
 @main.command("atom-count")
 @click.option("--characteristic", "char_path", default=None, help="Characteristic JSON (inline or file).")
 @click.option("--preset", default=None, help="hypersurface preset token, e.g. hypersurface:E7.")
-@click.option("--brute-limit", default=40, show_default=True, help="Skip brute force above this many labelled primes.")
 @click.pass_context
-def atom_count(ctx, char_path, preset, brute_limit):
+def atom_count(ctx, char_path, preset):
     """Count the atoms of the monoid given by a characteristic."""
     expected = {}
     if char_path:
@@ -405,7 +396,7 @@ def atom_count(ctx, char_path, preset, brute_limit):
         "formula_count": formula,
         "block_atoms": len(atomset),
     }
-    if total_primes <= brute_limit:
+    if total_primes <= BRUTE_PRIME_LIMIT:
         data["brute_count"] = count_lifted_atoms_brute(char)
         data["brute_matches_formula"] = data["brute_count"] == formula
     if "claimed_atom_count" in expected:

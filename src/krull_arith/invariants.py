@@ -28,7 +28,10 @@ Inside the sweeps a block and an atom are ints packed by one
 ``factorizations.PackedAtoms``, wide enough for every product the sweep
 builds; the packed kernels of ``factorizations`` are called on them
 directly, since every swept block is a product of atoms and so has zero sum.
-Length sets stay bitmasks until a value is returned.  The cover search of
+Length sets stay bitmasks until a value is returned.  Delta, U_k and the
+collection and realization of ``lengths`` read one lazy sweep of length
+bitmasks, ``_length_masks``; delta* and the catenary sweep need the blocks
+themselves and take them from ``product_levels``.  The cover search of
 omega and tame works on multiplicity tuples.  ``Sequence`` is used only where
 a public function takes or returns one.
 
@@ -50,9 +53,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, islice
 from math import comb
-from operator import add, itemgetter, sub
+from operator import add, itemgetter, or_, sub
 
 from .atoms import _integer_point
 from .errors import ArgumentError, DomainError
@@ -95,27 +99,35 @@ class BoundedResult:
         }
 
 
-def next_level(level, atoms):
-    """All products b * a of a packed block b in ``level`` with one of the
-    packed atoms."""
-    return {b + a for b in level for a in atoms}
-
-
 def product_levels(atoms, max_count):
     """levels[k] = set of all products of exactly k of the given packed
     atoms, as packed blocks.  The packing must hold every product of
     ``max_count`` atoms (``PackedAtoms.for_products``)."""
     levels = [{0}]
     for _ in range(max_count):
-        levels.append(next_level(levels[-1], atoms))
+        levels.append({b + a for b in levels[-1] for a in atoms})
     return levels
 
 
-def _zero_free_sweep(atomset, count, memo=None):
-    """(packed, levels): the products of 0 to ``count`` atoms other than the
-    atom 0, level by level, packed wide enough for all of them."""
+def _length_masks(atomset, count, memo=None):
+    """For i = 0, ..., ``count`` in turn, the set of length bitmasks L(B)
+    of the products B of exactly i atoms, each level swept only when it is
+    read.  Only the atoms other than 0 are swept.  The atom 0 is prime, so
+    a product of i atoms is 0^j times a zero-free product of i - j atoms,
+    with its lengths shifted by j: when 0 is in G0, level i is the zero-free
+    level i together with every mask of level i - 1 shifted by one."""
     packed = PackedAtoms.for_products(atomset, count, memo)
-    return packed, product_levels(packed.nonzero(), count)
+    atoms = packed.nonzero()
+    blocks = {0}
+    masks = {1}
+    yield masks
+    for _ in range(count):
+        blocks = {b + a for b in blocks for a in atoms}
+        swept = {_lengths(packed, b) for b in blocks}
+        if packed.zero is not None:
+            swept |= {m << 1 for m in masks}
+        masks = swept
+        yield masks
 
 
 def delta_of_set(lengths):
@@ -126,18 +138,15 @@ def delta_of_set(lengths):
 
 def delta_set(atomset, bound, memo=None):
     """The set of distances of B(G0), swept over products of at most
-    ``bound`` atoms, so never certified exact.  Blocks of zeros only
-    translate length sets, so the zero atom is left out of the sweep.
+    ``bound`` atoms, so never certified exact.  Levels 0 and 1 hold only
+    singletons, so the gaps are those of the levels from 2 on.
     """
     if bound < 2:
         raise ArgumentError("delta_set needs bound >= 2")
-    if memo is None:
-        memo = {}
-    packed, levels = _zero_free_sweep(atomset, bound, memo)
-    masks = {_lengths(packed, b) for level in levels[2:] for b in level}
     gaps = set()
-    for mask in masks:
-        gaps.update(delta_of_set(_members(mask)))
+    for masks in islice(_length_masks(atomset, bound, memo), 2, None):
+        for mask in masks:
+            gaps.update(delta_of_set(_members(mask)))
     return BoundedResult(frozenset(gaps), False, bound, "product-sweep")
 
 
@@ -197,7 +206,7 @@ def delta_star(atomset, bound, memo=None, atom_limit=None):
     """
     n = len(atomset.alphabet)
     if n > DELTA_STAR_SWEEP_LIMIT:
-        raise ArgumentError("delta_star sweep limited to alphabets of size 20")
+        raise ArgumentError("delta_star sweep limited to alphabets of size %d" % DELTA_STAR_SWEEP_LIMIT)
     if memo is None:
         memo = {}
     restricted = n > DELTA_STAR_FULL_LIMIT
@@ -264,23 +273,9 @@ class UnionProfile:
 
 def _union_by_enumeration(atomset, k, memo):
     """[U_1, ..., U_k] from one sweep: U_i is the union of L(B) over all
-    products B of exactly i atoms.  With the atom 0, which is prime, a
-    product of i atoms is 0^j times a zero-free product of i - j atoms."""
-    packed, levels = _zero_free_sweep(atomset, k, memo)
-    core = []
-    for level in levels:
-        acc = 0
-        for b in level:
-            acc |= _lengths(packed, b)
-        core.append(acc)
-    if atomset.alphabet.zero_index() is None:
-        return [_members(core[i]) for i in range(1, k + 1)]
-    out = []
-    members = core[0]
-    for i in range(1, k + 1):
-        members = members << 1 | core[i]
-        out.append(_members(members))
-    return out
+    products B of exactly i atoms."""
+    levels = islice(_length_masks(atomset, k, memo), 1, None)
+    return [_members(reduce(or_, masks, 0)) for masks in levels]
 
 
 def _union_program(atomset, k):
@@ -515,7 +510,8 @@ def monoid_catenary(atomset, bound):
     maxima of the whole sweep."""
     if bound < 2:
         raise ArgumentError("monoid_catenary needs bound >= 2")
-    packed, levels = _zero_free_sweep(atomset, bound)
+    packed = PackedAtoms.for_products(atomset, bound)
+    levels = product_levels(packed.nonzero(), bound)
     moves = _atom_maps(packed, atomset.alphabet.unit_maps())
     c = c_eq = c_adj = c_mon = 0
     # A block with lengths 2 and 3 lies on two levels; it is factored once.

@@ -11,10 +11,9 @@ with y, k nonnegative; a third family covers the symmetric rank-r presets,
 whose length sets are m + {2k* + d*lam : lam in [0,k*]} with d the single
 distance value.
 
-Collection and realization sweep products of atoms as packed ints and call
-the packed kernel ``factorizations._lengths`` on them directly; every swept
-block is a product of atoms, so it has zero sum.  Length sets are bitmasks
-inside the sweeps and frozensets in what the functions return.
+Collection and realization read the levels of length bitmasks of
+``invariants._length_masks``, one level per number of atoms; length sets are
+bitmasks inside the sweeps and frozensets in what the functions return.
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ArgumentError
-from .factorizations import PackedAtoms, _lengths, _members
-from .invariants import delta_of_set, next_level, product_levels
+from .factorizations import _members
+from .invariants import _length_masks, delta_of_set
 
 
 def sumset(l1, l2):
@@ -153,56 +152,44 @@ def fit_aamp(lengths, d):
 
 def collect_length_sets(atomset, product_bound, memo=None):
     """All L(B) for B a product of at most ``product_bound`` atoms."""
-    packed = PackedAtoms.for_products(atomset, product_bound, memo)
-    masks = {
-        _lengths(packed, b)
-        for level in product_levels(packed.atoms, product_bound)
-        for b in level
-    }
+    masks = set().union(*_length_masks(atomset, product_bound, memo))
     return {_members(mask) for mask in masks}
 
 
 def _realizer(atomset, vbound, memo):
-    """The test "is this finite set the length set of some block of B(G0)?"
-    as a function returning True, False, or None when the set's minimum
-    exceeds ``vbound``.
+    """(level, realized): level(i) is the set of length bitmasks of the
+    products of i <= ``vbound`` atoms, and realized(t) answers "is the
+    finite set t the length set of some block of B(G0)?" with True, False,
+    or None when min(t) exceeds ``vbound``.
 
     A set with minimum m is a length set exactly when it is the length set
-    of a product of m zero-free atoms, or, when 0 is in G0, a shift by y of
-    the length set of a product of m - y zero-free atoms (the rest of the
-    block is a run of y zeros).  Levels of products are built only as far as
-    the largest minimum asked about; the function keeps the current level
-    and the length sets, as bitmasks, realized at each level reached.
+    of a product of m atoms, so realized(t) looks t up in level(min(t)).
+    Each level is swept once, when it is first read, in any order.
     """
-    packed = PackedAtoms.for_products(atomset, vbound, memo)
-    atoms = packed.nonzero()
-    zero_free = atomset.alphabet.zero_index() is None
-    level = {0}
-    realized_at = [{1}]
+    sweep = _length_masks(atomset, vbound, memo)
+    levels = []
+
+    def level(i):
+        while len(levels) <= i:
+            levels.append(next(sweep))
+        return levels[i]
 
     def realized(t):
-        nonlocal level
         lo = min(t)
         if lo > vbound:
             return None
-        while len(realized_at) <= lo:
-            level = next_level(level, atoms)
-            realized_at.append({_lengths(packed, b) for b in level})
-        mask = sum(1 << x for x in t)
-        shifts = (0,) if zero_free else range(lo + 1)
-        return any(mask >> y in realized_at[lo - y] for y in shifts)
+        return sum(1 << x for x in t) in level(lo)
 
-    return realized
+    return level, realized
 
 
 def is_length_set_realized(atomset, lengths, vbound, memo=None):
     """Is the finite set the length set of some block of B(G0)?  Decided
     exhaustively when min(lengths) <= vbound (a realizing block is a product
-    of exactly that many zero-free atoms, up to a run of zeros); returns
-    None when the minimum exceeds the verification bound."""
-    if memo is None:
-        memo = {}
-    return _realizer(atomset, vbound, memo)(frozenset(lengths))
+    of exactly that many atoms); returns None when the minimum exceeds the
+    verification bound."""
+    _, realized = _realizer(atomset, vbound, memo)
+    return realized(frozenset(lengths))
 
 
 @dataclass(frozen=True)
@@ -231,17 +218,14 @@ def additive_closure_probe(atomset, product_bound, memo=None):
     minimal in that order.
 
     Realization is decided per level: a set with minimum m is the length set
-    of some block exactly when it is the length set of a product of m
-    zero-free atoms (plus a run of zeros for the shifted variants), so only
-    levels up to the minimum of the probed sumset are ever materialized.
+    of some block exactly when it is the length set of a product of m atoms,
+    so only levels up to the minimum of the probed sumset are ever swept.
+    Collection reads levels 0 to ``product_bound`` of the same sweep.
     """
-    if memo is None:
-        memo = {}
-    collected = sorted(
-        collect_length_sets(atomset, product_bound, memo), key=lambda s: (min(s), sorted(s))
-    )
     vbound = 2 * product_bound
-    is_realized = _realizer(atomset, vbound, memo)
+    level, is_realized = _realizer(atomset, vbound, memo)
+    masks = set().union(*(level(i) for i in range(product_bound + 1)))
+    collected = sorted((_members(mask) for mask in masks), key=lambda s: (min(s), sorted(s)))
 
     pairs = []
     for i, l1 in enumerate(collected):

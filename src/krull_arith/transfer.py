@@ -34,6 +34,8 @@ from .groups import GroupSpec
 from .sequences import Alphabet, Sequence
 
 BRUTE_CAP = 64
+# atom-count checks the formula by brute force up to this many labelled primes.
+BRUTE_PRIME_LIMIT = 40
 
 
 class TransferMap:
@@ -76,14 +78,6 @@ class TransferMap:
         if seq.alphabet != self.source:
             raise ShapeError("sequence not over the source alphabet")
         return Sequence(self.target, self._image(seq.mults))
-
-    def preserves_zero_sums(self):
-        """Does theta send zero-sum sequences to zero-sum sequences?  A
-        bounded check: every zero-sum source sequence of length at most 4 is
-        mapped and tested, so True is not a proof for longer sequences.
-        """
-        target = _ZeroSums(self.target)
-        return all(target(self._image(v)) for v in _ZeroSums(self.source).window(4))
 
 
 class _ZeroSums:

@@ -40,7 +40,6 @@ from krull_arith.invariants import (
     _profile,
     _union_by_enumeration,
     _union_by_milp,
-    _zero_free_sweep,
     product_levels,
 )
 from krull_arith.presets import build_preset
@@ -378,8 +377,9 @@ def test_sweeps_whose_products_need_a_wider_packing():
     assert _engine(atomset, 2, "milp").members == (2, 71)
     assert monoid_catenary(atomset, 2).value["catenary"] == 71
     assert frozenset((2, 71)) in collect_length_sets(atomset, 2)
-    packed, levels = _zero_free_sweep(atomset, 2)
+    packed = PackedAtoms.for_products(atomset, 2)
     assert packed.width == 16
+    levels = product_levels(packed.nonzero(), 2)
     assert all(b & packed.guard == 0 for level in levels for b in level)
 
 

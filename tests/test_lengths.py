@@ -2,10 +2,14 @@
 additive-closure probe.
 """
 
+from itertools import combinations
+
 import pytest
 
 from krull_arith import (
     AAMP,
+    Alphabet,
+    GroupSpec,
     additive_closure_probe,
     c3_set,
     c4_set_ap2,
@@ -20,6 +24,7 @@ from krull_arith import (
     sumset,
 )
 from krull_arith.errors import ArgumentError
+from krull_arith.lengths import _realizer
 from krull_arith.presets import parse_preset
 
 
@@ -127,3 +132,93 @@ def test_closure_probe_open_cyclic5(cyclic5_atoms):
     l1, l2, t = probe.witness
     assert sorted(l1) == [2, 4] and sorted(l2) == [2, 4]
     assert t == frozenset((4, 6, 8))
+
+
+def _sets(text):
+    """Sets of one-digit lengths written as digit strings: "0 23" is {0}, {2, 3}."""
+    return {frozenset(map(int, word)) for word in text.split()}
+
+
+def _c7(*residues):
+    spec = GroupSpec(0, (7,))
+    return Alphabet(spec, [spec.element(torsion=(r,)) for r in residues])
+
+
+# The subsets of {0, ..., 9} with at most four members that are length sets
+# with minimum at most 6, each found by a fresh realizer of an earlier
+# version that swept the zero-free atoms and shifted by every run of zeros.
+FIVE_POINT_SETS = "0 1 2 3 4 5 6 23 34 45 56 67 456 567 678 6789"
+PROP713_SETS = "0 1 2 3 4 5 6 23 24 34 35 45 46 56 57 67 68 345 456 468 567 579 678 4567 5678 6789"
+C7_125_SETS = (
+    "0 1 2 3 4 5 6 23 24 25 27 34 35 36 38 45 46 47 49 56 57 58 67 68 69 "
+    "345 346 356 357 358 368 456 457 467 468 469 479 567 579 578 678 689 "
+    "3456 3468 4567 4578 4579 4689 5678 5689 6789"
+)
+
+
+@pytest.mark.parametrize(
+    "alphabet, expected",
+    [
+        (parse_preset("five_point").alphabet, _sets(FIVE_POINT_SETS)),
+        (parse_preset("four_point").alphabet, _sets(FIVE_POINT_SETS)),
+        (parse_preset("prop713").alphabet, _sets(PROP713_SETS)),
+        (parse_preset("cyclic:4").alphabet, _sets(PROP713_SETS)),
+        # Over {1, 2, 5} in C7, {4, 6, 7}, {5, 7, 8} and {4, 6, 7, 8} are the
+        # length sets of products of 3 and 4 atoms, and no product of 5 or 6
+        # atoms has lengths {5, 6, 8} or {6, 7, 9}; with the atom 0, the
+        # products 0 * B and 0^2 * B have them.
+        (_c7(1, 2, 5), _sets(C7_125_SETS)),
+        (_c7(0, 1, 2, 5), _sets(C7_125_SETS + " 568 679")),
+    ],
+    ids=["five_point", "four_point", "prop713", "cyclic:4", "C7-125", "C7-0125"],
+)
+def test_realizer_reads_levels_in_any_order(alphabet, expected):
+    """One realizer asked about sets whose minima come in the order 4, 2, 6,
+    0, 5, 3, 1, 9, 7, 8: it answers from the level of each set's minimum,
+    whichever levels it has swept before, and None above its bound."""
+    atomset = enumerate_atoms(alphabet)
+    _, realized = _realizer(atomset, 6, {})
+    candidates = [frozenset(t) for r in range(1, 5) for t in combinations(range(10), r)]
+    for lo in (4, 2, 6, 0, 5, 3, 1, 9, 7, 8):
+        for t in candidates:
+            if min(t) == lo:
+                assert realized(t) is (None if lo > 6 else t in expected), sorted(t)
+
+
+# Every length set of a product of at most 4 atoms, computed by an earlier
+# version whose collection swept the atom 0 with the others.  At bounds 2
+# and 3 that version collected the sets below with minimum at most the bound.
+COLLECTED_AT_4 = {
+    "five_point": "0 1 2 23 3 34 4 45 456",
+    "four_point": "0 1 2 23 3 34 4 45 456",
+    "prop713": "0 1 2 23 24 3 34 345 35 4 45 456 4567 46 468",
+    "cyclic:4": "0 1 2 23 24 3 34 345 35 4 45 456 4567 46 468",
+}
+
+
+@pytest.mark.parametrize("token", sorted(COLLECTED_AT_4))
+def test_collection_and_closure_probe_keep_their_values(token):
+    """collect_length_sets at bounds 0 to 4, and the closure probe at bounds
+    2 to 4, which collects from levels 0 to the bound of its own sweep and
+    realizes from the levels above them."""
+    atomset = enumerate_atoms(parse_preset(token).alphabet)
+    collected = _sets(COLLECTED_AT_4[token])
+    memo = {}
+    for bound in range(5):
+        expected = {s for s in collected if min(s) <= bound}
+        assert collect_length_sets(atomset, bound, memo) == expected
+    for bound in (2, 3, 4):
+        assert additive_closure_probe(atomset, bound).to_json() == {
+            "closed_within_bound": True,
+            "witness": [],
+            "collection_bound": bound,
+            "verification_bound": 2 * bound,
+            "indeterminate": [],
+        }
+
+
+def test_closure_probe_collects_its_top_level(cyclic5_atoms):
+    """Over C5, {2, 4} is the length set of a product of 2 atoms, so the
+    probe at bound 2 finds the witness {2, 4} + {2, 4} = {4, 6, 8} only when
+    it collects level 2."""
+    assert additive_closure_probe(cyclic5_atoms, 2).to_json()["witness"] == [[2, 4], [2, 4], [4, 6, 8]]
