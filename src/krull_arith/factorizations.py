@@ -7,17 +7,17 @@ search that never materializes Z(B) and branches only on the atoms holding
 the block's lowest element), and the catenary data of a block.
 
 The kernels (``_lengths``, ``_factorizations``, ``_catenary_profile``) work
-on packed blocks: ``PackedAtoms`` turns a multiplicity tuple into one int
-with a fixed-width field per alphabet element, so that B * u is one addition
-and the test u | B with the quotient B / u is one subtraction and one mask
-test, and holds the atoms of an AtomSet in that form.  A set of lengths is a
-bitmask int, bit l set for l in L(B).  A factorization inside the kernels is
-a packed int too, of atom counts (``PackedCounts``), whose fields are wide
-enough for the longest factorization, at most |B|/2 for a zero-free B, and
-not only for each count: then the fieldwise minimum gcd(z, z') is one
-guard-bit subtraction, and one multiplication by the all-ones field pattern
-reads |z| or |gcd(z, z')|, so d(z, z') = max(|z|, |z'|) - |gcd(z, z')| is a
-few int operations ("SIMD within a register", Lamport, *CACM* 18, 1975).
+on packed ints, all in the one layout of ``Packing``: a tuple of
+nonnegative ints is one int with a fixed-width field per entry.
+``PackedAtoms`` packs blocks that way, one field per alphabet element, so
+that B * u is one addition and the test u | B with the quotient B / u is
+one subtraction and one mask test, and holds the atoms of an AtomSet in
+that form.  A set of lengths is a bitmask int, bit l set for l in L(B).  A
+factorization inside the kernels is a packed tuple of atom counts, whose
+fields are wide enough for the longest factorization, at most |B|/2 for a
+zero-free B, and not only for each count: then the fieldwise minimum
+gcd(z, z'), |z| and |gcd(z, z')| are a few int operations each, and so is
+d(z, z') = max(|z|, |z'|) - |gcd(z, z')|.
 The kernels use explicit stacks, so their depth is not limited by the
 interpreter's recursion limit.
 ``Sequence``, multiplicity tuples and ``frozenset`` appear only at the API
@@ -27,6 +27,7 @@ boundary, where the public functions check the zero sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import BoundExceededError, DomainError
 
@@ -84,58 +85,124 @@ class Factorization:
         return "Factorization(%s)" % (str(self),)
 
 
-class PackedAtoms:
-    """Blocks over an alphabet packed into ints, and the atoms of an AtomSet
-    packed the same way.
+class Packing:
+    """Tuples of ``length`` nonnegative ints packed into one int, each entry
+    in a field of ``width`` bits, the first entry in the highest field, so
+    that packed ints order like their tuples.
 
-    Coordinate j is the field of ``width`` bits at bit ``j * width``; its top
-    bit is a guard bit, 0 in every packed block.  The width is the smallest
-    of 8, 16, 32, ... whose fields hold ``top``, so products with
-    multiplicities at most ``top`` never carry across fields.  With
-    ``guard`` the int of all guard bits, d = (B | guard) - u keeps every
-    guard bit exactly when u | B, and then B / u = d ^ guard.
+    The width is the smallest of 8, 16, 32, ... whose fields hold ``top``
+    below their top bit, the guard bit, which is 0 in every packed tuple
+    with entries at most ``top``; ``guard`` is the int of all guard bits.
+    Fieldwise operations are then a few int operations ("SIMD within a
+    register", Lamport, *CACM* 18, 1975): d = (x | guard) - y keeps the
+    guard bit of exactly the fields where x's entry is at least y's, so
+    y <= x fieldwise when d keeps every guard bit, and then x - y = d ^ guard.
 
+    >>> p = Packing(3, 5)
+    >>> x, y = p.pack((3, 0, 5)), p.pack((1, 2, 5))
+    >>> p.width, p.unpack(x), p.unpack(p.minimum(x, y)), p.total(x), x < y
+    (8, (3, 0, 5), (1, 0, 5), 8, False)
+    >>> p.unpack(p.supports(x) >> (p.width - 1))
+    (1, 0, 1)
+    """
+
+    __slots__ = ("length", "width", "field", "guard", "ones", "shifts")
+
+    def __init__(self, length, top):
+        width = 8
+        while top >> (width - 1):
+            width *= 2
+        self.length = length
+        self.width = width
+        self.field = (1 << width) - 1
+        self.shifts = [width * (length - 1 - j) for j in range(length)]
+        self.ones = sum(1 << s for s in self.shifts)
+        self.guard = self.ones << (width - 1)
+
+    def pack(self, entries):
+        return sum(m << s for m, s in zip(entries, self.shifts))
+
+    def unpack(self, x):
+        field = self.field
+        return tuple(x >> s & field for s in self.shifts)
+
+    def total(self, x):
+        """The sum of the entries, when it is below ``field`` = 2**width - 1:
+        2**width is 1 modulo ``field``, so x is its sum of entries modulo
+        ``field``, as a number is its sum of decimal digits modulo 9."""
+        return x % self.field
+
+    def minimum(self, x, y):
+        """The fieldwise minimum.  The guard bit of a field of
+        (x | guard) - y stays set exactly when x's entry there is at least
+        y's; spread to a mask, it picks y's entry there, and x's elsewhere."""
+        f = ((x | self.guard) - y) & self.guard
+        return x ^ ((x ^ y) & (f - (f >> (self.width - 1))))
+
+    def supports(self, x):
+        """The guard bits of the nonzero fields of x: an entry below the
+        guard bit plus 2**(width - 1) - 1 reaches the guard bit exactly when
+        it is nonzero, and never carries into the next field."""
+        return (x + self.guard - self.ones) & self.guard
+
+    def overlaps(self, z, others):
+        """|minimum(z, w)| for each w in ``others``, as ``total`` and
+        ``minimum`` compute it, inlined: this is the catenary sweep's inner
+        loop."""
+        guard, top, field = self.guard, self.width - 1, self.field
+        held = z | guard
+        return [(z ^ ((z ^ w) & ((f := (held - w) & guard) - (f >> top)))) % field for w in others]
+
+    def key(self, x):
+        """The big-endian bytes of a packed tuple.  Fields are whole bytes,
+        so a permutation of the entries moves bytes (``mover``), and of two
+        packed tuples the smaller int has the smaller key."""
+        return x.to_bytes(self.width // 8 * self.length, "big")
+
+    def mover(self, perm):
+        """An ``itemgetter`` on keys that moves entry j to entry perm[j]:
+        ``bytes(move(key(x)))`` is the key of the permuted tuple.  For a
+        ``perm`` other than the identity a key has at least two bytes, so
+        ``itemgetter`` returns a tuple."""
+        step = self.width // 8
+        inverse = sorted(range(self.length), key=perm.__getitem__)
+        return itemgetter(*(j * step + t for j in inverse for t in range(step)))
+
+
+class PackedAtoms(Packing):
+    """Blocks over an alphabet packed into ints, one field per alphabet
+    element (``Packing``), and the atoms of an AtomSet packed the same way.
+
+    Products with multiplicities at most ``top`` never carry across fields.
     ``atoms`` holds the packed atoms, ``indices`` their AtomSet indices; an
     atom with a multiplicity too large for a field divides no such block and
-    is left out.  ``zero`` is (AtomSet index, bit offset) of the atom 0, or None.
-    ``pivots[(B & -B).bit_length()]`` lists the packed atoms that hold the
-    lowest element of a nonzero block B, the element of B's lowest nonzero
+    is left out.  ``zero`` is (AtomSet index, bit offset) of the atom 0, or
+    None.  ``pivots[B.bit_length()]`` lists the packed atoms that hold the
+    lowest element of a nonzero block B, the element of B's highest nonzero
     field.  ``table``, the memo of length bitmasks, is
     ``memo[(alphabet, width)]``, so that blocks over other alphabets or
     packed at other widths never share a table.
     """
 
-    __slots__ = (
-        "length", "width", "field", "guard", "size", "atoms", "indices", "zero", "pivots", "table",
-    )
+    __slots__ = ("size", "atoms", "indices", "zero", "pivots", "table")
 
     def __init__(self, atomset, top, memo=None):
-        width = 8
-        while top >> (width - 1):
-            width *= 2
-        self.length = len(atomset.alphabet)
-        self.width = width
-        self.field = (1 << width) - 1
-        self.guard = sum(1 << (j * width + width - 1) for j in range(self.length))
+        super().__init__(len(atomset.alphabet), top)
+        width = self.width
         kept = [(i, v) for i, v in enumerate(atomset.vectors) if max(v) >> (width - 1) == 0]
         self.size = len(atomset.vectors)
         self.indices = tuple(i for i, _ in kept)
         self.atoms = tuple(self.pack(v) for _, v in kept)
-        self.zero = next(((i, v.index(1) * width) for i, v in kept if sum(v) == 1), None)
+        self.zero = next(((i, self.shifts[v.index(1)]) for i, v in kept if sum(v) == 1), None)
         holding = [[u for u, (_, v) in zip(self.atoms, kept) if v[j]] for j in range(self.length)]
-        self.pivots = [()] + [held for held in holding for _ in range(width)]
-        memo = {} if memo is None else memo
-        self.table = memo.setdefault((atomset.alphabet, width), {0: 1})
+        self.pivots = [()] + [held for held in reversed(holding) for _ in range(width)]
+        self.table = {0: 1} if memo is None else memo.setdefault((atomset.alphabet, width), {0: 1})
 
     @classmethod
     def for_products(cls, atomset, count, memo=None):
         """Packed wide enough for every product of at most ``count`` atoms."""
         top = max((max(v) for v in atomset.vectors), default=0)
         return cls(atomset, count * top, memo)
-
-    def pack(self, mults):
-        width = self.width
-        return sum(m << (j * width) for j, m in enumerate(mults))
 
     def nonzero(self):
         """The packed atoms other than the atom 0."""
@@ -159,75 +226,30 @@ def _members(mask):
     return frozenset(l for l in range(mask.bit_length()) if mask >> l & 1)
 
 
-class PackedCounts:
-    """Count vectors over ``m`` atoms packed into ints, with the first atom in
-    the highest field, so that the order of the packed counts is the order
-    of the count tuples.
-
-    Each field is ``width`` bits wide, the smallest of 8, 16, 32, ... whose
-    fields hold ``longest`` below their top (guard) bit.  With ``longest`` at
-    least every length |z|, no field and no sum of fields ever carries:
-    the product z * ones holds |z| in field m - 1, and the guard-bit
-    subtraction of ``PackedAtoms`` gives the fieldwise minimum gcd(z, z'),
-    whose length the same product reads.  A bound on the counts alone is
-    not enough for the sums: m counts of 127 fit 8-bit fields, their sum
-    does not.
-    """
-
-    __slots__ = ("field", "top", "guard", "ones", "shift", "shifts")
-
-    def __init__(self, m, longest):
-        width = 8
-        while longest >> (width - 1):
-            width *= 2
-        self.field = (1 << width) - 1
-        self.top = width - 1
-        self.guard = sum(1 << (i * width + width - 1) for i in range(m))
-        self.ones = sum(1 << (i * width) for i in range(m))
-        self.shift = width * max(m - 1, 0)
-        self.shifts = [width * (m - 1 - i) for i in range(m)]
-
-    def unpack(self, z):
-        field = self.field
-        return tuple(z >> s & field for s in self.shifts)
-
-    def lengths(self, zs):
-        """|z| for each packed z."""
-        ones, shift, field = self.ones, self.shift, self.field
-        return [(z * ones) >> shift & field for z in zs]
-
-    def overlaps(self, z, others):
-        """|gcd(z, w)| for each packed w in ``others``.  The guard bit of a
-        field of (z | guard) - w stays set exactly when z's count there is
-        at least w's; spread to a mask, it picks w's count there, and z's
-        elsewhere."""
-        guard, top, ones, shift, field = self.guard, self.top, self.ones, self.shift, self.field
-        held = z | guard
-        return [
-            ((z ^ ((z ^ w) & ((f := (held - w) & guard) - (f >> top)))) * ones) >> shift & field
-            for w in others
-        ]
-
-
 def _count_vectors(packed, block):
     """Z(B) for a packed block: (y, positions, counts, zs) with y = v_0(B),
     positions the indices into ``packed.atoms`` of the nonzero atoms dividing
-    B, and zs the factorizations of B without its zeros, sorted, as counts
-    of those atoms packed by the ``PackedCounts`` ``counts``.
+    B, and zs the factorizations of B without its zeros, sorted, as tuples
+    of counts of those atoms packed by the ``Packing`` ``counts``.
 
     The atoms are filtered once, at the root: an atom that does not divide B
     divides no part of it.  The search is depth first over atoms in
-    nondecreasing order, so each multiset is produced once.  A nonzero atom
-    has at least two elements, so no factorization of the zero-free part is
-    longer than half its size, which sets the count width."""
+    nondecreasing order, so each multiset is produced once.  ``reach[i]``
+    holds the supports of the atoms i, i + 1, ...; a remainder left to them
+    is pushed only when each of its elements lies in ``reach[i]``, since no
+    other remainder can be finished, so the search visits no dead
+    sub-multiset of the atoms.  A nonzero atom has at least two elements, so
+    no factorization of the zero-free part is longer than half its size,
+    which sets the count width."""
     y, block = packed.split_zeros(block)
-    guards = packed.guard
+    guards, supports = packed.guard, packed.supports
     held = block | guards
     positions = [p for p, u in enumerate(packed.atoms) if (held - u) & guards == guards]
     atoms = [packed.atoms[p] for p in positions]
-    width, field = packed.width, packed.field
-    size = sum(block >> s & field for s in range(0, packed.length * width, width))
-    counts = PackedCounts(len(atoms), size // 2)
+    reach = [0] * (len(atoms) + 1)
+    for i in reversed(range(len(atoms))):
+        reach[i] = reach[i + 1] | supports(atoms[i])
+    counts = Packing(len(atoms), sum(packed.unpack(block)) // 2)
     ones = [1 << s for s in counts.shifts]
     out = []
     stack = [(block, 0, 0)]
@@ -242,7 +264,9 @@ def _count_vectors(packed, block):
         for i in range(start, len(atoms)):
             d = held - atoms[i]
             if d & guards == guards:
-                stack.append((d ^ guards, i, z + ones[i]))
+                rest = d ^ guards
+                if supports(rest) | reach[i] == reach[i]:
+                    stack.append((rest, i, z + ones[i]))
     out.sort()
     return y, positions, counts, out
 
@@ -310,7 +334,7 @@ def _lengths(packed, block):
                 continue
             held = b | guard
             rests = [
-                d ^ guard for u in pivots[(b & -b).bit_length()] if (d := held - u) & guard == guard
+                d ^ guard for u in pivots[b.bit_length()] if (d := held - u) & guard == guard
             ]
             missing = [r for r in rests if r not in table]
             if missing:
@@ -385,7 +409,7 @@ def _catenary_profile(packed, block):
     in every factorization, so distances are taken on the packed counts of
     the nonzero atoms and only the lengths add v_0(B)."""
     y, _, counts, zs = _count_vectors(packed, block)
-    sizes = counts.lengths(zs)
+    sizes = [counts.total(z) for z in zs]
     by_len = {}
     for z, l in zip(zs, sizes):
         by_len.setdefault(l, []).append(z)

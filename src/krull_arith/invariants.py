@@ -31,9 +31,9 @@ directly, since every swept block is a product of atoms and so has zero sum.
 Length sets stay bitmasks until a value is returned.  Delta, U_k and the
 collection and realization of ``lengths`` read one lazy sweep of length
 bitmasks, ``_length_masks``; delta* and the catenary sweep need the blocks
-themselves and take them from ``product_levels``.  The cover search of
-omega and tame works on multiplicity tuples.  ``Sequence`` is used only where
-a public function takes or returns one.
+themselves and take them from ``product_levels``.  Omega and tame search
+covers packed for products of D(G0) atoms, the most a minimal cover holds.
+``Sequence`` is used only where a public function takes or returns one.
 
 The catenary sweep factors one block per orbit of the maps x -> kx that
 send G0 onto itself (``Alphabet.unit_maps``; k a unit mod exp(G), or k = -1
@@ -56,7 +56,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations, islice
 from math import comb
-from operator import add, itemgetter, or_, sub
+from operator import or_
 
 from .atoms import _integer_point
 from .errors import ArgumentError, DomainError
@@ -150,21 +150,20 @@ def delta_set(atomset, bound, memo=None):
     return BoundedResult(frozenset(gaps), False, bound, "product-sweep")
 
 
-def _unions_of_groups(groups):
-    """The nonempty unions of the given groups of alphabet indices, as
-    bitmasks of indices."""
+def _unions_of_groups(packed, groups):
+    """The nonempty unions of the given groups of alphabet indices, each as
+    the ``packed.supports`` of its elements."""
     unions = [0]
     for group in groups:
-        mask = sum(1 << i for i in group)
+        mask = packed.supports(packed.pack([int(j in group) for j in range(packed.length)]))
         unions += [u | mask for u in unions]
     return unions[1:]
 
 
 def _least_gaps_by_support(packed, atom_sets, bound):
     """{support: least gap of L(B)} over the products B of 2..``bound``
-    nonzero atoms from any one of ``atom_sets`` (masks of AtomSet indices).
-    A support is the block's guard bits whose fields are nonzero."""
-    spread = packed.guard - sum(1 << (j * packed.width) for j in range(packed.length))
+    nonzero atoms from any one of ``atom_sets`` (masks of AtomSet indices),
+    each support as ``packed.supports`` gives it."""
     zero = packed.zero[0] if packed.zero else None
     blocks = set()
     for atoms in atom_sets:
@@ -179,9 +178,7 @@ def _least_gaps_by_support(packed, atom_sets, bound):
             by_mask[mask] = min(delta_of_set(_members(mask)), default=None)
         gap = by_mask[mask]
         if gap is not None:
-            # A field v < 2**(width - 1) plus 2**(width - 1) - 1 reaches the
-            # guard bit exactly when v > 0, and never carries into the next.
-            support = (b + spread) & packed.guard
+            support = packed.supports(b)
             if gap < least.get(support, gap + 1):
                 least[support] = gap
     return least
@@ -207,8 +204,6 @@ def delta_star(atomset, bound, memo=None, atom_limit=None):
     n = len(atomset.alphabet)
     if n > DELTA_STAR_SWEEP_LIMIT:
         raise ArgumentError("delta_star sweep limited to alphabets of size %d" % DELTA_STAR_SWEEP_LIMIT)
-    if memo is None:
-        memo = {}
     restricted = n > DELTA_STAR_FULL_LIMIT
     if restricted:
         table = atomset.alphabet.negation_table()
@@ -220,13 +215,12 @@ def delta_star(atomset, bound, memo=None, atom_limit=None):
     else:
         groups = [(i,) for i in range(n)]
     packed = PackedAtoms.for_products(atomset, bound, memo)
-    top = packed.width - 1
-    supports = [sum(1 << j for j, m in enumerate(v) if m) for v in atomset.vectors]
-    # Each kept subset G1 as (mask of its atoms, guard bits of its elements).
+    supports = [packed.supports(packed.pack(v)) for v in atomset.vectors]
+    # Each kept subset G1 as (mask of its atoms, supports of its elements).
     kept = []
     seen_atom_sets = set()
     skipped = 0
-    for allowed in _unions_of_groups(groups):
+    for allowed in _unions_of_groups(packed, groups):
         atoms = sum(1 << i for i, s in enumerate(supports) if s & allowed == s)
         if not atoms or atoms in seen_atom_sets:
             continue
@@ -234,8 +228,7 @@ def delta_star(atomset, bound, memo=None, atom_limit=None):
         if atom_limit is not None and atoms.bit_count() > atom_limit:
             skipped += 1
             continue
-        g1 = sum(1 << (j * packed.width + top) for j in range(n) if allowed >> j & 1)
-        kept.append((atoms, g1))
+        kept.append((atoms, allowed))
     maximal = []
     for atoms, _ in sorted(kept, key=lambda kg: kg[0].bit_count(), reverse=True):
         if all(atoms & m != atoms for m in maximal):
@@ -357,8 +350,6 @@ def union_profiles(atomset, max_k, memo=None):
         return []
     if not atomset.atoms:
         raise DomainError("B(G0) has no atoms, so U_k is empty for every k >= 1")
-    if memo is None:
-        memo = {}
     n = len(atomset)
     swept = 0
     while swept < max_k and comb(n + swept, swept + 1) <= ENUM_PRODUCT_GUARD:
@@ -385,40 +376,47 @@ def elasticity(atomset, bound=8, memo=None):
     return BoundedResult(max(ratios + [Fraction(1)]), False, bound, "rho_k-sweep")
 
 
-def _minimal_covers(atoms, u, prune):
-    """Minimal covers of the atom vector u: multisets W of atom vectors with
+def _minimal_covers(packed, u, prune):
+    """Minimal covers of the packed atom u: multisets W of atoms with
     u | prod(W) such that no proper sub-multiset still covers.  Yields
-    (|W|, prod(W)) pairs.
+    (|W|, prod(W)) pairs, prod(W) packed.  ``packed`` must hold every
+    product of |u| atoms, which bounds |W|.
 
     Depth first, adding atoms in nondecreasing index order and only when the
-    new atom meets a still-deficient coordinate of u; every minimal cover
+    new atom meets a still-deficient element of u; every minimal cover
     survives this pruning because each of its members must meet a deficient
-    coordinate at the moment it is inserted, in any insertion order.  Atoms
+    element at the moment it is inserted, in any insertion order.  Atoms
     are tried smallest-overlap first.  ``prune(size, deficit)``, checked as
     each partial cover is entered, cuts the branch when it returns True;
     ``deficit`` is how many units of u are still missing.
     """
-    supp = [j for j, m in enumerate(u) if m]
-
-    def overlap(a):
-        return sum(min(a[j], u[j]) for j in supp)
-
-    cands = sorted((a for a in atoms if overlap(a)), key=lambda a: (overlap(a), a))
-    stack = [((0,) * len(u), 0, 0, ())]
+    minimum, supports, total = packed.minimum, packed.supports, packed.total
+    overlap = {a: total(minimum(a, u)) for a in packed.atoms}
+    cands = sorted((a for a in packed.atoms if overlap[a]), key=lambda a: (overlap[a], a))
+    held = [supports(a) for a in cands]
+    stack = [(0, 0, 0, ())]
     while stack:
         prod, size, start, used = stack.pop()
-        short = [j for j in supp if prod[j] < u[j]]
-        if prune(size, sum(u[j] - prod[j] for j in short)):
+        missing = u - minimum(prod, u)
+        if prune(size, total(missing)):
             continue
-        if not short:
-            trimmed = (tuple(map(sub, prod, cands[i])) for i in set(used))
-            if not any(all(t[j] >= u[j] for j in supp) for t in trimmed):
+        if not missing:
+            if not any(minimum(prod - cands[i], u) == u for i in set(used)):
                 yield size, prod
             continue
+        short = supports(missing)
         for i in reversed(range(start, len(cands))):
-            a = cands[i]
-            if any(a[j] for j in short):
-                stack.append((tuple(map(add, prod, a)), size + 1, i, used + (i,)))
+            if held[i] & short:
+                stack.append((prod + cands[i], size + 1, i, used + (i,)))
+
+
+def _omega(packed, u):
+    best = 0
+    for size, _ in _minimal_covers(packed, u, lambda size, deficit: size + deficit <= best):
+        best = size
+        if best >= packed.total(u):
+            break
+    return best
 
 
 def omega(atomset, u):
@@ -431,13 +429,19 @@ def omega(atomset, u):
     beat the best minimal cover found so far are cut, and the search stops
     once a cover of size |u| is found.
     """
+    packed = PackedAtoms.for_products(atomset, atomset.davenport())
+    return _omega(packed, packed.pack(u.mults))
+
+
+def _tame(packed, u):
+    covers = list(_minimal_covers(packed, u, lambda size, deficit: False))
+    if max(size for size, _ in covers) == 1:
+        return 0
     best = 0
-    for size, _ in _minimal_covers(
-        atomset.vectors, u.mults, lambda size, deficit: size + deficit <= best
-    ):
-        best = size
-        if best >= u.length:
-            break
+    for size, prod in covers:
+        mask = _lengths(packed, prod - u)
+        # mask & -mask is the lowest set bit, 1 << min L(prod(W) / u).
+        best = max(best, size, (mask & -mask).bit_length())
     return best
 
 
@@ -445,61 +449,32 @@ def tame(atomset, u, memo=None):
     """t(H, u) for an atom u: 0 when u is prime in the sweep sense
     (omega = 1); otherwise the worst over minimal covers W of
     max(|W|, 1 + min L(prod(W) / u))."""
-    if memo is None:
-        memo = {}
-    covers = list(_minimal_covers(atomset.vectors, u.mults, lambda size, deficit: False))
-    if max(size for size, _ in covers) == 1:
-        return 0
-    packed = PackedAtoms(atomset, max(max(prod) for _, prod in covers), memo)
-    atom = packed.pack(u.mults)
-    best = 0
-    for size, prod in covers:
-        mask = _lengths(packed, packed.pack(prod) - atom)
-        # mask & -mask is the lowest set bit, 1 << min L(prod(W) / u).
-        best = max(best, size, (mask & -mask).bit_length())
-    return best
+    packed = PackedAtoms.for_products(atomset, atomset.davenport(), memo)
+    return _tame(packed, packed.pack(u.mults))
 
 
 def monoid_omega(atomset):
     """omega(H), the largest omega(H, u) over the atoms: exact, since the
     cover search of each atom is exhaustive."""
-    return BoundedResult(max(omega(atomset, u) for u in atomset.atoms), True, 0, "atomwise-covers")
+    packed = PackedAtoms.for_products(atomset, atomset.davenport())
+    return BoundedResult(max(_omega(packed, u) for u in packed.atoms), True, 0, "atomwise-covers")
 
 
 def monoid_tame(atomset, memo=None):
     """t(H), the largest t(H, u) over the atoms: exact, like monoid_omega."""
-    memo = {} if memo is None else memo
-    return BoundedResult(max(tame(atomset, u, memo) for u in atomset.atoms), True, 0, "atomwise-covers")
-
-
-def _key(packed, block):
-    """The big-endian bytes of a packed block.  Fields are whole bytes
-    (widths are 8, 16, 32, ...), so an index permutation moves bytes, and
-    of two blocks the smaller int has the smaller key."""
-    return block.to_bytes(packed.width // 8 * packed.length, "big")
+    packed = PackedAtoms.for_products(atomset, atomset.davenport(), memo)
+    return BoundedResult(max(_tame(packed, u) for u in packed.atoms), True, 0, "atomwise-covers")
 
 
 def _atom_maps(packed, maps):
     """The index permutations among ``maps`` that send the packed nonzero
-    atoms onto themselves, each as an ``itemgetter`` that moves the bytes
-    of a key (``_key``): ``bytes(move(key))`` is the key of the image.  They
-    form a group, the part of the group of ``maps`` that keeps the atom
-    set; an AtomSet restricted to a divisor-closed piece can be kept by
-    fewer maps than its alphabet.  A map other than the identity moves two
-    elements, so a key has at least two bytes and ``itemgetter`` returns a
-    tuple."""
-    step, last = packed.width // 8, packed.length - 1
-    keys = {_key(packed, u) for u in packed.nonzero()}
-    kept = []
-    for perm in maps:
-        source = [0] * (step * packed.length)
-        for j, p in enumerate(perm):
-            for t in range(step):
-                source[(last - p) * step + t] = (last - j) * step + t
-        move = itemgetter(*source)
-        if all(bytes(move(key)) in keys for key in keys):
-            kept.append(move)
-    return kept
+    atoms onto themselves, each as a ``Packing.mover`` on keys: they form a
+    group, the part of the group of ``maps`` that keeps the atom set; an
+    AtomSet restricted to a divisor-closed piece can be kept by fewer maps
+    than its alphabet."""
+    keys = {packed.key(u) for u in packed.nonzero()}
+    moves = (packed.mover(perm) for perm in maps)
+    return [move for move in moves if all(bytes(move(key)) in keys for key in keys)]
 
 
 def monoid_catenary(atomset, bound):
@@ -516,7 +491,7 @@ def monoid_catenary(atomset, bound):
     c = c_eq = c_adj = c_mon = 0
     # A block with lengths 2 and 3 lies on two levels; it is factored once.
     for b in set().union(*levels[2:]):
-        key = _key(packed, b)
+        key = packed.key(b)
         if any(bytes(move(key)) < key for move in moves):
             continue
         p = _catenary_profile(packed, b)
@@ -541,8 +516,6 @@ def min_abs_irred_witness(atomset, memo=None):
     2 in L(w_1^k_1 ... w_s^k_s).  Returns (s, witness) with the witness as
     ((atom, exponent), ...), or (None, None) when no such block exists.
     """
-    if memo is None:
-        memo = {}
     d = atomset.davenport()
     packed = PackedAtoms.for_products(atomset, d, memo)
     irr = [a for a in atomset.atoms if absolutely_irreducible(atomset, a)]

@@ -12,11 +12,6 @@ def cyclic_alphabet(n):
     return Alphabet(spec, [spec.element(torsion=(i,)) for i in range(n)])
 
 
-def unpack(packed, block):
-    """The multiplicity tuple of a block packed by ``PackedAtoms``."""
-    return tuple(block >> (j * packed.width) & packed.field for j in range(packed.length))
-
-
 def int_alphabet(*values):
     """Alphabet over Z from plain integers."""
     spec = GroupSpec(1)

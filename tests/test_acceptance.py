@@ -49,7 +49,7 @@ from krull_arith.transfer import (
     count_lifted_atoms_brute,
     lengths_preserved,
 )
-from conftest import int_alphabet, unpack
+from conftest import int_alphabet
 
 TAME_ATOM_LIMIT = 16
 
@@ -485,7 +485,7 @@ def _per_block_checks(ats, sweep_bound, tag):
     packed = PackedAtoms.for_products(ats, sweep_bound)
     for level in product_levels(packed.atoms, sweep_bound):
         for b in level:
-            block = ats.alphabet.from_mults(unpack(packed, b))
+            block = ats.alphabet.from_mults(packed.unpack(b))
             prof = catenary_profile(ats, block)
             if prof.num_factorizations > 1:
                 factorial = False

@@ -44,7 +44,7 @@ from krull_arith.invariants import (
 )
 from krull_arith.presets import build_preset
 
-from conftest import int_alphabet, small_alphabets, unpack
+from conftest import int_alphabet, small_alphabets
 
 
 def test_delta_set_cyclic(cyclic4_atoms, cyclic5_atoms):
@@ -419,7 +419,7 @@ SWEEP_PRESETS = [
 def _apply(packed, block, perm):
     """A packed block with the multiplicity of element j moved to perm[j]."""
     mults = [0] * packed.length
-    for j, m in enumerate(unpack(packed, block)):
+    for j, m in enumerate(packed.unpack(block)):
         mults[perm[j]] = m
     return packed.pack(mults)
 
@@ -539,7 +539,7 @@ def test_catenary_sweep_uses_only_the_maps_that_keep_the_atoms(token, piece, cou
     blocks = {b for level in product_levels(packed.nonzero(), 3) for b in level}
     for move, perm in zip(moves, kept):
         for b in blocks:
-            image = bytes(move(invariants._key(packed, b)))
+            image = bytes(move(packed.key(b)))
             assert int.from_bytes(image, "big") == _apply(packed, b, perm)
 
 
@@ -556,7 +556,7 @@ def test_monoid_catenary_matches_the_unreduced_sweep(token, piece):
     best = dict.fromkeys(("catenary", "equal", "adjacent", "monotone"), 0)
     for level in product_levels(packed.nonzero(), 3)[2:]:
         for b in level:
-            prof = catenary_profile(atomset, atomset.alphabet.from_mults(unpack(packed, b)))
+            prof = catenary_profile(atomset, atomset.alphabet.from_mults(packed.unpack(b)))
             for name in best:
                 best[name] = max(best[name], getattr(prof, name))
     result = monoid_catenary(atomset, 3)
