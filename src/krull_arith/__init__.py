@@ -2,7 +2,7 @@
 abelian groups: atoms, factorizations, sets of lengths, and the standard
 factorization-theoretic invariants."""
 
-from .atoms import AtomSet, atoms_by_exhaustion, davenport_constant, enumerate_atoms
+from .atoms import AtomSet, davenport_constant, enumerate_atoms
 from .errors import (
     AlphabetError,
     ArgumentError,

@@ -17,14 +17,22 @@ needs is a monotone function of the vector: x <= x' gives slack(x) <=
 slack(x').  So the minimal solutions of the extended system project one to
 one onto the minimal zero-sum vectors, and the projection needs no second
 minimalization.
+
+Frontier and basis vectors are packed ints (``factorizations.Packing``):
+y = x + e_j is one addition, the bucket key is field j of y masked in place,
+and b divides y when ((y | guard) - b) & guard == guard.  Fields start as
+wide as the largest cap needs; a candidate past its cap raises before its
+entry passes the guard bit, and no basis vector divides it.  Uncapped
+columns, such as the torsion slack columns, are never truncated: when such
+an entry would reach its guard bit, the completion reruns at the next width.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from operator import mul
+from operator import add, mul
 
 from .errors import BoundExceededError, DomainError
+from .factorizations import Packing
 from .sequences import Sequence
 
 
@@ -48,20 +56,29 @@ def minimal_nonneg_solutions(columns, caps=None):
     q = len(columns)
     if q == 0:
         return []
-    columns = [tuple(c) for c in columns]
-    if caps is None:
-        caps = [None] * q
-    elif isinstance(caps, int):
+    if caps is None or isinstance(caps, int):
         caps = [caps] * q
+    for j, cap in enumerate(caps):
+        if cap is not None and cap < 1:
+            raise BoundExceededError("multiplicity cap %d exceeded at coordinate %d" % (cap, j))
+    packing = Packing(q, max((cap for cap in caps if cap is not None), default=0))
+    while (basis := _completion(columns, caps, packing)) is None:
+        packing = Packing(q, packing.field)
+    return [packing.unpack(b) for b in sorted(basis)]
+
+
+def _completion(columns, caps, packing):
+    """The packed minimal solutions, with candidates packed by ``packing``,
+    or None when an uncapped entry reaches its guard bit."""
+    guard, shifts = packing.guard, packing.shifts
+    units = [1 << t for t in shifts]
+    masks = [packing.field << t for t in shifts]
+    # Field j masked in place passes limits[j]: past its cap, or at the guard bit.
+    limits = [(packing.field >> 1 if cap is None else cap) << t for cap, t in zip(caps, shifts)]
     basis = []
-    # (j, m) -> supports [(i, b[i]), ...] of the basis vectors b with b[j] == m
+    # field i of b, masked in place -> the basis vectors b with that field
     by_entry = {}
-    frontier = {}
-    for j in range(q):
-        if caps[j] is not None and caps[j] < 1:
-            raise BoundExceededError("multiplicity cap %d exceeded at coordinate %d" % (caps[j], j))
-        x = tuple(1 if i == j else 0 for i in range(q))
-        frontier[x] = columns[j]
+    frontier = dict(zip(units, columns))
     while frontier:
         growing = []
         for x, s in frontier.items():
@@ -69,37 +86,32 @@ def minimal_nonneg_solutions(columns, caps=None):
                 growing.append((x, s))
                 continue
             basis.append(x)
-            support = [(i, m) for i, m in enumerate(x) if m]
-            for i, m in support:
-                by_entry.setdefault((i, m), []).append(support)
+            for mask in masks:
+                if x & mask:
+                    by_entry.setdefault(x & mask, []).append(x)
         nxt = {}
         for x, s in growing:
             for j, column in enumerate(columns):
                 if sum(map(mul, s, column)) >= 0:
                     continue
-                y = x[:j] + (x[j] + 1,) + x[j + 1 :]
+                y = x + units[j]
                 if y in nxt:
                     continue
-                bucket = by_entry.get((j, y[j]))
-                if bucket and any(all(y[i] >= m for i, m in b) for b in bucket):
-                    continue
-                if caps[j] is not None and y[j] > caps[j]:
-                    raise BoundExceededError(
-                        "multiplicity cap %d exceeded at coordinate %d" % (caps[j], j)
-                    )
-                nxt[y] = tuple(a + b for a, b in zip(s, column))
+                entry = y & masks[j]
+                held = y | guard
+                for b in by_entry.get(entry, ()):
+                    if (held - b) & guard == guard:
+                        break
+                else:
+                    if entry > limits[j]:
+                        if caps[j] is None:
+                            return None
+                        raise BoundExceededError(
+                            "multiplicity cap %d exceeded at coordinate %d" % (caps[j], j)
+                        )
+                    nxt[y] = tuple(map(add, s, column))
         frontier = nxt
-    return sorted(basis)
-
-
-def _minimalize(vectors):
-    """Drop every vector strictly dominated by another one."""
-    vectors = sorted(set(vectors), key=lambda v: (sum(v), v))
-    kept = []
-    for v in vectors:
-        if not any(all(a <= b for a, b in zip(u, v)) for u in kept):
-            kept.append(v)
-    return kept
+    return basis
 
 
 class AtomSet:
@@ -205,15 +217,3 @@ def enumerate_atoms(alphabet, cap=64):
 def davenport_constant(alphabet, cap=64):
     return enumerate_atoms(alphabet, cap).davenport()
 
-
-def atoms_by_exhaustion(alphabet, max_mult):
-    """Independent oracle: scan every vector with coordinates <= max_mult,
-    keep the zero-sum ones, and extract the minimal nonzero ones.
-
-    Exponential; only for cross-checking tiny instances in tests.
-    """
-    zero_sum = []
-    for v in product(range(max_mult + 1), repeat=len(alphabet)):
-        if any(v) and Sequence(alphabet, v).is_zero_sum():
-            zero_sum.append(v)
-    return tuple(Sequence(alphabet, v) for v in _minimalize(zero_sum))

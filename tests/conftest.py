@@ -1,9 +1,12 @@
-"""Shared fixtures: small alphabets and atom sets reused across the suite."""
+"""Shared fixtures: small alphabets and atom sets reused across the suite,
+and the exhaustive atom oracle."""
+
+from itertools import product
 
 import pytest
 from hypothesis import strategies as st
 
-from krull_arith import Alphabet, GroupSpec, enumerate_atoms
+from krull_arith import Alphabet, GroupSpec, Sequence, enumerate_atoms
 from krull_arith.presets import build_preset
 
 
@@ -16,6 +19,29 @@ def int_alphabet(*values):
     """Alphabet over Z from plain integers."""
     spec = GroupSpec(1)
     return Alphabet(spec, [spec.element(free=(v,)) for v in values])
+
+
+def minimalize(vectors):
+    """Drop every vector strictly dominated by another one."""
+    vectors = sorted(set(vectors), key=lambda v: (sum(v), v))
+    kept = []
+    for v in vectors:
+        if not any(all(a <= b for a, b in zip(u, v)) for u in kept):
+            kept.append(v)
+    return kept
+
+
+def atoms_by_exhaustion(alphabet, max_mult):
+    """Independent oracle: scan every vector with coordinates <= max_mult,
+    keep the zero-sum ones, and extract the minimal nonzero ones.
+
+    Exponential; only for cross-checking tiny instances.
+    """
+    zero_sum = []
+    for v in product(range(max_mult + 1), repeat=len(alphabet)):
+        if any(v) and Sequence(alphabet, v).is_zero_sum():
+            zero_sum.append(v)
+    return tuple(Sequence(alphabet, v) for v in minimalize(zero_sum))
 
 
 def small_alphabets():

@@ -1,20 +1,32 @@
 """Atom enumeration: completion procedure against the exhaustive oracle."""
 
+import hashlib
+import json
+from itertools import product
+from operator import mul
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from krull_arith import (
     Alphabet,
     GroupSpec,
-    atoms_by_exhaustion,
+    count_lifted_atoms_brute,
     davenport_constant,
     enumerate_atoms,
+    parse_preset,
 )
 from krull_arith.atoms import minimal_nonneg_solutions
 from krull_arith.errors import BoundExceededError
 from krull_arith.presets import build_preset
 
-from conftest import cyclic_alphabet, int_alphabet, small_alphabets
+from conftest import (
+    atoms_by_exhaustion,
+    cyclic_alphabet,
+    int_alphabet,
+    minimalize,
+    small_alphabets,
+)
 
 
 def test_minimal_solutions_kernel():
@@ -31,6 +43,11 @@ def test_minimal_solutions_cap():
     with pytest.raises(BoundExceededError):
         minimal_nonneg_solutions([(101,), (-1,)], caps=64)
     assert minimal_nonneg_solutions([(101,), (-1,)], caps=200) == [(1, 101)]
+    # Cap 127 gives 8-bit fields: the candidate past it sits in the guard bit.
+    with pytest.raises(BoundExceededError, match="cap 127 exceeded"):
+        minimal_nonneg_solutions([(128,), (-1,)], caps=127)
+    assert minimal_nonneg_solutions([(127,), (-1,)], caps=127) == [(1, 127)]
+    assert minimal_nonneg_solutions([(128,), (-1,)], caps=128) == [(1, 128)]
 
 
 @pytest.mark.parametrize(
@@ -177,3 +194,85 @@ def test_cap_at_the_largest_multiplicity_can_raise():
     with pytest.raises(BoundExceededError):
         enumerate_atoms(alphabet, cap=2)
     assert enumerate_atoms(alphabet, cap=3).atoms == atoms.atoms
+
+
+def _minimal_solutions_by_exhaustion(columns, box):
+    """The minimal nonzero x in [0, box]^q with sum x_j * columns[j] = 0."""
+    zero_sum = [
+        x
+        for x in product(range(box + 1), repeat=len(columns))
+        if any(x) and all(sum(map(mul, x, row)) == 0 for row in zip(*columns))
+    ]
+    return sorted(minimalize(zero_sum))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(-4, 4).map(lambda a: (a,)), min_size=2, max_size=4))
+def test_completion_kernel_matches_exhaustion_on_one_row(columns):
+    """The raw kernel on one equation against a search of [0, 4]^q: a
+    minimal solution of one equation has no entry above the largest
+    |coefficient| (Lambert), here at most 4.  Every cap either raises or
+    gives the uncapped solutions, and a cap below their largest entry
+    raises."""
+    solutions = minimal_nonneg_solutions(columns)
+    assert solutions == _minimal_solutions_by_exhaustion(columns, 4)
+    top = max((max(x) for x in solutions), default=0)
+    for cap in range(1, 6):
+        try:
+            capped = minimal_nonneg_solutions(columns, caps=cap)
+        except BoundExceededError:
+            continue
+        assert cap >= top and capped == solutions
+
+
+def test_completion_kernel_widens_uncapped_fields():
+    """Uncapped entries start in fields as wide as the largest cap and move
+    to wider fields when one reaches the guard bit; a capped entry past its
+    cap raises, also after a move."""
+    assert minimal_nonneg_solutions([(300,), (-1,)]) == [(1, 300)]  # 16-bit fields
+    assert minimal_nonneg_solutions([(70000,), (-1,)]) == [(1, 70000)]  # 32-bit fields
+    columns = [(1, 0), (0, 1), (-150, -1), (-1, 0), (0, -1)]
+    assert minimal_nonneg_solutions(columns, [None, 2, 2, 3, None]) == [
+        (0, 1, 0, 0, 1),
+        (1, 0, 0, 1, 0),
+        (150, 1, 1, 0, 0),
+    ]
+    columns = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-300, -1, 0), (0, -2, -70000)]
+    assert minimal_nonneg_solutions(columns, [None, 3, None, 1, 2]) == [
+        (0, 2, 70000, 0, 1),
+        (300, 1, 0, 1, 0),
+    ]
+    with pytest.raises(BoundExceededError, match="cap 2 exceeded at coordinate 1"):
+        minimal_nonneg_solutions([(1, 0), (0, 1), (-150, -3)], [None, 2, 2])
+    # The second entry must pass 1 only once the first is at 128.
+    assert minimal_nonneg_solutions([(2,), (-255,)], [None, 2]) == [(255, 2)]
+    with pytest.raises(BoundExceededError, match="cap 1 exceeded at coordinate 1"):
+        minimal_nonneg_solutions([(2,), (-255,)], [None, 1])
+
+
+# Atom counts and sha256 of json.dumps of the atoms' multiplicity tuples, in
+# AtomSet order, as the tuple-based completion computed them.
+PINNED_ATOMS = {
+    "cyclic:7": (48, "d4c03467985ac2dbcd364c2ce610c6a062eb3148b8bc15fbc79f9c0995fa0a02"),
+    "cyclic:8": (65, "89aee4d253683f8c6fdd6fe75ac2d0bf9cdce9785cee3bcb69c4846f148aec8e"),
+    "cyclic:9": (119, "59aef3a00523bd2307f43e733d212091dcc736611f57e305739a650b71e4f486"),
+    "cyclic:10": (166, "e12662041209c9df047dd0c8a74d2c73c8f12d9d36f6f0ce18f9ca5cea5ba398"),
+    "cyclic:11": (348, "7335c58d3f16a28e13952552220a7953384154aeb28fb5f6155586fe70a670b0"),
+    "cyclic:12": (367, "3301cdf6f4e84398c0ba8545788832990f34cd329f9a531fb5b80427754c548b"),
+    "cube:3": (42, "d175c70ebe3aa63ce5118ba987c12b22e9cf4c0716afa8930f520c26caf9015b"),
+    "full_box:2": (13, "55ec29d6a7ca14426b67ca49a82239ba92a46aaab8657826a8c91a2d8590dd13"),
+}
+
+
+@pytest.mark.parametrize("token", sorted(PINNED_ATOMS))
+def test_atom_lists_are_pinned(token):
+    mults = [a.mults for a in enumerate_atoms(parse_preset(token).alphabet)]
+    digest = hashlib.sha256(json.dumps(mults).encode()).hexdigest()
+    assert (len(mults), digest) == PINNED_ATOMS[token]
+
+
+@pytest.mark.parametrize(
+    "token,count", [("hypersurface:D,16", 45), ("hypersurface:A,6", 48), ("hypersurface:E7", 11)]
+)
+def test_brute_lifted_atom_counts_are_pinned(token, count):
+    assert count_lifted_atoms_brute(parse_preset(token).characteristic) == count
