@@ -115,47 +115,39 @@ def _completion(columns, caps, packing):
 
 
 class AtomSet:
-    """The atoms of B(G0), sorted canonically.  ``vectors`` holds their
-    multiplicity tuples, which ``factorizations.PackedAtoms`` packs for the
-    factorization kernels."""
+    """The atoms of B(G0): an alphabet and the atoms' multiplicity tuples,
+    ``vectors``, sorted canonically.  The kernels read only ``vectors``,
+    which ``factorizations.PackedAtoms`` packs; ``atoms``, iteration and
+    indexing build ``Sequence``s each time they are read."""
 
-    __slots__ = ("alphabet", "atoms", "vectors", "cap")
+    __slots__ = ("alphabet", "vectors")
 
-    def __init__(self, alphabet, atoms, cap):
+    def __init__(self, alphabet, vectors):
         self.alphabet = alphabet
-        self.atoms = tuple(sorted(atoms, key=lambda a: a.mults))
-        self.vectors = tuple(a.mults for a in self.atoms)
-        self.cap = cap
+        self.vectors = tuple(sorted(vectors))
+
+    @property
+    def atoms(self):
+        return tuple(self)
 
     def __len__(self):
-        return len(self.atoms)
+        return len(self.vectors)
 
     def __iter__(self):
-        return iter(self.atoms)
+        return (Sequence(self.alphabet, v) for v in self.vectors)
 
     def __getitem__(self, i):
-        return self.atoms[i]
+        return Sequence(self.alphabet, self.vectors[i])
 
     def davenport(self):
         """Largest atom length (the Davenport constant of G0); 0 if atom-free."""
-        return max((a.length for a in self.atoms), default=0)
+        return max(map(sum, self.vectors), default=0)
 
     def restrict(self, support_indices):
         """The atoms supported inside the given index set (a divisor-closed
         piece), as an AtomSet over the same alphabet."""
-        allowed = set(support_indices)
-        return AtomSet(
-            self.alphabet,
-            (a for a in self.atoms if set(a.support()) <= allowed),
-            self.cap,
-        )
-
-    def to_json(self):
-        return {
-            "alphabet": self.alphabet.to_json(),
-            "atoms": [a.to_json() for a in self.atoms],
-            "cap": self.cap,
-        }
+        outside = set(range(len(self.alphabet))) - set(support_indices)
+        return AtomSet(self.alphabet, (v for v in self.vectors if not any(v[i] for i in outside)))
 
 
 def _zero_sum_columns(spec, elements):
@@ -207,11 +199,10 @@ def enumerate_atoms(alphabet, cap=64):
     """
     k = len(alphabet)
     if k == 0:
-        return AtomSet(alphabet, (), cap)
+        return AtomSet(alphabet, ())
     cols = _zero_sum_columns(alphabet.spec, alphabet.elements)
     caps = [cap] * k + [None] * (len(cols) - k)
-    atoms = [Sequence(alphabet, v[:k]) for v in minimal_nonneg_solutions(cols, caps)]
-    return AtomSet(alphabet, atoms, cap)
+    return AtomSet(alphabet, (v[:k] for v in minimal_nonneg_solutions(cols, caps)))
 
 
 def davenport_constant(alphabet, cap=64):

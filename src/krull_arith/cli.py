@@ -176,7 +176,7 @@ def run_invariants(preset, bound=4, max_k=5, cap=64):
     ]
     # Report schema 1 pins these bytes: there the "exact" flag of these four
     # values is the pass of their check when the preset has one.  ROADMAP
-    # item 3 deletes this loop at the schema bump.
+    # item 2 deletes this loop at the schema bump.
     for c in checks:
         if c["name"] in ("delta", "catenary", "omega", "tame"):
             inv[c["name"]]["exact"] = c["pass"]
@@ -350,8 +350,8 @@ def invariants(ctx, p, max_k, cap, report_path):
 def transfer_check(ctx, map_name):
     """Verify the transfer properties of a map on a bounded window."""
     bound = ctx.obj["bound"]
-    name = map_name.split(":", 1)[1] if map_name.startswith("builtin:") else map_name
-    if name in ("prop712", "prop713", "collapse"):
+    name = map_name.removeprefix("builtin:")
+    if name != map_name:
         tmap = builtin_map(name)
     else:
         tmap = _json_input("--map", name, TransferMap.from_json)
@@ -366,7 +366,7 @@ def transfer_check(ctx, map_name):
     # A window check can only refute, so the one expectation is that the
     # negative control fails; prop712/prop713 pass small windows and fail
     # from window 6 on, and neither outcome is expected.
-    if name == "collapse":
+    if map_name == "builtin:collapse":
         data["expectations_ok"] = not result.ok
     _emit(ctx, data)
 

@@ -11,13 +11,13 @@ on packed ints, all in the one layout of ``Packing``: a tuple of
 nonnegative ints is one int with a fixed-width field per entry.
 ``PackedAtoms`` packs blocks that way, one field per alphabet element, so
 that B * u is one addition and the test u | B with the quotient B / u is
-one subtraction and one mask test, and holds the atoms of an AtomSet in
-that form.  A set of lengths is a bitmask int, bit l set for l in L(B).  A
-factorization inside the kernels is a packed tuple of atom counts, whose
-fields are wide enough for the longest factorization, at most |B|/2 for a
-zero-free B, and not only for each count: then the fieldwise minimum
-gcd(z, z'), |z| and |gcd(z, z')| are a few int operations each, and so is
-d(z, z') = max(|z|, |z'|) - |gcd(z, z')|.
+one subtraction and one mask test, and holds every atom of an AtomSet in
+that form, in AtomSet order.  A set of lengths is a bitmask int, bit l set
+for l in L(B).  A factorization inside the kernels is a packed tuple of
+atom counts, whose fields are wide enough for the longest factorization,
+at most |B|/2 for a zero-free B, and not only for each count: then the
+fieldwise minimum gcd(z, z'), |z| and |gcd(z, z')| are a few int
+operations each, and so is d(z, z') = max(|z|, |z'|) - |gcd(z, z')|.
 The kernels use explicit stacks, so their depth is not limited by the
 interpreter's recursion limit.
 ``Sequence``, multiplicity tuples and ``frozenset`` appear only at the API
@@ -69,9 +69,6 @@ class Factorization:
 
     def __lt__(self, other):
         return self.counts < other.counts
-
-    def to_json(self):
-        return list(self.counts)
 
     def __str__(self):
         parts = []
@@ -171,30 +168,28 @@ class Packing:
 
 class PackedAtoms(Packing):
     """Blocks over an alphabet packed into ints, one field per alphabet
-    element (``Packing``), and the atoms of an AtomSet packed the same way.
+    element (``Packing``), and every atom of an AtomSet packed the same way,
+    in AtomSet order, as ``atoms``.
 
-    Products with multiplicities at most ``top`` never carry across fields.
-    ``atoms`` holds the packed atoms, ``indices`` their AtomSet indices; an
-    atom with a multiplicity too large for a field divides no such block and
-    is left out.  ``zero`` is (AtomSet index, bit offset) of the atom 0, or
-    None.  ``pivots[B.bit_length()]`` lists the packed atoms that hold the
-    lowest element of a nonzero block B, the element of B's highest nonzero
-    field.  ``table``, the memo of length bitmasks, is
-    ``memo[(alphabet, width)]``, so that blocks over other alphabets or
-    packed at other widths never share a table.
+    The fields hold ``top`` and every atom entry, so products with
+    multiplicities at most ``top`` never carry across fields.  ``zero`` is
+    (AtomSet index, bit offset) of the atom 0, or None.
+    ``pivots[B.bit_length()]`` lists the packed atoms that hold the lowest
+    element of a nonzero block B, the element of B's highest nonzero field.
+    ``table``, the memo of length bitmasks, is ``memo[(alphabet, width)]``,
+    so that blocks over other alphabets or packed at other widths never
+    share a table.
     """
 
-    __slots__ = ("size", "atoms", "indices", "zero", "pivots", "table")
+    __slots__ = ("atoms", "zero", "pivots", "table")
 
     def __init__(self, atomset, top, memo=None):
-        super().__init__(len(atomset.alphabet), top)
+        vectors = atomset.vectors
+        super().__init__(len(atomset.alphabet), max(top, max(map(max, vectors), default=0)))
         width = self.width
-        kept = [(i, v) for i, v in enumerate(atomset.vectors) if max(v) >> (width - 1) == 0]
-        self.size = len(atomset.vectors)
-        self.indices = tuple(i for i, _ in kept)
-        self.atoms = tuple(self.pack(v) for _, v in kept)
-        self.zero = next(((i, self.shifts[v.index(1)]) for i, v in kept if sum(v) == 1), None)
-        holding = [[u for u, (_, v) in zip(self.atoms, kept) if v[j]] for j in range(self.length)]
+        self.atoms = tuple(map(self.pack, vectors))
+        self.zero = next(((i, self.shifts[v.index(1)]) for i, v in enumerate(vectors) if sum(v) == 1), None)
+        holding = [[u for u, v in zip(self.atoms, vectors) if v[j]] for j in range(self.length)]
         self.pivots = [()] + [held for held in reversed(holding) for _ in range(width)]
         self.table = {0: 1} if memo is None else memo.setdefault((atomset.alphabet, width), {0: 1})
 
@@ -228,9 +223,10 @@ def _members(mask):
 
 def _count_vectors(packed, block):
     """Z(B) for a packed block: (y, positions, counts, zs) with y = v_0(B),
-    positions the indices into ``packed.atoms`` of the nonzero atoms dividing
-    B, and zs the factorizations of B without its zeros, sorted, as tuples
-    of counts of those atoms packed by the ``Packing`` ``counts``.
+    positions the indices into ``packed.atoms`` (AtomSet indices) of the
+    nonzero atoms dividing B, and zs the factorizations of B without its
+    zeros, sorted, as tuples of counts of those atoms packed by the
+    ``Packing`` ``counts``.
 
     The atoms are filtered once, at the root: an atom that does not divide B
     divides no part of it.  The search is depth first over atoms in
@@ -274,14 +270,13 @@ def _count_vectors(packed, block):
 def _factorizations(packed, block):
     """Z(B) of a packed block as sorted count tuples over the AtomSet."""
     y, positions, counts, zs = _count_vectors(packed, block)
-    base = [0] * packed.size
+    base = [0] * len(packed.atoms)
     if y:
         base[packed.zero[0]] = y
-    slots = [packed.indices[p] for p in positions]
     out = []
     for z in zs:
         row = base[:]
-        for i, c in zip(slots, counts.unpack(z)):
+        for i, c in zip(positions, counts.unpack(z)):
             row[i] = c
         out.append(tuple(row))
     return out
@@ -392,16 +387,6 @@ class CatenaryProfile:
     monotone: int
     num_factorizations: int
     lengths: tuple
-
-    def to_json(self):
-        return {
-            "catenary": self.catenary,
-            "equal": self.equal,
-            "adjacent": self.adjacent,
-            "monotone": self.monotone,
-            "num_factorizations": self.num_factorizations,
-            "lengths": list(self.lengths),
-        }
 
 
 def _catenary_profile(packed, block):

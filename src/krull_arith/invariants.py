@@ -167,7 +167,7 @@ def _least_gaps_by_support(packed, atom_sets, bound):
     zero = packed.zero[0] if packed.zero else None
     blocks = set()
     for atoms in atom_sets:
-        chosen = [u for u, i in zip(packed.atoms, packed.indices) if atoms >> i & 1 and i != zero]
+        chosen = [u for i, u in enumerate(packed.atoms) if atoms >> i & 1 and i != zero]
         for level in product_levels(chosen, bound)[2:]:
             blocks |= level
     least = {}
@@ -215,7 +215,7 @@ def delta_star(atomset, bound, memo=None, atom_limit=None):
     else:
         groups = [(i,) for i in range(n)]
     packed = PackedAtoms.for_products(atomset, bound, memo)
-    supports = [packed.supports(packed.pack(v)) for v in atomset.vectors]
+    supports = [packed.supports(u) for u in packed.atoms]
     # Each kept subset G1 as (mask of its atoms, supports of its elements).
     kept = []
     seen_atom_sets = set()
@@ -348,7 +348,7 @@ def union_profiles(atomset, max_k, memo=None):
     the levels below it."""
     if max_k < 1:
         return []
-    if not atomset.atoms:
+    if not atomset.vectors:
         raise DomainError("B(G0) has no atoms, so U_k is empty for every k >= 1")
     n = len(atomset)
     swept = 0
@@ -518,15 +518,14 @@ def min_abs_irred_witness(atomset, memo=None):
     """
     d = atomset.davenport()
     packed = PackedAtoms.for_products(atomset, d, memo)
-    irr = [a for a in atomset.atoms if absolutely_irreducible(atomset, a)]
+    irr = [(a, u) for a, u in zip(atomset, packed.atoms) if absolutely_irreducible(atomset, a)]
     for s in range(1, min(d, len(irr)) + 1):
         for subset in combinations(irr, s):
-            vectors = [packed.pack(w.mults) for w in subset]
             # Positive compositions of d into s parts, as s - 1 cut points.
             for cuts in combinations(range(1, d), s - 1):
                 ends = (0,) + cuts + (d,)
                 ks = tuple(b - a for a, b in zip(ends, ends[1:]))
-                block = sum(k * v for k, v in zip(ks, vectors))
+                block = sum(k * u for k, (_, u) in zip(ks, subset))
                 if _lengths(packed, block) >> 2 & 1:
-                    return s, tuple(zip(subset, ks))
+                    return s, tuple((a, k) for k, (a, _) in zip(ks, subset))
     return None, None

@@ -232,9 +232,6 @@ class Sequence:
             mult[table[i]] = m
         return Sequence(self.alphabet, mult)
 
-    def key(self):
-        return self.mults
-
     def __eq__(self, other):
         return (
             isinstance(other, Sequence)

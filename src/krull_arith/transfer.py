@@ -216,7 +216,7 @@ def lengths_preserved(tmap, source_atoms, target_atoms, bound):
     """Check L(A) = L(theta(A)) for all zero-sum source sequences of length
     at most ``bound``; returns (ok, failures) with the first 10 failures.
     A window sequence and its image have multiplicities at most ``bound``,
-    which fixes both packings."""
+    the ``top`` of both packings."""
     packed_s = PackedAtoms(source_atoms, bound)
     packed_t = PackedAtoms(target_atoms, bound)
     target = _ZeroSums(tmap.target)
@@ -289,9 +289,9 @@ def count_lifted_atoms(char, atomset):
     alphabet = atomset.alphabet
     mult = [char.multiplicity(g) for g in alphabet.elements]
     total = 0
-    for u in atomset.atoms:
+    for vector in atomset.vectors:
         ways = 1
-        for m, v in zip(mult, u.mults):
+        for m, v in zip(mult, vector):
             if v:
                 ways *= comb(m + v - 1, v)
         total += ways

@@ -17,7 +17,7 @@ from click.testing import CliRunner
 
 from krull_arith import cli, report as reporting
 from krull_arith.cli import main, run_invariants
-from krull_arith.presets import parse_preset
+from krull_arith.presets import builtin_map, parse_preset
 from krull_arith.report import canonical_json
 
 
@@ -168,7 +168,7 @@ def test_transfer_check_collapse_meets_expectation(runner):
     assert data["expectations_ok"] is True
 
 
-def test_transfer_check_prop712_fails_expectation(runner):
+def test_transfer_check_prop712_refuted_without_expectation(runner):
     # On a window wide enough to contain the counterexample the divisor
     # lifting property fails.  A window check can only refute, so the result
     # carries no expectation and the command exits 0.
@@ -180,6 +180,46 @@ def test_transfer_check_prop712_fails_expectation(runner):
     assert data["result"]["surjective_on_window"] is True
     assert data["result"]["divisors_lift_on_window"] is False
     assert "expectations_ok" not in data
+
+
+def test_transfer_check_passed_window_checks_lengths(runner, tmp_path):
+    """prop712 passes the window of size 5, so the command also compares
+    the sets of lengths there; the same map read from a JSON file gives the
+    same report."""
+    result = runner.invoke(main, ["--bound", "5", "transfer-check", "--map", "builtin:prop712"])
+    assert result.exit_code == 0
+    data = json.loads(result.output)
+    assert data["result"]["ok"] is True
+    assert data["lengths_preserved"] is True and data["length_failures"] == []
+    tmap = builtin_map("prop712")
+    images = [
+        [list(g.coords), list(tmap.target.elements[j].coords)]
+        for g, j in zip(tmap.source.elements, tmap.images)
+    ]
+    path = tmp_path / "prop712.json"
+    path.write_text(
+        json.dumps({"source": tmap.source.to_json(), "target": tmap.target.to_json(), "images": images})
+    )
+    result = runner.invoke(main, ["--bound", "5", "transfer-check", "--map", str(path)])
+    assert result.exit_code == 0
+    from_file = json.loads(result.output)
+    assert from_file.pop("map") == str(path)
+    data.pop("map")
+    assert from_file == data
+
+
+def test_transfer_check_unknown_builtin_map(runner):
+    result = runner.invoke(main, ["transfer-check", "--map", "builtin:nosuch"])
+    _assert_one_line_error(result)
+    assert result.output == "Error: unknown built-in map 'nosuch'\n"
+
+
+def test_failed_expectation_exits_2_with_the_report(runner):
+    result = runner.invoke(main, ["--bound", "4", "lengths", "--preset", "prop713", "--family", "C3"])
+    assert result.exit_code == 2
+    data = json.loads(result.output)
+    assert data["expectations_ok"] is False
+    assert data["family_misses"][:2] == [[2, 4], [3, 4, 5]]
 
 
 def test_atom_count_formula_and_brute(runner):

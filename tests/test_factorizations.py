@@ -409,12 +409,13 @@ def test_packing_width_follows_the_largest_multiplicity(cyclic3_atoms):
     assert widths == [8, 8, 16, 16, 32, 32]
     packed = PackedAtoms(cyclic3_atoms, 99_999)
     assert packed.unpack(packed.pack((99_999, 0, 2**31 - 1))) == (99_999, 0, 2**31 - 1)
-    # Over Z, the one atom of {1, -200} is 1^200 * -200: width 8 leaves it
-    # out, and lengths_of packs at width 16.
+    # Over Z, the one atom of {1, -200} is 1^200 * -200.  Every atom is
+    # packed, so the fields are 16 bits wide even when top is 127.
     atomset = enumerate_atoms(int_alphabet(1, -200), cap=256)
-    assert PackedAtoms(atomset, 127).atoms == ()
-    assert PackedAtoms(atomset, 200).width == 16 and len(PackedAtoms(atomset, 200).atoms) == 1
     (atom,) = atomset.atoms
+    for top in (0, 127, 200):
+        packed = PackedAtoms(atomset, top)
+        assert packed.width == 16 and packed.atoms == (packed.pack(atom.mults),)
     assert lengths_of(atomset, atom**2) == frozenset((2,))
 
 
