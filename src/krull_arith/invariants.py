@@ -28,12 +28,14 @@ Inside the sweeps a block and an atom are ints packed by one
 ``factorizations.PackedAtoms``, wide enough for every product the sweep
 builds; the packed kernels of ``factorizations`` are called on them
 directly, since every swept block is a product of atoms and so has zero sum.
-Length sets stay bitmasks until a value is returned.  Delta, U_k and the
-collection and realization of ``lengths`` read one lazy sweep of length
-bitmasks, ``_length_masks``; delta* and the catenary sweep need the blocks
-themselves and take them from ``product_levels``.  Omega and tame search
-covers packed for products of D(G0) atoms, the most a minimal cover holds.
-``Sequence`` is used only where a public function takes or returns one.
+Length sets stay bitmasks until a value is returned.  One lazy generator,
+``_levels``, builds every level of blocks.  Delta, U_k and the collection
+and realization of ``lengths`` read its length bitmasks, level by level,
+through ``_length_masks``; delta* and the catenary sweep need the blocks
+themselves and take them from ``product_levels``, a list of its levels.
+Omega and tame search covers packed for products of D(G0) atoms, the most a
+minimal cover holds.  ``Sequence`` is used only where a public function
+takes or returns one.
 
 The catenary sweep factors one block per orbit of the maps x -> kx that
 send G0 onto itself (``Alphabet.unit_maps``; k a unit mod exp(G), or k = -1
@@ -99,14 +101,22 @@ class BoundedResult:
         }
 
 
+def _levels(atoms):
+    """The sets of products of exactly 0, 1, 2, ... of the given packed
+    atoms, as packed blocks, each level built only when it is read.  The
+    packing must hold every product of as many atoms as the levels read."""
+    blocks = {0}
+    while True:
+        yield blocks
+        blocks = {b + a for b in blocks for a in atoms}
+
+
 def product_levels(atoms, max_count):
     """levels[k] = set of all products of exactly k of the given packed
-    atoms, as packed blocks.  The packing must hold every product of
-    ``max_count`` atoms (``PackedAtoms.for_products``)."""
-    levels = [{0}]
-    for _ in range(max_count):
-        levels.append({b + a for b in levels[-1] for a in atoms})
-    return levels
+    atoms, as packed blocks: the first ``max_count + 1`` levels of
+    ``_levels``.  The packing must hold every product of ``max_count``
+    atoms (``PackedAtoms.for_products``)."""
+    return list(islice(_levels(atoms), max_count + 1))
 
 
 def _length_masks(atomset, count, memo=None):
@@ -117,12 +127,8 @@ def _length_masks(atomset, count, memo=None):
     with its lengths shifted by j: when 0 is in G0, level i is the zero-free
     level i together with every mask of level i - 1 shifted by one."""
     packed = PackedAtoms.for_products(atomset, count, memo)
-    atoms = packed.nonzero()
-    blocks = {0}
-    masks = {1}
-    yield masks
-    for _ in range(count):
-        blocks = {b + a for b in blocks for a in atoms}
+    masks = set()
+    for blocks in islice(_levels(packed.nonzero()), count + 1):
         swept = {_lengths(packed, b) for b in blocks}
         if packed.zero is not None:
             swept |= {m << 1 for m in masks}

@@ -12,13 +12,17 @@ whose length sets are m + {2k* + d*lam : lam in [0,k*]} with d the single
 distance value.
 
 Collection and realization read the levels of length bitmasks of
-``invariants._length_masks``, one level per number of atoms; length sets are
-bitmasks inside the sweeps and frozensets in what the functions return.
+``invariants._length_masks``, one level per number of atoms, in order: a set
+with minimum m is realized exactly when it is the length set of a product of
+m atoms, and the closure probe reads levels in order of the sumsets'
+minima.  Length sets are bitmasks inside the sweeps and frozensets in what
+the functions return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import ArgumentError
 from .factorizations import _members
@@ -78,8 +82,6 @@ def member(family, lengths):
             y = lo - 2 * k
             if y >= 0:
                 return True, {"form": "ap2", "y": y, "k": k}
-        if len(ls) == 1 and lo >= 0:
-            return True, {"form": "ap2", "y": lo, "k": 0}
         return False, None
     if family.startswith("thm74:"):
         r, alpha = (int(x) for x in family.split(":")[1].split(","))
@@ -131,8 +133,6 @@ def fit_aamp(lengths, d):
             span = ls[j] - y
             window = [x - y for x in ls[i : j + 1]]
             period = sorted({x % d for x in window} | {0, d})
-            if period[-2] > d:
-                continue
             model = sorted(
                 {
                     p + d * q
@@ -156,40 +156,16 @@ def collect_length_sets(atomset, product_bound, memo=None):
     return {_members(mask) for mask in masks}
 
 
-def _realizer(atomset, vbound, memo):
-    """(level, realized): level(i) is the set of length bitmasks of the
-    products of i <= ``vbound`` atoms, and realized(t) answers "is the
-    finite set t the length set of some block of B(G0)?" with True, False,
-    or None when min(t) exceeds ``vbound``.
-
-    A set with minimum m is a length set exactly when it is the length set
-    of a product of m atoms, so realized(t) looks t up in level(min(t)).
-    Each level is swept once, when it is first read, in any order.
-    """
-    sweep = _length_masks(atomset, vbound, memo)
-    levels = []
-
-    def level(i):
-        while len(levels) <= i:
-            levels.append(next(sweep))
-        return levels[i]
-
-    def realized(t):
-        lo = min(t)
-        if lo > vbound:
-            return None
-        return sum(1 << x for x in t) in level(lo)
-
-    return level, realized
-
-
 def is_length_set_realized(atomset, lengths, vbound, memo=None):
     """Is the finite set the length set of some block of B(G0)?  Decided
     exhaustively when min(lengths) <= vbound (a realizing block is a product
-    of exactly that many atoms); returns None when the minimum exceeds the
-    verification bound."""
-    _, realized = _realizer(atomset, vbound, memo)
-    return realized(frozenset(lengths))
+    of exactly that many atoms, so the set is looked up in that level of the
+    sweep); returns None when the minimum exceeds the verification bound."""
+    t = frozenset(lengths)
+    lo = min(t)
+    if lo > vbound:
+        return None
+    return sum(1 << x for x in t) in next(islice(_length_masks(atomset, vbound, memo), lo, None))
 
 
 @dataclass(frozen=True)
@@ -198,7 +174,6 @@ class ClosureProbe:
     witness: tuple  # (L1, L2, sumset) or ()
     collection_bound: int
     verification_bound: int
-    indeterminate: tuple  # sumsets too large to decide
 
     def to_json(self):
         return {
@@ -206,7 +181,8 @@ class ClosureProbe:
             "witness": [sorted(s) for s in self.witness],
             "collection_bound": self.collection_bound,
             "verification_bound": self.verification_bound,
-            "indeterminate": [sorted(s) for s in self.indeterminate],
+            # Every probed sumset is decided within the verification bound.
+            "indeterminate": [],
         }
 
 
@@ -217,14 +193,17 @@ def additive_closure_probe(atomset, product_bound, memo=None):
     Pairs are tried smallest sumset first, so the first reported witness is
     minimal in that order.
 
-    Realization is decided per level: a set with minimum m is the length set
-    of some block exactly when it is the length set of a product of m atoms,
-    so only levels up to the minimum of the probed sumset are ever swept.
-    Collection reads levels 0 to ``product_bound`` of the same sweep.
+    Collection reads levels 0 to ``product_bound`` of one sweep.  A set with
+    minimum m is the length set of some block exactly when it is the length
+    set of a product of m atoms.  The sumset of l1 and l2 has minimum
+    min(l1) + min(l2) <= 2 * product_bound, and the pairs come in that
+    order, so the probe reads further levels of the same sweep in order, and
+    only up to the minimum of the last sumset it probes.
     """
     vbound = 2 * product_bound
-    level, is_realized = _realizer(atomset, vbound, memo)
-    masks = set().union(*(level(i) for i in range(product_bound + 1)))
+    sweep = _length_masks(atomset, vbound, memo)
+    levels = list(islice(sweep, product_bound + 1))
+    masks = set().union(*levels)
     collected = sorted((_members(mask) for mask in masks), key=lambda s: (min(s), sorted(s)))
 
     pairs = []
@@ -232,12 +211,10 @@ def additive_closure_probe(atomset, product_bound, memo=None):
         for l2 in collected[i:]:
             pairs.append((min(l1) + min(l2), sorted(l1), sorted(l2), l1, l2))
     pairs.sort(key=lambda p: (p[0], p[1], p[2]))
-    indeterminate = []
-    for _, _, _, l1, l2 in pairs:
+    for lo, _, _, l1, l2 in pairs:
+        while len(levels) <= lo:
+            levels.append(next(sweep))
         t = sumset(l1, l2)
-        hit = is_realized(t)
-        if hit is None:
-            indeterminate.append(t)
-        elif not hit:
-            return ClosureProbe(False, (l1, l2, t), product_bound, vbound, ())
-    return ClosureProbe(True, (), product_bound, vbound, tuple(indeterminate))
+        if sum(1 << x for x in t) not in levels[lo]:
+            return ClosureProbe(False, (l1, l2, t), product_bound, vbound)
+    return ClosureProbe(True, (), product_bound, vbound)

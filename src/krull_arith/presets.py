@@ -489,9 +489,7 @@ def builtin_map(name):
 def check_cofinal(atomset):
     """True iff every alphabet element occurs in some atom (equivalently no
     proper subset supports every block)."""
-    used = set()
-    for a in atomset.atoms:
-        used.update(a.support())
+    used = {i for v in atomset.vectors for i, m in enumerate(v) if m}
     return len(used) == len(atomset.alphabet)
 
 
@@ -508,8 +506,8 @@ def decompose(atomset):
             i = parent[i]
         return i
 
-    for a in atomset.atoms:
-        supp = a.support()
+    for v in atomset.vectors:
+        supp = [i for i, m in enumerate(v) if m]
         for i in supp[1:]:
             parent[find(supp[0])] = find(i)
     groups = {}

@@ -24,6 +24,7 @@ from krull_arith import (
     min_abs_irred_witness,
     sumset,
 )
+from krull_arith.cli import TAME_ATOM_LIMIT
 from krull_arith.factorizations import catenary_profile
 from krull_arith.invariants import (
     delta_set,
@@ -50,8 +51,6 @@ from krull_arith.transfer import (
     lengths_preserved,
 )
 from conftest import int_alphabet
-
-TAME_ATOM_LIMIT = 16
 
 
 def _report(num, ok, detail):

@@ -19,8 +19,10 @@ from krull_arith import (
     collect_length_sets,
     delta_set,
     delta_star,
+    distance,
     elasticity,
     enumerate_atoms,
+    factorize,
     min_abs_irred_witness,
     monoid_catenary,
     monoid_omega,
@@ -354,6 +356,37 @@ def test_omega_matches_brute_force(alphabet):
     atomset = enumerate_atoms(alphabet)
     for u in atomset.atoms:
         assert omega(atomset, u) == _brute_omega(atomset, u)
+
+
+def _tame_by_definition(atomset):
+    """[t(H, u) for the atoms u] from the definition: the largest, over the
+    blocks a with u | a and the z in Z(a), of the least d(z, z') over the
+    z' in Z(a) that contain u.  u divides a exactly when some z' in Z(a)
+    contains u.  The blocks are the products of at most D(G0) atoms: t(H, u)
+    is attained at a = prod(W) for a minimal cover W of u, and
+    |W| <= |u| <= D(G0)."""
+    blocks = {
+        tuple(map(sum, zip(*picks)))
+        for size in range(1, atomset.davenport() + 1)
+        for picks in combinations_with_replacement(atomset.vectors, size)
+    }
+    t = [0] * len(atomset)
+    for mults in blocks:
+        zs = factorize(atomset, atomset.alphabet.from_mults(mults))
+        for i in range(len(t)):
+            with_u = [w for w in zs if w.counts[i]]
+            if with_u:
+                t[i] = max(t[i], max(min(distance(z, w) for w in with_u) for z in zs))
+    return t
+
+
+@pytest.mark.parametrize(
+    "token", ["cyclic:3", "cyclic:4", "five_point", "four_point", "thm74:2,1", "frt_t:2", "prop713"]
+)
+def test_tame_matches_its_definition(token):
+    atomset = enumerate_atoms(parse_preset(token).alphabet)
+    memo = {}
+    assert [tame(atomset, u, memo) for u in atomset.atoms] == _tame_by_definition(atomset)
 
 
 def test_monoid_catenary(cyclic4_atoms):

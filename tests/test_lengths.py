@@ -24,7 +24,6 @@ from krull_arith import (
     sumset,
 )
 from krull_arith.errors import ArgumentError
-from krull_arith.lengths import _realizer
 from krull_arith.presets import parse_preset
 
 
@@ -52,7 +51,9 @@ def test_member_two_form_family():
     assert ok and params["form"] == "ap2" and params == {"form": "ap2", "y": 1, "k": 2}
     assert member("C4", {2, 5})[0] is False
     ok, params = member("C4", {3})
-    assert ok and params["k"] == 0
+    assert ok and params == {"form": "interval", "y": 2, "k": 0}
+    # A singleton {lo} is an interval when lo >= 1 and an ap2 set when lo = 0.
+    assert member("C4", {0}) == (True, {"form": "ap2", "y": 0, "k": 0})
 
 
 def test_member_symmetric_rank_family():
@@ -173,16 +174,18 @@ C7_125_SETS = (
     ids=["five_point", "four_point", "prop713", "cyclic:4", "C7-125", "C7-0125"],
 )
 def test_realizer_reads_levels_in_any_order(alphabet, expected):
-    """One realizer asked about sets whose minima come in the order 4, 2, 6,
-    0, 5, 3, 1, 9, 7, 8: it answers from the level of each set's minimum,
-    whichever levels it has swept before, and None above its bound."""
+    """is_length_set_realized, with one memo, asked about sets whose minima
+    come in the order 4, 2, 6, 0, 5, 3, 1, 9, 7, 8: it answers from the
+    level of each set's minimum, whichever levels the memo holds already,
+    and None above its bound."""
     atomset = enumerate_atoms(alphabet)
-    _, realized = _realizer(atomset, 6, {})
+    memo = {}
     candidates = [frozenset(t) for r in range(1, 5) for t in combinations(range(10), r)]
     for lo in (4, 2, 6, 0, 5, 3, 1, 9, 7, 8):
         for t in candidates:
             if min(t) == lo:
-                assert realized(t) is (None if lo > 6 else t in expected), sorted(t)
+                expect = None if lo > 6 else t in expected
+                assert is_length_set_realized(atomset, t, 6, memo) is expect, sorted(t)
 
 
 # Every length set of a product of at most 4 atoms, computed by an earlier

@@ -244,6 +244,25 @@ def test_decompose():
     assert len(parts) == 2
 
 
+def test_cofinal_and_decompose_read_vectors(monkeypatch):
+    # Both take supports from the atom vectors and build no Sequence.  The
+    # atom 0 is prime, so {0} is a component of its own.
+    from krull_arith.sequences import Sequence
+
+    atomset = enumerate_atoms(parse_preset("cyclic:12").alphabet)
+    built = []
+    init = Sequence.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Sequence, "__init__", counting_init)
+    assert [len(part) for part in decompose(atomset)] == [1, 11]
+    assert check_cofinal(atomset)
+    assert built == []
+
+
 @pytest.mark.parametrize("token", ["cyclic:4", "cyclic:5", "cube:2"])
 def test_delta_star_and_union_expectations(token):
     # Expectation keys the invariants report does not check: delta* from the
