@@ -6,7 +6,7 @@ distance between factorizations, the set of lengths L(B) (by a memoized
 search that never materializes Z(B) and branches only on the atoms holding
 the block's lowest element), and the catenary data of a block.
 
-The kernels (``_lengths``, ``_factorizations``, ``_catenary_profile``) work
+The kernels (``_lengths``, ``_factorizations``, ``_catenary_*``) work
 on packed ints, all in the one layout of ``Packing``: a tuple of
 nonnegative ints is one int with a fixed-width field per entry.
 ``PackedAtoms`` packs blocks that way, one field per alphabet element, so
@@ -144,8 +144,7 @@ class Packing:
 
     def overlaps(self, z, others):
         """|minimum(z, w)| for each w in ``others``, as ``total`` and
-        ``minimum`` compute it, inlined: this is the catenary sweep's inner
-        loop."""
+        ``minimum`` compute it, inlined for the catenary kernels."""
         guard, top, field = self.guard, self.width - 1, self.field
         held = z | guard
         return [(z ^ ((z ^ w) & ((f := (held - w) & guard) - (f >> top)))) % field for w in others]
@@ -410,6 +409,46 @@ def _catenary_profile(packed, block):
         common = max(max(counts.overlaps(z, by_len[b])) for z in by_len[a])
         c_adj = max(c_adj, b - common)
     return CatenaryProfile(c, c_eq, c_adj, max(c_eq, c_adj), len(zs), lengths)
+
+
+def _raised(counts, nodes, lengths, m):
+    """max(m, the catenary degree of the packed counts ``nodes``): Prim runs
+    only when a search that drops each node once it is reached finds that
+    steps of distance at most m do not join them."""
+    rest = list(zip(nodes, lengths))
+    stack = [rest.pop(0)]
+    while stack and rest:
+        z, l = stack.pop()
+        far = []
+        for node, o in zip(rest, counts.overlaps(z, [w for w, _ in rest])):
+            (stack if max(l, node[1]) - o <= m else far).append(node)
+        rest = far
+    return _mst_bottleneck(counts, nodes, lengths) if rest else m
+
+
+def _catenary_maxima(packed, block, c, c_eq, c_adj):
+    """(max(c, c(B)), max(c_eq, c_eq(B)), max(c_adj, c_adj(B))) for a packed
+    block, the floors being a sweep's running maxima.  c_eq is raised only
+    by length classes longer than c_eq, and the scan of a pair of adjacent
+    lengths a < b stops once an overlap reaches b - c_adj."""
+    _, _, counts, zs = _count_vectors(packed, block)
+    sizes = [counts.total(z) for z in zs]
+    by_len = {}
+    for z, l in zip(zs, sizes):
+        by_len.setdefault(l, []).append(z)
+    c = _raised(counts, zs, sizes, c)
+    for l, group in by_len.items():
+        if l > c_eq:
+            c_eq = _raised(counts, group, [l] * len(group), c_eq)
+    ls = sorted(by_len)
+    for a, b in zip(ls, ls[1:]):
+        common = 0
+        for z in by_len[a]:
+            if common >= b - c_adj:
+                break
+            common = max(common, *counts.overlaps(z, by_len[b]))
+        c_adj = max(c_adj, b - common)
+    return c, c_eq, c_adj
 
 
 def catenary_profile(atomset, block):

@@ -44,11 +44,14 @@ restricted AtomSet can be kept by fewer maps than its alphabet).  Each is an
 automorphism of G that keeps G0, hence of B(G0): it permutes the atoms and
 keeps Z(B), L(B) and every distance, so all blocks of an orbit have the same
 catenary data.  The kept maps form a group and permute the swept blocks, so
-each orbit of a swept block lies in the sweep; a block is factored only when
+each orbit of a swept block lies in the sweep; a block is kept only when
 no kept map sends it to a smaller packed int, once per orbit, and the maxima
 over these blocks are the maxima over the whole bounded sweep.  The Delta,
 Delta* and U_k sweeps stay unreduced, since their repeated blocks are memo
-hits in ``_lengths``.
+hits in ``_lengths``.  As d(z, z') <= max(|z|, |z'|), c(B), c_eq(B) and
+c_adj(B) are at most max L(B), and c_adj(B) = 0 when |L(B)| = 1; so the
+kept blocks are taken largest max L(B) first, and ``_catenary_maxima``
+factors those that can still raise a running maximum.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from operator import or_
 
 from .atoms import _integer_point
 from .errors import ArgumentError, DomainError
-from .factorizations import PackedAtoms, _catenary_profile, _lengths, _members
+from .factorizations import PackedAtoms, _catenary_maxima, _lengths, _members
 from .groups import subgroup_rank
 
 ENUM_PRODUCT_GUARD = 120_000
@@ -483,29 +486,27 @@ def _atom_maps(packed, maps):
     return [move for move in moves if all(bytes(move(key)) in keys for key in keys)]
 
 
-def monoid_catenary(atomset, bound):
+def monoid_catenary(atomset, bound, memo=None):
     """Catenary degrees of H swept over products of at most ``bound`` atoms
     (zeros stripped; they pad every factorization identically), so never
     certified exact.  Only the least block of each orbit of the unit maps
-    that keep the atoms is factored (module docstring), which gives the
-    maxima of the whole sweep."""
+    that keep the atoms, and only when it can raise a running maximum, is
+    factored (module docstring); this gives the maxima of the whole sweep."""
     if bound < 2:
         raise ArgumentError("monoid_catenary needs bound >= 2")
-    packed = PackedAtoms.for_products(atomset, bound)
+    packed = PackedAtoms.for_products(atomset, bound, memo)
     levels = product_levels(packed.nonzero(), bound)
     moves = _atom_maps(packed, atomset.alphabet.unit_maps())
-    c = c_eq = c_adj = c_mon = 0
-    # A block with lengths 2 and 3 lies on two levels; it is factored once.
-    for b in set().union(*levels[2:]):
-        key = packed.key(b)
-        if any(bytes(move(key)) < key for move in moves):
-            continue
-        p = _catenary_profile(packed, b)
-        c = max(c, p.catenary)
-        c_eq = max(c_eq, p.equal)
-        c_adj = max(c_adj, p.adjacent)
-        c_mon = max(c_mon, p.monotone)
-    value = {"catenary": c, "equal": c_eq, "adjacent": c_adj, "monotone": c_mon}
+    # A block with lengths 2 and 3 lies on two levels; it is kept once.
+    keyed = ((b, packed.key(b)) for b in set().union(*levels[2:]))
+    least = [(_lengths(packed, b), b) for b, key in keyed if not any(bytes(move(key)) < key for move in moves)]
+    c = c_eq = c_adj = 0
+    # Larger masks first: max L(B) = mask.bit_length() - 1 does not increase.
+    for mask, b in sorted(least, reverse=True):
+        top = mask.bit_length() - 1
+        if top > min(c, c_eq) or (mask & (mask - 1) and top > c_adj):
+            c, c_eq, c_adj = _catenary_maxima(packed, b, c, c_eq, c_adj)
+    value = {"catenary": c, "equal": c_eq, "adjacent": c_adj, "monotone": max(c_eq, c_adj)}
     return BoundedResult(value, False, bound, "product-sweep")
 
 

@@ -23,6 +23,7 @@ from krull_arith import (
     elasticity,
     enumerate_atoms,
     factorize,
+    lengths_of,
     min_abs_irred_witness,
     monoid_catenary,
     monoid_omega,
@@ -35,7 +36,7 @@ from krull_arith import (
 )
 from krull_arith import invariants
 from krull_arith.errors import ArgumentError, DomainError
-from krull_arith.factorizations import PackedAtoms
+from krull_arith.factorizations import PackedAtoms, _catenary_maxima, _catenary_profile
 from krull_arith.invariants import (
     ENUM_PRODUCT_GUARD,
     BoundedResult,
@@ -576,9 +577,16 @@ def test_catenary_sweep_uses_only_the_maps_that_keep_the_atoms(token, piece, cou
             assert int.from_bytes(image, "big") == _apply(packed, b, perm)
 
 
-@pytest.mark.parametrize(
-    "token, piece", [(token, None) for token in SWEEP_PRESETS + ["wide"]] + PIECES
-)
+SWEEP_CASES = [(token, None) for token in SWEEP_PRESETS + ["wide"]] + PIECES
+
+
+def _swept_blocks(atomset):
+    """(PackedAtoms, the products of two or three nonzero atoms)."""
+    packed = PackedAtoms.for_products(atomset, 3)
+    return packed, set().union(*product_levels(packed.nonzero(), 3)[2:])
+
+
+@pytest.mark.parametrize("token, piece", SWEEP_CASES)
 def test_monoid_catenary_matches_the_unreduced_sweep(token, piece):
     """Factoring the least block of each orbit gives the largest profile
     over every product of two or three nonzero atoms, each factored by the
@@ -596,20 +604,55 @@ def test_monoid_catenary_matches_the_unreduced_sweep(token, piece):
     assert (result.value, result.method) == (best, "product-sweep")
 
 
+@pytest.mark.parametrize("token, piece", SWEEP_CASES)
+def test_catenary_maxima_raise_each_floor_to_the_value(token, piece):
+    """The threshold kernel returns max(floor, value) for c, c_eq and c_adj
+    of every swept block, the values taken from the spanning trees of
+    _catenary_profile, at every floor from 0 to max L(B) + 1: all three
+    floors equal, and the three apart."""
+    atomset = _sweep_atomset(token, piece)
+    packed, blocks = _swept_blocks(atomset)
+    for b in blocks:
+        prof = _catenary_profile(packed, b)
+        values = (prof.catenary, prof.equal, prof.adjacent)
+        span = max(prof.lengths) + 2
+        for f in range(span):
+            for floors in ((f, f, f), (f, (f + 1) % span, (f + 2) % span)):
+                raised = tuple(max(floor, v) for floor, v in zip(floors, values))
+                assert _catenary_maxima(packed, b, *floors) == raised
+
+
+@pytest.mark.parametrize("token, piece", SWEEP_CASES)
+def test_catenary_values_are_at_most_the_longest_length(token, piece):
+    """The bounds the sweep skips by: c(B), c_eq(B) and c_adj(B) are at
+    most max L(B), and c_adj(B) = 0 when L(B) has one element."""
+    atomset = _sweep_atomset(token, piece)
+    packed, blocks = _swept_blocks(atomset)
+    for b in blocks:
+        prof = catenary_profile(atomset, atomset.alphabet.from_mults(packed.unpack(b)))
+        assert max(prof.catenary, prof.equal, prof.adjacent) <= max(prof.lengths)
+        assert len(prof.lengths) > 1 or prof.adjacent == 0
+
+
 @pytest.mark.parametrize("token, piece", [("cyclic:5", None), ("cyclic:6", None), ("cyclic:5", (1, 4))])
 def test_monoid_catenary_factors_one_block_per_orbit(token, piece, monkeypatch):
-    """Each orbit of the swept blocks is factored once, at its least block,
-    and a block on two levels is factored once."""
+    """No block reaches the kernel twice (a block on two levels included),
+    each that does is the least block of its orbit, and a least block that
+    does not has max L(B) at most the final c and c_eq, and at most the
+    final c_adj unless |L(B)| = 1."""
     atomset = _sweep_atomset(token, piece)
-    packed = PackedAtoms.for_products(atomset, 3)
+    packed, blocks = _swept_blocks(atomset)
     group = [tuple(range(len(atomset.alphabet)))] + _kept_maps(atomset, packed)
-    orbits = {
-        frozenset(_apply(packed, b, perm) for perm in group)
-        for level in product_levels(packed.nonzero(), 3)[2:]
-        for b in level
-    }
+    least = {min(_apply(packed, b, perm) for perm in group) for b in blocks}
     factored = []
-    profile = invariants._catenary_profile
-    monkeypatch.setattr(invariants, "_catenary_profile", lambda p, b: factored.append(b) or profile(p, b))
-    monoid_catenary(atomset, 3)
-    assert sorted(factored) == sorted(min(orbit) for orbit in orbits)
+    maxima = invariants._catenary_maxima
+    monkeypatch.setattr(
+        invariants, "_catenary_maxima", lambda p, b, *floors: factored.append(b) or maxima(p, b, *floors)
+    )
+    value = monoid_catenary(atomset, 3).value
+    assert len(factored) == len(set(factored))
+    assert set(factored) <= least
+    for b in least - set(factored):
+        ls = lengths_of(atomset, atomset.alphabet.from_mults(packed.unpack(b)))
+        assert max(ls) <= min(value["catenary"], value["equal"])
+        assert len(ls) == 1 or max(ls) <= value["adjacent"]
