@@ -238,6 +238,7 @@ def _count_vectors(packed, block):
     which sets the count width."""
     y, block = packed.split_zeros(block)
     guards, supports = packed.guard, packed.supports
+    lift = guards - packed.ones
     held = block | guards
     positions = [p for p, u in enumerate(packed.atoms) if (held - u) & guards == guards]
     atoms = [packed.atoms[p] for p in positions]
@@ -260,7 +261,8 @@ def _count_vectors(packed, block):
             d = held - atoms[i]
             if d & guards == guards:
                 rest = d ^ guards
-                if supports(rest) | reach[i] == reach[i]:
+                # (rest + lift) & guards is supports(rest), inlined.
+                if (rest + lift) & guards | reach[i] == reach[i]:
                     stack.append((rest, i, z + ones[i]))
     out.sort()
     return y, positions, counts, out

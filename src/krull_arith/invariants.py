@@ -4,18 +4,24 @@ irreducible elements.
 
 Everything here is computed by unbounded-exact or bounded-sweep methods; a
 BoundedResult records which.  Sweeps walk deduplicated products of atoms
-level by level, and one sweep serves many values: the sweep to level k
-gives U_1, ..., U_k, and delta* sweeps only the largest atom sets it keeps,
-recording the least gap of L(B) for each block support, so that
-min delta(B(G1)) of a kept subset G1 is the least gap recorded for a
-support inside G1.  For unions of sets of lengths there is a second, exact
-engine based on integer programming that is used when the product sweep
-would be too large.  It starts from what the smaller unions prove
-(Geroldinger-Halter-Koch, *Non-Unique Factorizations*, 2006, 1.4;
-Freeze-Geroldinger, "Unions of sets of lengths", *Funct. Approx.* 39, 2008):
-m is in U_k exactly when k is in U_m, and U_i + U_{k-i} lies in U_k.  With
-D = D(G0), a nonzero atom has length at least 2 and the atom 0 has length 1
-and is prime, so for k >= 2 and D >= 2
+level by level, and one sweep serves many values: delta* sweeps only the
+largest atom sets it keeps, recording the least gap of L(B) for each block
+support, so that min delta(B(G1)) of a kept subset G1 is the least gap
+recorded for a support inside G1.
+
+Unions of sets of lengths have two exact engines, and both start from what
+the smaller unions prove (Geroldinger-Halter-Koch, *Non-Unique
+Factorizations*, 2006, 1.4; Freeze-Geroldinger, "Unions of sets of
+lengths", *Funct. Approx.* 39, 2008): m is in U_k exactly when k is in U_m,
+and U_i + U_{k-i} lies in U_k (``_witnessed``).  This fixes U_k up to k and
+holds the lengths of every product with the atom 0, a prime.  A product B
+of k nonzero atoms has lengths at most |B|/2, so the search engine
+("enum") computes U_1, ..., U_k in turn and factors only the products of k
+nonzero atoms large enough to hold a length the witnesses leave open.  The
+integer-programming engine ("milp") is used when there are more than
+ENUM_PRODUCT_GUARD multisets of k atoms; the guard only picks the engine,
+and both give the same U_k.  With D = D(G0), a nonzero atom has length at
+least 2 and the atom 0 has length 1, so for k >= 2 and D >= 2
 
     U_k  lies in  [max(2, ceil(2k/D)), floor(kD/2)],
 
@@ -29,8 +35,8 @@ Inside the sweeps a block and an atom are ints packed by one
 builds; the packed kernels of ``factorizations`` are called on them
 directly, since every swept block is a product of atoms and so has zero sum.
 Length sets stay bitmasks until a value is returned.  One lazy generator,
-``_levels``, builds every level of blocks.  Delta, U_k and the collection
-and realization of ``lengths`` read its length bitmasks, level by level,
+``_levels``, builds every level of blocks.  Delta and the collection and
+realization of ``lengths`` read its length bitmasks, level by level,
 through ``_length_masks``; delta* and the catenary sweep need the blocks
 themselves and take them from ``product_levels``, a list of its levels.
 Omega and tame search covers packed for products of D(G0) atoms, the most a
@@ -46,22 +52,20 @@ keeps Z(B), L(B) and every distance, so all blocks of an orbit have the same
 catenary data.  The kept maps form a group and permute the swept blocks, so
 each orbit of a swept block lies in the sweep; a block is kept only when
 no kept map sends it to a smaller packed int, once per orbit, and the maxima
-over these blocks are the maxima over the whole bounded sweep.  The Delta,
-Delta* and U_k sweeps stay unreduced, since their repeated blocks are memo
-hits in ``_lengths``.  As d(z, z') <= max(|z|, |z'|), c(B), c_eq(B) and
-c_adj(B) are at most max L(B), and c_adj(B) = 0 when |L(B)| = 1; so the
-kept blocks are taken largest max L(B) first, and ``_catenary_maxima``
-factors those that can still raise a running maximum.
+over these blocks are the maxima over the whole bounded sweep.  The Delta
+and Delta* sweeps and the union search stay unreduced, since their repeated
+blocks are memo hits in ``_lengths``.  As d(z, z') <= max(|z|, |z'|), c(B),
+c_eq(B) and c_adj(B) are at most max L(B), and c_adj(B) = 0 when
+|L(B)| = 1; so the kept blocks are taken largest max L(B) first, and
+``_catenary_maxima`` factors those that can still raise a running maximum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations, islice
 from math import comb
-from operator import or_
 
 from .atoms import _integer_point
 from .errors import ArgumentError, DomainError
@@ -273,11 +277,57 @@ class UnionProfile:
         }
 
 
+def _witnessed(lower, k):
+    """The members of U_k that U_1, ..., U_{k-1} (``lower``, as collections
+    of members) prove, as a bitmask: m < k with k in U_m, k itself, and
+    every sum in U_i + U_{k-i}.  This is U_k up to k exactly, and it holds
+    L(B) of every product B of k atoms that contains the atom 0, a prime:
+    B = 0^j B' with L(B) = j + L(B') in U_j + U_{k-j}, or B = 0^k."""
+    masks = [sum(1 << m for m in union) for union in lower[: k - 1]]
+    witnessed = 1 << k
+    for i, mask in enumerate(masks, 1):
+        witnessed |= (mask >> k & 1) << i
+        if 2 * i <= k:
+            for a in _members(masks[k - i - 1]):
+                witnessed |= mask << a
+    return witnessed
+
+
 def _union_by_enumeration(atomset, k, memo):
-    """[U_1, ..., U_k] from one sweep: U_i is the union of L(B) over all
-    products B of exactly i atoms."""
-    levels = islice(_length_masks(atomset, k, memo), 1, None)
-    return [_members(reduce(or_, masks, 0)) for masks in levels]
+    """[U_1, ..., U_k], each U_i from U_1, ..., U_{i-1} by threshold tests.
+
+    ``_witnessed`` proves U_i up to i and every length of a product with the
+    atom 0.  A product B of i nonzero atoms has lengths at most |B|/2 (each
+    such atom has at least two elements), so with (i, c] the run of proved
+    lengths above i, B can prove a new member only when |B| >= 2(c + 1).
+    A depth-first search over multisets of the nonzero atoms, larger atoms
+    first, cuts a branch once its atoms cannot reach that size, and ORs in
+    L(B) of the products that do, raising c as it goes."""
+    packed = PackedAtoms.for_products(atomset, k, memo)
+    by_size = sorted(((sum(v), u) for v, u in zip(atomset.vectors, packed.atoms) if sum(v) > 1), reverse=True)
+    sizes = [s for s, _ in by_size]
+    atoms = [u for _, u in by_size]
+    unions = []
+    for i in range(1, k + 1):
+        proved = _witnessed(unions, i)
+        # (product, its size, least index it may still take, atoms left)
+        stack = [(0, 0, 0, i)] if atoms else []
+        while stack:
+            b, size, start, left = stack.pop()
+            open_above = ~proved >> (i + 1)
+            floor = 2 * (i + (open_above & -open_above).bit_length())
+            end = start
+            while end < len(atoms) and size + left * sizes[end] >= floor:
+                end += 1
+            if left > 1:
+                stack.extend((b + atoms[t], size + sizes[t], t, left - 1) for t in reversed(range(start, end)))
+            else:
+                # The last atoms share this node's floor; a lower floor only
+                # tests more products.
+                for t in range(start, end):
+                    proved |= _lengths(packed, b + atoms[t])
+        unions.append(_members(proved))
+    return unions
 
 
 def _union_program(atomset, k):
@@ -312,10 +362,7 @@ def _union_by_milp(atomset, k, lower):
     witness covers is probed.  scipy is imported only when a program is
     solved.
     """
-    members = {m for m, union in enumerate(lower, 1) if k in union}
-    members.add(k)
-    for i in range(1, k // 2 + 1):
-        members.update(a + b for a in lower[i - 1] for b in lower[k - i - 1])
+    members = set(_members(_witnessed(lower, k)))
     d = atomset.davenport()
     top = k * d // 2 if k > 1 and d > 1 else k
     rho = max(members)
@@ -351,10 +398,11 @@ def _profile(k, members, method):
 
 def union_profiles(atomset, max_k, memo=None):
     """[U_1, ..., U_max_k] in one pass, sharing one memo, each exact.  The
-    product sweep serves U_k while there are at most ENUM_PRODUCT_GUARD
-    multisets of k atoms, a prefix of the levels, so one sweep gives all of
-    them; each level after it is found by the MILP engine, starting from
-    the levels below it."""
+    search engine ("enum") serves U_k while there are at most
+    ENUM_PRODUCT_GUARD multisets of k atoms, a prefix of the k, so one call
+    gives all of them; each U_k after it is found by the MILP engine,
+    starting from the unions below it.  The guard only picks the engine:
+    both give the same U_k."""
     if max_k < 1:
         return []
     if not atomset.vectors:

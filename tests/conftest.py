@@ -1,12 +1,16 @@
 """Shared fixtures: small alphabets and atom sets reused across the suite,
-and the exhaustive atom oracle."""
+the exhaustive atom oracle, and the level-sweep union oracle."""
 
-from itertools import product
+from functools import reduce
+from itertools import islice, product
+from operator import or_
 
 import pytest
 from hypothesis import strategies as st
 
 from krull_arith import Alphabet, GroupSpec, Sequence, enumerate_atoms
+from krull_arith.factorizations import _members
+from krull_arith.invariants import _length_masks
 from krull_arith.presets import build_preset
 
 
@@ -42,6 +46,14 @@ def atoms_by_exhaustion(alphabet, max_mult):
         if any(v) and Sequence(alphabet, v).is_zero_sum():
             zero_sum.append(v)
     return tuple(Sequence(alphabet, v) for v in minimalize(zero_sum))
+
+
+def unions_by_levels(atomset, k, memo=None):
+    """Reference [U_1, ..., U_k] by the full level sweep: U_i is the OR of
+    the length bitmasks of every product of exactly i atoms, level i of
+    ``_length_masks``.  Builds every level; only for small instances."""
+    levels = islice(_length_masks(atomset, k, memo), 1, None)
+    return [_members(reduce(or_, masks, 0)) for masks in levels]
 
 
 def small_alphabets():

@@ -47,7 +47,7 @@ from krull_arith.invariants import (
 )
 from krull_arith.presets import build_preset
 
-from conftest import int_alphabet, small_alphabets
+from conftest import int_alphabet, small_alphabets, unions_by_levels
 
 
 def test_delta_set_cyclic(cyclic4_atoms, cyclic5_atoms):
@@ -123,6 +123,53 @@ def _engine(atomset, k, engine, memo=None):
         lower = [u.members for u in union_profiles(atomset, k - 1, memo=memo)]
         members = _union_by_milp(atomset, k, lower)
     return _profile(k, members, engine)
+
+
+# (preset, AtomSet.restrict piece or None, 0 in G0).  thm74:3,2 has gapped
+# unions (U_5 = {2, 5, 8, 11}), so its search tests almost every product;
+# on the others the witnesses leave few products to test.
+UNION_SEARCH_CASES = [
+    ("cyclic:3", None, True),
+    ("cyclic:4", None, True),
+    ("cyclic:5", None, True),
+    ("cyclic:6", None, True),
+    ("cyclic:6", (0, 1, 2, 3, 5), True),
+    ("thm74:2,1", None, False),
+    ("thm74:3,2", None, False),
+    ("five_point", None, True),  # the source of the prop712 map
+    ("prop713", None, True),
+    ("frt_t:2", None, False),
+    ("full_box:2", None, True),
+]
+
+
+@pytest.mark.parametrize("token, piece, with_zero", UNION_SEARCH_CASES)
+def test_union_search_matches_the_level_sweep(token, piece, with_zero):
+    """U_1, ..., U_6 by threshold tests equal the OR of each level of the
+    full product sweep."""
+    atomset = enumerate_atoms(parse_preset(token).alphabet)
+    if piece is not None:
+        atomset = atomset.restrict(piece)
+    assert any(sum(v) == 1 for v in atomset.vectors) == with_zero
+    assert _union_by_enumeration(atomset, 6, {}) == unions_by_levels(atomset, 6, {})
+
+
+def test_union_search_sends_few_products_to_lengths(monkeypatch):
+    """On C6 the witnesses prove U_5 up to [2, 13], so only products of five
+    atoms of size at least 28 can add a member; the full level sweep sends
+    10,559 products to ``_lengths`` for U_1, ..., U_5, the search at most 300."""
+    calls = []
+    lengths = invariants._lengths
+
+    def counted(packed, block):
+        calls.append(block)
+        return lengths(packed, block)
+
+    monkeypatch.setattr(invariants, "_lengths", counted)
+    profiles = union_profiles(enumerate_atoms(build_preset("cyclic", 6).alphabet), 5)
+    assert [u.method for u in profiles] == ["enum"] * 5
+    assert profiles[-1].members == tuple(range(2, 14))
+    assert len(calls) <= 300
 
 
 def test_union_engines_agree(monkeypatch, cyclic4_atoms, cyclic5_atoms, thm74_21):
