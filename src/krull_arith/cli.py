@@ -217,7 +217,7 @@ class _Main(click.Group):
 @click.group(cls=_Main)
 @click.option("--cache-dir", default=None, help="Cache directory (overrides KRULL_ARITH_CACHE).")
 @click.option("--format", "fmt", default="json", type=click.Choice(["json", "csv", "markdown"]), show_default=True)
-@click.option("--bound", default=4, show_default=True, help="Product/size bound of every command that sweeps.")
+@click.option("--bound", default=4, type=click.IntRange(min=0), show_default=True, help="Product/size bound of every command that sweeps.")
 @click.pass_context
 def main(ctx, cache_dir, fmt, bound):
     """Arithmetic of monoids of zero-sum sequences over finitely generated

@@ -14,19 +14,21 @@ distance value.
 Collection and realization read the levels of length bitmasks of
 ``invariants._length_masks``, one level per number of atoms, in order: a set
 with minimum m is realized exactly when it is the length set of a product of
-m atoms, and the closure probe reads levels in order of the sumsets'
-minima.  Length sets are bitmasks inside the sweeps and frozensets in what
-the functions return.
+m atoms.  The closure probe keeps the blocks that realize each collected
+set and proves a sumset realized by a product of two of them whose length
+set is the sumset; it reads a level above its collection bound only for a
+sumset no such product proves.  Length sets are bitmasks inside the sweeps
+and frozensets in what the functions return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, combinations_with_replacement, islice
 
 from .errors import ArgumentError
-from .factorizations import _members
-from .invariants import _length_masks, delta_of_set
+from .factorizations import PackedAtoms, _lengths, _members
+from .invariants import _length_masks, _levels, delta_of_set
 
 
 def sumset(l1, l2):
@@ -150,8 +152,18 @@ def fit_aamp(lengths, d):
     return best
 
 
+def _mask(lengths):
+    return sum(1 << x for x in lengths)
+
+
+def _check_bound(bound):
+    if bound < 0:
+        raise ArgumentError("bound must be nonnegative, got %d" % bound)
+
+
 def collect_length_sets(atomset, product_bound, memo=None):
     """All L(B) for B a product of at most ``product_bound`` atoms."""
+    _check_bound(product_bound)
     masks = set().union(*_length_masks(atomset, product_bound, memo))
     return {_members(mask) for mask in masks}
 
@@ -161,11 +173,14 @@ def is_length_set_realized(atomset, lengths, vbound, memo=None):
     exhaustively when min(lengths) <= vbound (a realizing block is a product
     of exactly that many atoms, so the set is looked up in that level of the
     sweep); returns None when the minimum exceeds the verification bound."""
+    _check_bound(vbound)
     t = frozenset(lengths)
+    if not t or min(t) < 0:
+        raise ArgumentError("need a nonempty set of nonnegative integers")
     lo = min(t)
     if lo > vbound:
         return None
-    return sum(1 << x for x in t) in next(islice(_length_masks(atomset, vbound, memo), lo, None))
+    return _mask(t) in next(islice(_length_masks(atomset, vbound, memo), lo, None))
 
 
 @dataclass(frozen=True)
@@ -193,28 +208,51 @@ def additive_closure_probe(atomset, product_bound, memo=None):
     Pairs are tried smallest sumset first, so the first reported witness is
     minimal in that order.
 
-    Collection reads levels 0 to ``product_bound`` of one sweep.  A set with
-    minimum m is the length set of some block exactly when it is the length
-    set of a product of m atoms.  The sumset of l1 and l2 has minimum
-    min(l1) + min(l2) <= 2 * product_bound, and the pairs come in that
-    order, so the probe reads further levels of the same sweep in order, and
-    only up to the minimum of the last sumset it probes.
+    Collection sweeps levels 0 to ``product_bound`` once and keeps the
+    blocks that realize each set.  A set with minimum m is the length set of
+    some block exactly when it is the length set of a product of m atoms, so
+    a sumset with minimum at most ``product_bound`` is realized exactly when
+    it was collected.  Above that, a product of a realizer of each summand,
+    at most 2 * ``product_bound`` atoms, whose length set is the sumset
+    proves it realized (``_proves``).  Only a sumset that no such product
+    proves is looked up in the level of its minimum, from one sweep whose
+    levels are built in order as they are first read.
     """
+    _check_bound(product_bound)
     vbound = 2 * product_bound
+    packed = PackedAtoms.for_products(atomset, vbound, memo)
+    realizers = {}
+    # A block with lengths 2 and 3 lies on two levels; it is kept once.
+    for b in dict.fromkeys(chain.from_iterable(islice(_levels(packed.atoms), product_bound + 1))):
+        realizers.setdefault(_lengths(packed, b), []).append(b)
+    # Pairs by the sumset's minimum, then by the sorted members of l1 and of
+    # l2: a stable sort of the pairs of sets in order of sorted members.
+    collected = sorted(map(_members, realizers), key=sorted)
+    pairs = sorted(combinations_with_replacement(collected, 2), key=lambda p: min(p[0]) + min(p[1]))
     sweep = _length_masks(atomset, vbound, memo)
-    levels = list(islice(sweep, product_bound + 1))
-    masks = set().union(*levels)
-    collected = sorted((_members(mask) for mask in masks), key=lambda s: (min(s), sorted(s)))
-
-    pairs = []
-    for i, l1 in enumerate(collected):
-        for l2 in collected[i:]:
-            pairs.append((min(l1) + min(l2), sorted(l1), sorted(l2), l1, l2))
-    pairs.sort(key=lambda p: (p[0], p[1], p[2]))
-    for lo, _, _, l1, l2 in pairs:
-        while len(levels) <= lo:
-            levels.append(next(sweep))
+    levels = []
+    for l1, l2 in pairs:
+        lo = min(l1) + min(l2)
         t = sumset(l1, l2)
-        if sum(1 << x for x in t) not in levels[lo]:
+        mask = _mask(t)
+        if lo <= product_bound:
+            realized = mask in realizers
+        elif _proves(packed, realizers[_mask(l1)], realizers[_mask(l2)], mask):
+            continue
+        else:
+            while len(levels) <= lo:
+                levels.append(next(sweep))
+            realized = mask in levels[lo]
+        if not realized:
             return ClosureProbe(False, (l1, l2, t), product_bound, vbound)
     return ClosureProbe(True, (), product_bound, vbound)
+
+
+def _proves(packed, firsts, seconds, mask):
+    """Is ``mask`` the length set of the first block of ``firsts`` times a
+    block of ``seconds``, or of a block of ``firsts`` times the first of
+    ``seconds``?  Equality is needed: L(B1 B2) holds L(B1) + L(B2) for
+    every B1, B2, and may hold more."""
+    b1, b2 = firsts[0], seconds[0]
+    products = chain((b1 + b for b in seconds), (b + b2 for b in firsts[1:]))
+    return any(_lengths(packed, b) == mask for b in products)

@@ -1,5 +1,6 @@
 """Shared fixtures: small alphabets and atom sets reused across the suite,
-the exhaustive atom oracle, and the level-sweep union oracle."""
+the exhaustive atom oracle, and the level-sweep union and closure-probe
+oracles."""
 
 from functools import reduce
 from itertools import islice, product
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from krull_arith import Alphabet, GroupSpec, Sequence, enumerate_atoms
 from krull_arith.factorizations import _members
 from krull_arith.invariants import _length_masks
+from krull_arith.lengths import ClosureProbe, sumset
 from krull_arith.presets import build_preset
 
 
@@ -54,6 +56,31 @@ def unions_by_levels(atomset, k, memo=None):
     ``_length_masks``.  Builds every level; only for small instances."""
     levels = islice(_length_masks(atomset, k, memo), 1, None)
     return [_members(reduce(or_, masks, 0)) for masks in levels]
+
+
+def closure_probe_by_levels(atomset, product_bound, memo=None):
+    """Reference ``additive_closure_probe`` by the level sweep: collect the
+    length bitmasks of levels 0 to ``product_bound`` of ``_length_masks``,
+    and look each sumset up in the level of its minimum, building the levels
+    up to twice the bound as the pairs, smallest minimum first, reach them.
+    Only for small instances."""
+    vbound = 2 * product_bound
+    sweep = _length_masks(atomset, vbound, memo)
+    levels = list(islice(sweep, product_bound + 1))
+    masks = set().union(*levels)
+    collected = sorted((_members(mask) for mask in masks), key=lambda s: (min(s), sorted(s)))
+    pairs = []
+    for i, l1 in enumerate(collected):
+        for l2 in collected[i:]:
+            pairs.append((min(l1) + min(l2), sorted(l1), sorted(l2), l1, l2))
+    pairs.sort(key=lambda p: p[:3])
+    for lo, _, _, l1, l2 in pairs:
+        while len(levels) <= lo:
+            levels.append(next(sweep))
+        t = sumset(l1, l2)
+        if sum(1 << x for x in t) not in levels[lo]:
+            return ClosureProbe(False, (l1, l2, t), product_bound, vbound)
+    return ClosureProbe(True, (), product_bound, vbound)
 
 
 def small_alphabets():

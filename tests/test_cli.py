@@ -471,6 +471,21 @@ def test_bound_is_a_global_option_only(runner, args):
     assert "No such option" in result.output
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["lengths", "--preset", "cyclic:5", "--closure-probe"],
+        ["transfer-check", "--map", "builtin:collapse"],
+    ],
+)
+def test_negative_bound_is_a_usage_error(runner, args):
+    """A negative bound sweeps nothing, so it would report C5 closed and
+    the collapse map a transfer homomorphism."""
+    result = runner.invoke(main, ["--bound", "-1"] + args)
+    assert result.exit_code == 2
+    assert "Usage:" in result.output and "--bound" in result.output
+
+
 def test_global_bound_reaches_the_report(runner, tmp_path):
     result = runner.invoke(
         main, ["--cache-dir", str(tmp_path), "--bound", "3", "invariants", "--preset", "cube:2"]

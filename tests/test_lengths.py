@@ -2,9 +2,10 @@
 additive-closure probe.
 """
 
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
+from conftest import closure_probe_by_levels
 
 from krull_arith import (
     AAMP,
@@ -23,7 +24,10 @@ from krull_arith import (
     member,
     sumset,
 )
+from krull_arith import lengths
 from krull_arith.errors import ArgumentError
+from krull_arith.factorizations import PackedAtoms
+from krull_arith.invariants import _levels
 from krull_arith.presets import parse_preset
 
 
@@ -225,3 +229,88 @@ def test_closure_probe_collects_its_top_level(cyclic5_atoms):
     probe at bound 2 finds the witness {2, 4} + {2, 4} = {4, 6, 8} only when
     it collects level 2."""
     assert additive_closure_probe(cyclic5_atoms, 2).to_json()["witness"] == [[2, 4], [2, 4], [4, 6, 8]]
+
+
+# (preset, AtomSet.restrict piece or None, 0 in G0, bounds).  cyclic:5,
+# cyclic:6 and the pieces with 0 or of C7 are not closed; at bound 2 the
+# cyclic:5 witness {2, 4} + {2, 4} = {4, 6, 8} has minimum 4, above the
+# collected levels, and at bound 4 it has minimum 4, inside them.  On the
+# piece {1, 2, 3, 6} of C7 at bound 2, {2, 3} + {2, 5} = {4, 5, 7, 8} is a
+# length set that no product of realizers has, so level 4 proves it, and
+# the witness is the next pair, {2, 3} + {2, 6}.
+PROBE_ORACLE_CASES = [
+    ("cyclic:3", None, True, (1, 2, 3, 4)),
+    ("cyclic:4", None, True, (1, 2, 3, 4)),
+    ("cyclic:5", None, True, (1, 2, 3, 4)),
+    ("cyclic:6", None, True, (1, 2, 3)),
+    ("cyclic:6", (0, 1, 2, 3, 5), True, (1, 2, 3, 4)),
+    ("cyclic:6", (1, 3, 5), False, (1, 2, 3, 4)),
+    ("cyclic:7", (1, 2, 3, 6), False, (1, 2, 3)),
+    ("five_point", None, True, (1, 2, 3, 4)),
+    ("four_point", None, False, (1, 2, 3, 4)),
+    ("prop713", None, True, (1, 2, 3, 4)),
+    ("thm74:2,1", None, False, (1, 2, 3, 4)),
+    ("thm74:3,2", None, False, (1, 2, 3, 4)),
+    ("frt_t:2", None, False, (1, 2, 3, 4)),
+    ("full_box:2", None, True, (1, 2, 3, 4)),
+]
+
+
+@pytest.mark.parametrize(
+    "token, piece, with_zero, bounds",
+    PROBE_ORACLE_CASES,
+    ids=[t if p is None else "%s-piece-%s" % (t, "".join(map(str, p))) for t, p, _, _ in PROBE_ORACLE_CASES],
+)
+def test_closure_probe_matches_the_level_sweep(token, piece, with_zero, bounds):
+    """The probe by realizer products gives the same result, witness
+    included, as the probe that reads the level of every sumset's minimum."""
+    atomset = enumerate_atoms(parse_preset(token).alphabet)
+    if piece is not None:
+        atomset = atomset.restrict(piece)
+    assert (PackedAtoms(atomset, 0).zero is not None) == with_zero
+    memo = {}
+    for bound in bounds:
+        expected = closure_probe_by_levels(atomset, bound).to_json()
+        assert additive_closure_probe(atomset, bound, memo).to_json() == expected, bound
+
+
+@pytest.mark.parametrize("token", ["prop713", "full_box:2", "thm74:3,2"])
+def test_closure_probe_proves_sumsets_by_realizer_products(monkeypatch, token):
+    """On these closed presets at bound 4 every sumset with minimum above
+    the bound is the length set of a product of two realizers: the probe
+    builds no level above the bound, and after collecting the blocks of
+    levels 0 to 4 it sends at most 150 products to ``_lengths``."""
+    bound = 4
+    atomset = enumerate_atoms(parse_preset(token).alphabet)
+    packed = PackedAtoms.for_products(atomset, 2 * bound)
+    collected = set().union(*islice(_levels(packed.atoms), bound + 1))
+    calls = []
+
+    def counted(packed, block):
+        calls.append(block)
+        return real(packed, block)
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the probe started its level sweep")
+        yield
+
+    real = lengths._lengths
+    monkeypatch.setattr(lengths, "_lengths", counted)
+    monkeypatch.setattr(lengths, "_length_masks", no_sweep)
+    assert additive_closure_probe(atomset, bound).closed_within_bound
+    assert len(calls) - len(collected) <= 150
+
+
+def test_negative_bound_is_an_argument_error(cyclic5_atoms):
+    with pytest.raises(ArgumentError):
+        collect_length_sets(cyclic5_atoms, -1)
+    with pytest.raises(ArgumentError):
+        additive_closure_probe(cyclic5_atoms, -1)
+    with pytest.raises(ArgumentError):
+        is_length_set_realized(cyclic5_atoms, {2}, -1)
+
+
+@pytest.mark.parametrize("lengths_arg", [set(), {-1, 2}])
+def test_realizer_rejects_empty_and_negative_sets(cyclic5_atoms, lengths_arg):
+    with pytest.raises(ArgumentError):
+        is_length_set_realized(cyclic5_atoms, lengths_arg, 4)
