@@ -6,7 +6,7 @@ distance between factorizations, the set of lengths L(B) (by a memoized
 search that never materializes Z(B) and branches only on the atoms holding
 the block's lowest element), and the catenary data of a block.
 
-The kernels (``_lengths``, ``_factorizations``, ``_catenary_*``) work
+The kernels (``_lengths``, ``_count_vectors``, ``_catenary_maxima``) work
 on packed ints, all in the one layout of ``Packing``: a tuple of
 nonnegative ints is one int with a fixed-width field per entry.
 ``PackedAtoms`` packs blocks that way, one field per alphabet element, so
@@ -21,7 +21,7 @@ operations each, and so is d(z, z') = max(|z|, |z'|) - |gcd(z, z')|.
 The kernels use explicit stacks, so their depth is not limited by the
 interpreter's recursion limit.
 ``Sequence``, multiplicity tuples and ``frozenset`` appear only at the API
-boundary, where the public functions check the zero sum.
+boundary, where the public functions check their sequence (``_checked``).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .errors import BoundExceededError, DomainError
+from .errors import BoundExceededError, DomainError, ShapeError
 
 FACTORIZATION_GUARD = 10**6
 
@@ -283,10 +283,23 @@ def _factorizations(packed, block):
     return out
 
 
+def _checked(atomset, block, atom=False):
+    """The multiplicities of a public function's block, which must be a
+    zero-sum sequence over the atoms' alphabet, and with ``atom`` an atom."""
+    if block.alphabet != atomset.alphabet:
+        raise ShapeError("sequence over another alphabet than the atoms")
+    if not block.is_zero_sum():
+        raise DomainError("sequence with nonzero sum")
+    if atom and block.mults not in atomset.vectors:
+        raise DomainError("%s is not an atom" % block)
+    return block.mults
+
+
 def _packed(atomset, block, memo=None):
-    """(PackedAtoms fitted to the block, the packed block)."""
-    packed = PackedAtoms(atomset, max(block.mults, default=0), memo)
-    return packed, packed.pack(block.mults)
+    """(PackedAtoms fitted to the checked block, the packed block)."""
+    mults = _checked(atomset, block)
+    packed = PackedAtoms(atomset, max(mults, default=0), memo)
+    return packed, packed.pack(mults)
 
 
 def factorize(atomset, block):
@@ -294,8 +307,6 @@ def factorize(atomset, block):
 
     Raises BoundExceededError past FACTORIZATION_GUARD results.
     """
-    if not block.is_zero_sum():
-        raise DomainError("cannot factor a sequence with nonzero sum")
     counts = _factorizations(*_packed(atomset, block))
     return tuple(Factorization(atomset, c) for c in counts)
 
@@ -352,32 +363,7 @@ def lengths_of(atomset, block, memo=None):
     blocks and alphabets, as long as each alphabet keeps one atom set or atom
     sets restricted from it by ``AtomSet.restrict``.
     """
-    if not block.is_zero_sum():
-        raise DomainError("length set of a non-zero-sum sequence")
     return _members(_lengths(*_packed(atomset, block, memo)))
-
-
-def _mst_bottleneck(counts, nodes, lengths):
-    """Largest edge on a minimum spanning tree of the complete graph on the
-    packed counts ``nodes``, weighted by distance (Prim); ``lengths[i]`` is
-    the length of ``nodes[i]``, and d(z, z') = max(|z|, |z'|) - |gcd(z, z')|."""
-    if len(nodes) <= 1:
-        return 0
-    node, length = nodes[0], lengths[0]
-    nodes, lengths = nodes[1:], lengths[1:]
-    best = [max(length, l) - o for l, o in zip(lengths, counts.overlaps(node, nodes))]
-    bottleneck = 0
-    while best:
-        d = min(best)
-        i = best.index(d)
-        bottleneck = max(bottleneck, d)
-        best.pop(i)
-        node, length = nodes.pop(i), lengths.pop(i)
-        best = [
-            min(b, max(length, l) - o)
-            for b, l, o in zip(best, lengths, counts.overlaps(node, nodes))
-        ]
-    return bottleneck
 
 
 @dataclass(frozen=True)
@@ -390,58 +376,47 @@ class CatenaryProfile:
     lengths: tuple
 
 
-def _catenary_profile(packed, block):
-    """catenary_profile() on a packed block.  The atom 0 occurs equally often
-    in every factorization, so distances are taken on the packed counts of
-    the nonzero atoms and only the lengths add v_0(B)."""
-    y, _, counts, zs = _count_vectors(packed, block)
+def _joined(counts, nodes, lengths, m):
+    """max(m, c), c the least N such that steps of distance at most N join
+    the packed counts ``nodes`` of lengths ``lengths``: Prim's algorithm,
+    taking every node within the threshold m at once.  Each reached node is
+    compared once with the unreached ones, each keeping its least distance
+    to the reached set, from the longest length as d(z, z') <= max(|z|, |z'|);
+    m rises to the least kept distance only when none is within m."""
+    top = max(lengths, default=0)
+    rest = [(top, z, l) for z, l in zip(nodes, lengths)]
+    near = [rest.pop()] if rest else []
+    while rest:
+        if near:
+            _, z, l = near.pop()
+        else:
+            m, z, l = node = min(rest)
+            rest.remove(node)
+        kept = []
+        for node, o in zip(rest, counts.overlaps(z, [w for _, w, _ in rest])):
+            d, w, k = node
+            e = (l if l > k else k) - o
+            if e <= m or d <= m:
+                near.append(node)
+            else:
+                kept.append((e, w, k) if e < d else node)
+        rest = kept
+    return m
+
+
+def _catenary_maxima(counts, zs, c=0, c_eq=0, c_adj=0):
+    """(max(c, c(B)), max(c_eq, c_eq(B)), max(c_adj, c_adj(B))) for Z(B) as
+    ``_count_vectors`` packs it, at floors 0 or a sweep's running maxima.  Only
+    length classes longer than c_eq can raise it, and adjacent lengths a < b are
+    scanned until an overlap reaches b - c_adj, as d(z, z') = b - |gcd(z, z')|."""
     sizes = [counts.total(z) for z in zs]
     by_len = {}
     for z, l in zip(zs, sizes):
         by_len.setdefault(l, []).append(z)
-    lengths = tuple(sorted(l + y for l in by_len))
-    if len(zs) <= 1:
-        return CatenaryProfile(0, 0, 0, 0, len(zs), lengths)
-    c = _mst_bottleneck(counts, zs, sizes)
-    c_eq = max(_mst_bottleneck(counts, group, [l] * len(group)) for l, group in by_len.items())
-    c_adj = 0
-    ls = sorted(by_len)
-    for a, b in zip(ls, ls[1:]):
-        # For |z| = a < b = |z'|, d(z, z') = b - |gcd(z, z')|.
-        common = max(max(counts.overlaps(z, by_len[b])) for z in by_len[a])
-        c_adj = max(c_adj, b - common)
-    return CatenaryProfile(c, c_eq, c_adj, max(c_eq, c_adj), len(zs), lengths)
-
-
-def _raised(counts, nodes, lengths, m):
-    """max(m, the catenary degree of the packed counts ``nodes``): Prim runs
-    only when a search that drops each node once it is reached finds that
-    steps of distance at most m do not join them."""
-    rest = list(zip(nodes, lengths))
-    stack = [rest.pop(0)]
-    while stack and rest:
-        z, l = stack.pop()
-        far = []
-        for node, o in zip(rest, counts.overlaps(z, [w for w, _ in rest])):
-            (stack if max(l, node[1]) - o <= m else far).append(node)
-        rest = far
-    return _mst_bottleneck(counts, nodes, lengths) if rest else m
-
-
-def _catenary_maxima(packed, block, c, c_eq, c_adj):
-    """(max(c, c(B)), max(c_eq, c_eq(B)), max(c_adj, c_adj(B))) for a packed
-    block, the floors being a sweep's running maxima.  c_eq is raised only
-    by length classes longer than c_eq, and the scan of a pair of adjacent
-    lengths a < b stops once an overlap reaches b - c_adj."""
-    _, _, counts, zs = _count_vectors(packed, block)
-    sizes = [counts.total(z) for z in zs]
-    by_len = {}
-    for z, l in zip(zs, sizes):
-        by_len.setdefault(l, []).append(z)
-    c = _raised(counts, zs, sizes, c)
+    c = _joined(counts, zs, sizes, c)
     for l, group in by_len.items():
         if l > c_eq:
-            c_eq = _raised(counts, group, [l] * len(group), c_eq)
+            c_eq = _joined(counts, group, [l] * len(group), c_eq)
     ls = sorted(by_len)
     for a, b in zip(ls, ls[1:]):
         common = 0
@@ -456,8 +431,9 @@ def _catenary_maxima(packed, block, c, c_eq, c_adj):
 def catenary_profile(atomset, block):
     """Catenary data of one block: c(B) (bottleneck over all of Z(B)),
     the equal-length and adjacent-length refinements, and their maximum
-    (the monotone catenary degree of the block).
-    """
-    if not block.is_zero_sum():
-        raise DomainError("cannot factor a sequence with nonzero sum")
-    return _catenary_profile(*_packed(atomset, block))
+    (the monotone catenary degree of the block).  The atom 0 occurs v_0(B)
+    times in every factorization, so it adds to the lengths only."""
+    y, _, counts, zs = _count_vectors(*_packed(atomset, block))
+    c, c_eq, c_adj = _catenary_maxima(counts, zs)
+    lengths = tuple(sorted({counts.total(z) + y for z in zs}))
+    return CatenaryProfile(c, c_eq, c_adj, max(c_eq, c_adj), len(zs), lengths)

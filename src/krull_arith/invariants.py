@@ -69,7 +69,7 @@ from math import comb
 
 from .atoms import _integer_point
 from .errors import ArgumentError, DomainError
-from .factorizations import PackedAtoms, _catenary_maxima, _lengths, _members
+from .factorizations import PackedAtoms, _catenary_maxima, _checked, _count_vectors, _lengths, _members
 from .groups import subgroup_rank
 
 ENUM_PRODUCT_GUARD = 120_000
@@ -487,7 +487,7 @@ def omega(atomset, u):
     once a cover of size |u| is found.
     """
     packed = PackedAtoms.for_products(atomset, atomset.davenport())
-    return _omega(packed, packed.pack(u.mults))
+    return _omega(packed, packed.pack(_checked(atomset, u, atom=True)))
 
 
 def _tame(packed, u):
@@ -507,20 +507,20 @@ def tame(atomset, u, memo=None):
     (omega = 1); otherwise the worst over minimal covers W of
     max(|W|, 1 + min L(prod(W) / u))."""
     packed = PackedAtoms.for_products(atomset, atomset.davenport(), memo)
-    return _tame(packed, packed.pack(u.mults))
+    return _tame(packed, packed.pack(_checked(atomset, u, atom=True)))
 
 
 def monoid_omega(atomset):
-    """omega(H), the largest omega(H, u) over the atoms: exact, since the
-    cover search of each atom is exhaustive."""
+    """omega(H), the largest omega(H, u) over the atoms, or 0 if none: exact,
+    since the cover search of each atom is exhaustive."""
     packed = PackedAtoms.for_products(atomset, atomset.davenport())
-    return BoundedResult(max(_omega(packed, u) for u in packed.atoms), True, 0, "atomwise-covers")
+    return BoundedResult(max((_omega(packed, u) for u in packed.atoms), default=0), True, 0, "atomwise-covers")
 
 
 def monoid_tame(atomset, memo=None):
     """t(H), the largest t(H, u) over the atoms: exact, like monoid_omega."""
     packed = PackedAtoms.for_products(atomset, atomset.davenport(), memo)
-    return BoundedResult(max(_tame(packed, u) for u in packed.atoms), True, 0, "atomwise-covers")
+    return BoundedResult(max((_tame(packed, u) for u in packed.atoms), default=0), True, 0, "atomwise-covers")
 
 
 def _atom_maps(packed, maps):
@@ -553,7 +553,8 @@ def monoid_catenary(atomset, bound, memo=None):
     for mask, b in sorted(least, reverse=True):
         top = mask.bit_length() - 1
         if top > min(c, c_eq) or (mask & (mask - 1) and top > c_adj):
-            c, c_eq, c_adj = _catenary_maxima(packed, b, c, c_eq, c_adj)
+            _, _, counts, zs = _count_vectors(packed, b)
+            c, c_eq, c_adj = _catenary_maxima(counts, zs, c, c_eq, c_adj)
     value = {"catenary": c, "equal": c_eq, "adjacent": c_adj, "monotone": max(c_eq, c_adj)}
     return BoundedResult(value, False, bound, "product-sweep")
 

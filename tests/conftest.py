@@ -1,7 +1,8 @@
 """Shared fixtures: small alphabets and atom sets reused across the suite,
-the exhaustive atom oracle, and the level-sweep union and closure-probe
-oracles."""
+the exhaustive atom oracle, the level-sweep union and closure-probe
+oracles, and the chain oracle of the catenary degrees."""
 
+from collections import Counter
 from functools import reduce
 from itertools import islice, product
 from operator import or_
@@ -81,6 +82,47 @@ def closure_probe_by_levels(atomset, product_bound, memo=None):
         if sum(1 << x for x in t) not in levels[lo]:
             return ClosureProbe(False, (l1, l2, t), product_bound, vbound)
     return ClosureProbe(True, (), product_bound, vbound)
+
+
+def _reference_distance(z1, z2):
+    c1, c2 = Counter(dict(enumerate(z1))), Counter(dict(enumerate(z2)))
+    return max(sum((c1 - c2).values()), sum((c2 - c1).values()))
+
+
+def _chain_degree(zs):
+    """Smallest N such that any two of zs are joined by a chain of steps of
+    distance at most N."""
+    for n in range(max((sum(z) for z in zs), default=0) + 1):
+        reached = {zs[0]}
+        frontier = [zs[0]]
+        while frontier:
+            z = frontier.pop()
+            for w in zs:
+                if w not in reached and _reference_distance(z, w) <= n:
+                    reached.add(w)
+                    frontier.append(w)
+        if len(reached) == len(zs):
+            return n
+    raise AssertionError("no chain degree found")
+
+
+def catenary_by_chains(zs):
+    """Reference (c, c_eq, c_adj) of a block from its factorizations ``zs``,
+    as count tuples: chains over all of Z(B) and within each length class,
+    and the least distance between adjacent lengths, each distance taken
+    from multiset differences.  Shares no code with the catenary kernel."""
+    by_len = {}
+    for z in zs:
+        by_len.setdefault(sum(z), []).append(z)
+    ls = sorted(by_len)
+    adjacent = max(
+        (
+            min(_reference_distance(z1, z2) for z1 in by_len[a] for z2 in by_len[b])
+            for a, b in zip(ls, ls[1:])
+        ),
+        default=0,
+    )
+    return _chain_degree(zs), max(_chain_degree(group) for group in by_len.values()), adjacent
 
 
 def small_alphabets():

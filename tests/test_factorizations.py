@@ -1,7 +1,6 @@
 """Factorizations, length sets, distances, catenary profiles."""
 
 import signal
-from collections import Counter
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -23,13 +22,15 @@ from krull_arith import (
     lengths_of,
     min_abs_irred_witness,
     monoid_tame,
+    omega,
     parse_preset,
+    parse_sequence,
     sumset,
     tame,
     union_profiles,
 )
 from krull_arith import factorizations
-from krull_arith.errors import BoundExceededError, DomainError
+from krull_arith.errors import BoundExceededError, DomainError, ShapeError
 from krull_arith.factorizations import (
     CatenaryProfile,
     PackedAtoms,
@@ -39,7 +40,7 @@ from krull_arith.factorizations import (
 )
 from krull_arith.invariants import _union_by_enumeration, product_levels
 
-from conftest import cyclic_alphabet, int_alphabet, small_alphabets
+from conftest import catenary_by_chains, cyclic_alphabet, int_alphabet, small_alphabets
 
 
 def _block(alphabet, text_pairs):
@@ -63,6 +64,26 @@ def test_factorize_rejects_nonzero_sum(cyclic3_atoms):
         factorize(cyclic3_atoms, block)
     with pytest.raises(DomainError):
         lengths_of(cyclic3_atoms, block)
+
+
+@pytest.mark.parametrize(
+    "call, token, text, error",
+    [
+        (lengths_of, "five_point", "1^2 * -2", ShapeError),
+        # Zero-sum over C5: only the alphabet check refuses it.
+        (factorize, "cyclic:5", "1^5 * 4^2 * 2", ShapeError),
+        (catenary_profile, "cyclic:5", "1^5 * 4^2 * 2", ShapeError),
+        (omega, "cyclic:5", "1 * 4", ShapeError),
+        (omega, "cyclic:3", "1^3 * 2^3", DomainError),
+        (omega, "cyclic:3", "1", DomainError),
+        (tame, "cyclic:3", "1", DomainError),
+    ],
+)
+def test_public_functions_check_their_sequence(cyclic3_atoms, call, token, text, error):
+    """A sequence over another alphabet, one with nonzero sum, or for omega
+    and tame one that is not an atom, is refused, not answered for."""
+    with pytest.raises(error):
+        call(cyclic3_atoms, parse_sequence(parse_preset(token).alphabet, text))
 
 
 def test_factorize_guard(monkeypatch, cyclic3_atoms):
@@ -151,8 +172,8 @@ def test_deep_block_has_no_recursion_limit():
 
 
 # Independent references built on Sequence arithmetic: the recursions the
-# tuple kernels replaced, and catenary degrees by threshold connectivity
-# instead of spanning trees.
+# tuple kernels replaced.  The catenary reference, by chains of steps, is
+# catenary_by_chains in conftest.
 
 
 def _reference_factorizations(atomset, block):
@@ -207,28 +228,6 @@ def _reference_tame(atomset, u, memo):
     return max(max(size, 1 + min(_reference_lengths(atomset, prod // u, memo))) for size, prod in covers)
 
 
-def _reference_distance(z1, z2):
-    c1, c2 = Counter(dict(enumerate(z1))), Counter(dict(enumerate(z2)))
-    return max(sum((c1 - c2).values()), sum((c2 - c1).values()))
-
-
-def _chain_degree(zs):
-    """Smallest N such that any two of zs are joined by a chain of steps of
-    distance at most N."""
-    for n in range(max((sum(z) for z in zs), default=0) + 1):
-        reached = {zs[0]}
-        frontier = [zs[0]]
-        while frontier:
-            z = frontier.pop()
-            for w in zs:
-                if w not in reached and _reference_distance(z, w) <= n:
-                    reached.add(w)
-                    frontier.append(w)
-        if len(reached) == len(zs):
-            return n
-    raise AssertionError("no chain degree found")
-
-
 @st.composite
 def _blocks(draw):
     """An atom set over a small alphabet and a product of 3 to 6 of its atoms
@@ -252,23 +251,11 @@ def test_kernels_match_sequence_references(case):
     lengths = _reference_lengths(atomset, block, {})
     assert lengths_of(atomset, block, {}) == lengths
     assert lengths == {sum(z) for z in zs}
-    by_len = {}
-    for z in zs:
-        by_len.setdefault(sum(z), []).append(z)
-    ls = sorted(by_len)
-    adjacent = max(
-        (
-            min(_reference_distance(z1, z2) for z1 in by_len[a] for z2 in by_len[b])
-            for a, b in zip(ls, ls[1:])
-        ),
-        default=0,
-    )
-    equal = max(_chain_degree(group) for group in by_len.values())
+    c, equal, adjacent = catenary_by_chains(zs)
     prof = catenary_profile(atomset, block)
     assert prof.num_factorizations == len(zs)
-    assert prof.lengths == tuple(ls)
-    assert prof.catenary == _chain_degree(zs)
-    assert (prof.equal, prof.adjacent) == (equal, adjacent)
+    assert prof.lengths == tuple(sorted(lengths))
+    assert (prof.catenary, prof.equal, prof.adjacent) == (c, equal, adjacent)
     assert prof.monotone == max(equal, adjacent)
 
 
@@ -486,6 +473,13 @@ def test_count_width_holds_the_longest_factorization():
     prof = catenary_profile(atomset, block)
     assert prof == CatenaryProfile(3, 0, 3, 3, 2, (256, 257))
     assert sorted(z.length for z in factorize(atomset, block)) == [256, 257]
+
+
+def test_catenary_profile_of_a_block_with_many_factorizations():
+    """A block over C7 with 981 factorizations of lengths 6 to 21."""
+    atomset = enumerate_atoms(cyclic_alphabet(7))
+    block = parse_sequence(atomset.alphabet, "1^14 * 6^14 * 2^7 * 5^7")
+    assert catenary_profile(atomset, block) == CatenaryProfile(4, 6, 3, 6, 981, tuple(range(6, 22)))
 
 
 def test_factorization_search_skips_dead_remainders():

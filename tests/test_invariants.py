@@ -36,7 +36,7 @@ from krull_arith import (
 )
 from krull_arith import invariants
 from krull_arith.errors import ArgumentError, DomainError
-from krull_arith.factorizations import PackedAtoms, _catenary_maxima, _catenary_profile
+from krull_arith.factorizations import PackedAtoms, _catenary_maxima, _count_vectors, _factorizations
 from krull_arith.invariants import (
     ENUM_PRODUCT_GUARD,
     BoundedResult,
@@ -47,7 +47,7 @@ from krull_arith.invariants import (
 )
 from krull_arith.presets import build_preset
 
-from conftest import int_alphabet, small_alphabets, unions_by_levels
+from conftest import catenary_by_chains, int_alphabet, small_alphabets, unions_by_levels
 
 
 def test_delta_set_cyclic(cyclic4_atoms, cyclic5_atoms):
@@ -372,6 +372,16 @@ def test_omega_and_tame_cyclic(cyclic4_atoms, cyclic5_atoms):
     assert monoid_tame(cyclic5_atoms) == BoundedResult(6, True, 0, "atomwise-covers")
 
 
+def test_omega_and_tame_of_an_atom_free_monoid():
+    """B({1, 2}) over Z is trivial: omega(H) and t(H) are the supremum over
+    no atoms, 0, as the catenary sweep's values are."""
+    atomset = enumerate_atoms(int_alphabet(1, 2))
+    assert len(atomset) == 0
+    assert monoid_omega(atomset) == BoundedResult(0, True, 0, "atomwise-covers")
+    assert monoid_tame(atomset) == BoundedResult(0, True, 0, "atomwise-covers")
+    assert monoid_catenary(atomset, 3).value["catenary"] == 0
+
+
 def test_omega_of_single_atoms(cyclic3_atoms):
     a = cyclic3_atoms.alphabet
     g = a.spec.element(torsion=(1,))
@@ -654,19 +664,20 @@ def test_monoid_catenary_matches_the_unreduced_sweep(token, piece):
 @pytest.mark.parametrize("token, piece", SWEEP_CASES)
 def test_catenary_maxima_raise_each_floor_to_the_value(token, piece):
     """The threshold kernel returns max(floor, value) for c, c_eq and c_adj
-    of every swept block, the values taken from the spanning trees of
-    _catenary_profile, at every floor from 0 to max L(B) + 1: all three
-    floors equal, and the three apart."""
+    of every swept block, the values taken from the chain oracle
+    ``catenary_by_chains`` on Z(B), at every floor from 0 to max L(B) + 1:
+    all three floors equal, and the three apart."""
     atomset = _sweep_atomset(token, piece)
     packed, blocks = _swept_blocks(atomset)
     for b in blocks:
-        prof = _catenary_profile(packed, b)
-        values = (prof.catenary, prof.equal, prof.adjacent)
-        span = max(prof.lengths) + 2
+        zs = _factorizations(packed, b)
+        values = catenary_by_chains(zs)
+        _, _, counts, packed_zs = _count_vectors(packed, b)
+        span = max(map(sum, zs)) + 2
         for f in range(span):
             for floors in ((f, f, f), (f, (f + 1) % span, (f + 2) % span)):
                 raised = tuple(max(floor, v) for floor, v in zip(floors, values))
-                assert _catenary_maxima(packed, b, *floors) == raised
+                assert _catenary_maxima(counts, packed_zs, *floors) == raised
 
 
 @pytest.mark.parametrize("token, piece", SWEEP_CASES)
@@ -692,10 +703,8 @@ def test_monoid_catenary_factors_one_block_per_orbit(token, piece, monkeypatch):
     group = [tuple(range(len(atomset.alphabet)))] + _kept_maps(atomset, packed)
     least = {min(_apply(packed, b, perm) for perm in group) for b in blocks}
     factored = []
-    maxima = invariants._catenary_maxima
-    monkeypatch.setattr(
-        invariants, "_catenary_maxima", lambda p, b, *floors: factored.append(b) or maxima(p, b, *floors)
-    )
+    count = invariants._count_vectors
+    monkeypatch.setattr(invariants, "_count_vectors", lambda p, b: factored.append(b) or count(p, b))
     value = monoid_catenary(atomset, 3).value
     assert len(factored) == len(set(factored))
     assert set(factored) <= least
