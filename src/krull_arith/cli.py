@@ -176,7 +176,7 @@ def run_invariants(preset, bound=4, max_k=5, cap=64):
     ]
     # Report schema 1 pins these bytes: there the "exact" flag of these four
     # values is the pass of their check when the preset has one.  ROADMAP
-    # item 2 deletes this loop at the schema bump.
+    # item 5 deletes this loop at the schema bump.
     for c in checks:
         if c["name"] in ("delta", "catenary", "omega", "tame"):
             inv[c["name"]]["exact"] = c["pass"]

@@ -220,6 +220,11 @@ def _members(mask):
     return frozenset(l for l in range(mask.bit_length()) if mask >> l & 1)
 
 
+def _mask(lengths):
+    """The bitmask of a set of lengths, the inverse of ``_members``."""
+    return sum(1 << l for l in lengths)
+
+
 def _count_vectors(packed, block):
     """Z(B) for a packed block: (y, positions, counts, zs) with y = v_0(B),
     positions the indices into ``packed.atoms`` (AtomSet indices) of the
@@ -285,11 +290,15 @@ def _factorizations(packed, block):
 
 def _checked(atomset, block, atom=False):
     """The multiplicities of a public function's block, which must be a
-    zero-sum sequence over the atoms' alphabet, and with ``atom`` an atom."""
+    zero-sum sequence over the atoms' alphabet, each of whose elements some
+    atom holds (a restricted AtomSet factors no block outside its piece),
+    and with ``atom`` an atom."""
     if block.alphabet != atomset.alphabet:
         raise ShapeError("sequence over another alphabet than the atoms")
     if not block.is_zero_sum():
         raise DomainError("sequence with nonzero sum")
+    if any(m and not any(v[j] for v in atomset.vectors) for j, m in enumerate(block.mults)):
+        raise DomainError("%s holds an element that no atom holds" % block)
     if atom and block.mults not in atomset.vectors:
         raise DomainError("%s is not an atom" % block)
     return block.mults

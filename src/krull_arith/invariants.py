@@ -35,10 +35,10 @@ Inside the sweeps a block and an atom are ints packed by one
 builds; the packed kernels of ``factorizations`` are called on them
 directly, since every swept block is a product of atoms and so has zero sum.
 Length sets stay bitmasks until a value is returned.  One lazy generator,
-``_levels``, builds every level of blocks.  Delta and the collection and
-realization of ``lengths`` read its length bitmasks, level by level,
-through ``_length_masks``; delta* and the catenary sweep need the blocks
-themselves and take them from ``product_levels``, a list of its levels.
+``_levels``, builds every level of blocks.  Delta and ``lengths`` read it
+level by level through ``_length_masks``, as length bitmasks with the blocks
+that realize them; delta* and the catenary sweep need every block, and
+take the blocks from ``product_levels``, a list of its levels.
 Omega and tame search covers packed for products of D(G0) atoms, the most a
 minimal cover holds.  ``Sequence`` is used only where a public function
 takes or returns one.
@@ -69,7 +69,7 @@ from math import comb
 
 from .atoms import _integer_point
 from .errors import ArgumentError, DomainError
-from .factorizations import PackedAtoms, _catenary_maxima, _checked, _count_vectors, _lengths, _members
+from .factorizations import PackedAtoms, _catenary_maxima, _checked, _count_vectors, _lengths, _mask, _members
 from .groups import subgroup_rank
 
 ENUM_PRODUCT_GUARD = 120_000
@@ -127,20 +127,24 @@ def product_levels(atoms, max_count):
 
 
 def _length_masks(atomset, count, memo=None):
-    """For i = 0, ..., ``count`` in turn, the set of length bitmasks L(B)
-    of the products B of exactly i atoms, each level swept only when it is
-    read.  Only the atoms other than 0 are swept.  The atom 0 is prime, so
-    a product of i atoms is 0^j times a zero-free product of i - j atoms,
-    with its lengths shifted by j: when 0 is in G0, level i is the zero-free
-    level i together with every mask of level i - 1 shifted by one."""
+    """For i = 0, ..., ``count`` in turn, {L(B) bitmask: [blocks B]} over
+    the products B of exactly i atoms, packed for ``count`` atoms, each level
+    swept only when it is read.  Every zero-free product is listed under its
+    mask.  The atom 0 is prime, so a product of i atoms is 0^j times a
+    zero-free product of i - j atoms, with its lengths shifted by j: when 0
+    is in G0, each mask m of level i - 1 is also on level i as m << 1,
+    realized by the first block of m times 0."""
     packed = PackedAtoms.for_products(atomset, count, memo)
-    masks = set()
+    level = {}
     for blocks in islice(_levels(packed.nonzero()), count + 1):
-        swept = {_lengths(packed, b) for b in blocks}
+        below, level = level, {}
+        for b in blocks:
+            level.setdefault(_lengths(packed, b), []).append(b)
         if packed.zero is not None:
-            swept |= {m << 1 for m in masks}
-        masks = swept
-        yield masks
+            zero = 1 << packed.zero[1]
+            for m, realizers in below.items():
+                level.setdefault(m << 1, []).append(realizers[0] + zero)
+        yield level
 
 
 def delta_of_set(lengths):
@@ -283,7 +287,7 @@ def _witnessed(lower, k):
     every sum in U_i + U_{k-i}.  This is U_k up to k exactly, and it holds
     L(B) of every product B of k atoms that contains the atom 0, a prime:
     B = 0^j B' with L(B) = j + L(B') in U_j + U_{k-j}, or B = 0^k."""
-    masks = [sum(1 << m for m in union) for union in lower[: k - 1]]
+    masks = [_mask(union) for union in lower[: k - 1]]
     witnessed = 1 << k
     for i, mask in enumerate(masks, 1):
         witnessed |= (mask >> k & 1) << i

@@ -11,11 +11,11 @@ with y, k nonnegative; a third family covers the symmetric rank-r presets,
 whose length sets are m + {2k* + d*lam : lam in [0,k*]} with d the single
 distance value.
 
-Collection and realization read the levels of length bitmasks of
-``invariants._length_masks``, one level per number of atoms, in order: a set
-with minimum m is realized exactly when it is the length set of a product of
-m atoms.  The closure probe keeps the blocks that realize each collected
-set and proves a sumset realized by a product of two of them whose length
+Collection, realization and the closure probe read the levels of
+``invariants._length_masks``, one per number of atoms, in order: each maps
+a length bitmask to blocks that realize it, and a set with minimum m is
+realized exactly when it is the length set of a product of m atoms.  The
+probe proves a sumset realized by a product of two realizers whose length
 set is the sumset; it reads a level above its collection bound only for a
 sumset no such product proves.  Length sets are bitmasks inside the sweeps
 and frozensets in what the functions return.
@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement, islice
 
 from .errors import ArgumentError
-from .factorizations import PackedAtoms, _lengths, _members
-from .invariants import _length_masks, _levels, delta_of_set
+from .factorizations import PackedAtoms, _lengths, _mask, _members
+from .invariants import _length_masks, delta_of_set
 
 
 def sumset(l1, l2):
@@ -152,10 +152,6 @@ def fit_aamp(lengths, d):
     return best
 
 
-def _mask(lengths):
-    return sum(1 << x for x in lengths)
-
-
 def _check_bound(bound):
     if bound < 0:
         raise ArgumentError("bound must be nonnegative, got %d" % bound)
@@ -208,42 +204,33 @@ def additive_closure_probe(atomset, product_bound, memo=None):
     Pairs are tried smallest sumset first, so the first reported witness is
     minimal in that order.
 
-    Collection sweeps levels 0 to ``product_bound`` once and keeps the
-    blocks that realize each set.  A set with minimum m is the length set of
-    some block exactly when it is the length set of a product of m atoms, so
-    a sumset with minimum at most ``product_bound`` is realized exactly when
-    it was collected.  Above that, a product of a realizer of each summand,
-    at most 2 * ``product_bound`` atoms, whose length set is the sumset
-    proves it realized (``_proves``).  Only a sumset that no such product
-    proves is looked up in the level of its minimum, from one sweep whose
-    levels are built in order as they are first read.
+    Collection reads levels 0 to ``product_bound`` of one ``_length_masks``
+    sweep.  A set l is a length set exactly when it is L(B) for a product B
+    of min(l) atoms, so level min(l) lists the blocks that realize it, and a
+    sumset with minimum at most ``product_bound`` is realized exactly when
+    it was collected.  Above that, a product of a realizer of each summand
+    whose length set is the sumset proves it realized (``_proves``).  Only a
+    sumset that no such product proves is looked up in the level of its
+    minimum, which the same sweep builds in order as it is first read.
     """
     _check_bound(product_bound)
     vbound = 2 * product_bound
     packed = PackedAtoms.for_products(atomset, vbound, memo)
-    realizers = {}
-    # A block with lengths 2 and 3 lies on two levels; it is kept once.
-    for b in dict.fromkeys(chain.from_iterable(islice(_levels(packed.atoms), product_bound + 1))):
-        realizers.setdefault(_lengths(packed, b), []).append(b)
+    sweep = _length_masks(atomset, vbound, memo)
+    levels = list(islice(sweep, product_bound + 1))
     # Pairs by the sumset's minimum, then by the sorted members of l1 and of
     # l2: a stable sort of the pairs of sets in order of sorted members.
-    collected = sorted(map(_members, realizers), key=sorted)
+    collected = sorted(map(_members, set().union(*levels)), key=sorted)
     pairs = sorted(combinations_with_replacement(collected, 2), key=lambda p: min(p[0]) + min(p[1]))
-    sweep = _length_masks(atomset, vbound, memo)
-    levels = []
     for l1, l2 in pairs:
         lo = min(l1) + min(l2)
         t = sumset(l1, l2)
         mask = _mask(t)
-        if lo <= product_bound:
-            realized = mask in realizers
-        elif _proves(packed, realizers[_mask(l1)], realizers[_mask(l2)], mask):
+        if lo > product_bound and _proves(packed, levels[min(l1)][_mask(l1)], levels[min(l2)][_mask(l2)], mask):
             continue
-        else:
-            while len(levels) <= lo:
-                levels.append(next(sweep))
-            realized = mask in levels[lo]
-        if not realized:
+        while len(levels) <= lo:
+            levels.append(next(sweep))
+        if mask not in levels[lo]:
             return ClosureProbe(False, (l1, l2, t), product_bound, vbound)
     return ClosureProbe(True, (), product_bound, vbound)
 

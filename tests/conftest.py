@@ -11,7 +11,7 @@ import pytest
 from hypothesis import strategies as st
 
 from krull_arith import Alphabet, GroupSpec, Sequence, enumerate_atoms
-from krull_arith.factorizations import _members
+from krull_arith.factorizations import _mask, _members
 from krull_arith.invariants import _length_masks
 from krull_arith.lengths import ClosureProbe, sumset
 from krull_arith.presets import build_preset
@@ -79,7 +79,7 @@ def closure_probe_by_levels(atomset, product_bound, memo=None):
         while len(levels) <= lo:
             levels.append(next(sweep))
         t = sumset(l1, l2)
-        if sum(1 << x for x in t) not in levels[lo]:
+        if _mask(t) not in levels[lo]:
             return ClosureProbe(False, (l1, l2, t), product_bound, vbound)
     return ClosureProbe(True, (), product_bound, vbound)
 

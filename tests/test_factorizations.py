@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from krull_arith import (
     Alphabet,
     Factorization,
+    additive_closure_probe,
     GroupSpec,
     catenary_profile,
     collect_length_sets,
@@ -38,9 +39,15 @@ from krull_arith.factorizations import (
     _lengths,
     _members,
 )
-from krull_arith.invariants import _union_by_enumeration, product_levels
+from krull_arith.invariants import _length_masks, _union_by_enumeration, product_levels
 
-from conftest import catenary_by_chains, cyclic_alphabet, int_alphabet, small_alphabets
+from conftest import (
+    catenary_by_chains,
+    closure_probe_by_levels,
+    cyclic_alphabet,
+    int_alphabet,
+    small_alphabets,
+)
 
 
 def _block(alphabet, text_pairs):
@@ -84,6 +91,25 @@ def test_public_functions_check_their_sequence(cyclic3_atoms, call, token, text,
     and tame one that is not an atom, is refused, not answered for."""
     with pytest.raises(error):
         call(cyclic3_atoms, parse_sequence(parse_preset(token).alphabet, text))
+
+
+def test_restricted_atom_sets_refuse_blocks_outside_their_piece(cyclic5_atoms):
+    """Over C5 restricted to {1, 4}, a zero-sum block that holds 2 has no
+    factorization in the piece: it is refused, not answered for as a block
+    with no factorizations, and a memo shared with the full atom set keeps
+    the full set's lengths."""
+    piece = cyclic5_atoms.restrict((1, 4))
+    alphabet = cyclic5_atoms.alphabet
+    outside = [parse_sequence(alphabet, "2^5"), parse_sequence(alphabet, "1^5 * 2^5 * 3^5")]
+    memo = {}
+    for block in outside:
+        for call in (factorize, catenary_profile):
+            with pytest.raises(DomainError):
+                call(piece, block)
+        with pytest.raises(DomainError):
+            lengths_of(piece, block, memo)
+    assert lengths_of(piece, parse_sequence(alphabet, "1^5 * 4^5"), memo) == {2, 5}
+    assert [lengths_of(cyclic5_atoms, block, memo) for block in outside] == [{1}, {3, 4, 5, 6}]
 
 
 def test_factorize_guard(monkeypatch, cyclic3_atoms):
@@ -357,6 +383,19 @@ def test_packed_sweeps_match_sequence_references(alphabet, zero):
     reference = {}
     sets = [{_reference_lengths(atomset, b, reference) for b in level} for level in products]
     memo = {}
+    # Each level of the sweep holds the length sets of its products, and
+    # every block it lists, zero-shifted ones too, is such a product with
+    # that length set.
+    for level, swept, level_sets in zip(products, _length_masks(atomset, bound, memo), sets):
+        assert set(map(_members, swept)) == level_sets
+        for mask, blocks in swept.items():
+            for b in blocks:
+                block = atomset.alphabet.from_mults(packed.unpack(b))
+                assert block in level
+                assert _reference_lengths(atomset, block, reference) == _members(mask)
+    for probe_bound in (1, 2):
+        expected = closure_probe_by_levels(atomset, probe_bound)
+        assert additive_closure_probe(atomset, probe_bound, memo) == expected
     collected = collect_length_sets(atomset, bound, memo)
     assert collected == set().union(*sets)
     # A set with minimum m is a length set iff it is L(B) for a product B of

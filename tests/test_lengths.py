@@ -2,7 +2,7 @@
 additive-closure probe.
 """
 
-from itertools import combinations, islice
+from itertools import combinations
 
 import pytest
 from conftest import closure_probe_by_levels
@@ -27,7 +27,6 @@ from krull_arith import (
 from krull_arith import lengths
 from krull_arith.errors import ArgumentError
 from krull_arith.factorizations import PackedAtoms
-from krull_arith.invariants import _levels
 from krull_arith.presets import parse_preset
 
 
@@ -278,27 +277,39 @@ def test_closure_probe_matches_the_level_sweep(token, piece, with_zero, bounds):
 def test_closure_probe_proves_sumsets_by_realizer_products(monkeypatch, token):
     """On these closed presets at bound 4 every sumset with minimum above
     the bound is the length set of a product of two realizers: the probe
-    builds no level above the bound, and after collecting the blocks of
-    levels 0 to 4 it sends at most 150 products to ``_lengths``."""
+    reads no level of its sweep above the bound, and it sends at most 150
+    products to ``_lengths``."""
     bound = 4
     atomset = enumerate_atoms(parse_preset(token).alphabet)
-    packed = PackedAtoms.for_products(atomset, 2 * bound)
-    collected = set().union(*islice(_levels(packed.atoms), bound + 1))
     calls = []
+    yielded = []
 
     def counted(packed, block):
         calls.append(block)
-        return real(packed, block)
+        return real_lengths(packed, block)
 
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("the probe started its level sweep")
-        yield
+    def watched(*args, **kwargs):
+        for level in real_sweep(*args, **kwargs):
+            yielded.append(level)
+            yield level
 
-    real = lengths._lengths
+    real_lengths, real_sweep = lengths._lengths, lengths._length_masks
     monkeypatch.setattr(lengths, "_lengths", counted)
-    monkeypatch.setattr(lengths, "_length_masks", no_sweep)
+    monkeypatch.setattr(lengths, "_length_masks", watched)
     assert additive_closure_probe(atomset, bound).closed_within_bound
-    assert len(calls) - len(collected) <= 150
+    assert len(yielded) <= bound + 1
+    assert len(calls) <= 150
+
+
+def test_closure_probe_adds_no_memo_entries_to_the_collection(cyclic5_atoms):
+    """The probe reads the levels that collection swept, so after
+    ``collect_length_sets`` on the same memo it computes no new length set;
+    a sweep of its own over the atom 0 would add 587 blocks that hold 0."""
+    memo = {}
+    collect_length_sets(cyclic5_atoms, 4, memo)
+    assert sum(len(t) for t in memo.values()) == 1442
+    additive_closure_probe(cyclic5_atoms, 4, memo)
+    assert sum(len(t) for t in memo.values()) == 1442
 
 
 def test_negative_bound_is_an_argument_error(cyclic5_atoms):
