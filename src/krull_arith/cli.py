@@ -17,7 +17,7 @@ import click
 from . import __version__, report as reporting
 from .atoms import enumerate_atoms
 from .errors import ArgumentError, KrullArithError
-from .factorizations import catenary_profile, factorize
+from .factorizations import factorize_with_profile
 from .groups import GroupSpec
 from .invariants import (
     DELTA_STAR_SWEEP_LIMIT,
@@ -185,11 +185,12 @@ def run_invariants(preset, bound=4, max_k=5, cap=64):
     return data
 
 
-def _emit(ctx, data, out_path=None):
+def _emit(ctx, data, text=None, out_path=None):
     """Write ``data`` in the chosen format to ``out_path`` or stdout, then
-    exit with code 2 when it records a failed expectation."""
+    exit with code 2 when it records a failed expectation.  ``text``, when
+    given, is ``data`` as canonical JSON, written as it is for JSON."""
     fmt = ctx.obj["fmt"]
-    text = reporting.emit(data, fmt)
+    text = text if text is not None and fmt == "json" else reporting.emit(data, fmt)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -297,8 +298,7 @@ def factorize_cmd(ctx, p, element):
     """Factor one zero-sum sequence and report its catenary data."""
     atomset = enumerate_atoms(p.alphabet)
     block = parse_sequence(p.alphabet, element)
-    zs = factorize(atomset, block)
-    prof = catenary_profile(atomset, block)
+    zs, prof = factorize_with_profile(atomset, block)
     lengths = sorted({z.length for z in zs})
     data = {
         "element": str(block),
@@ -337,11 +337,11 @@ def invariants(ctx, p, max_k, cap, report_path):
             "cap": cap,
         }
     )
-    data = reporting.cache_get(cache_directory, key)
-    if data is None:
+    hit = reporting.cache_get(cache_directory, key)
+    if hit is None:
         data = run_invariants(p, bound, max_k, cap)
-        reporting.cache_put(cache_directory, key, data)
-    _emit(ctx, data, report_path)
+        hit = data, reporting.cache_put(cache_directory, key, data)
+    _emit(ctx, *hit, out_path=report_path)
 
 
 @main.command("transfer-check")
@@ -434,7 +434,7 @@ def preset_build(ctx, family, matrix, row_reduce, out, **params):
         p = from_matrix(_json_input("--matrix", matrix, DefiningMatrix.from_json), row_reduce)
     else:
         p = parse_preset(family, **params)
-    _emit(ctx, p.to_json(), out)
+    _emit(ctx, p.to_json(), out_path=out)
 
 
 @main.command()

@@ -273,9 +273,9 @@ def _count_vectors(packed, block):
     return y, positions, counts, out
 
 
-def _factorizations(packed, block):
-    """Z(B) of a packed block as sorted count tuples over the AtomSet."""
-    y, positions, counts, zs = _count_vectors(packed, block)
+def _factorizations(packed, block, vectors=None):
+    """Z(B) of a packed block, from its ``_count_vectors`` if given, as sorted count tuples over the AtomSet."""
+    y, positions, counts, zs = vectors or _count_vectors(packed, block)
     base = [0] * len(packed.atoms)
     if y:
         base[packed.zero[0]] = y
@@ -437,12 +437,22 @@ def _catenary_maxima(counts, zs, c=0, c_eq=0, c_adj=0):
     return c, c_eq, c_adj
 
 
+def _profile(y, _, counts, zs):
+    c, c_eq, c_adj = _catenary_maxima(counts, zs)
+    lengths = tuple(sorted({counts.total(z) + y for z in zs}))
+    return CatenaryProfile(c, c_eq, c_adj, max(c_eq, c_adj), len(zs), lengths)
+
+
 def catenary_profile(atomset, block):
     """Catenary data of one block: c(B) (bottleneck over all of Z(B)),
     the equal-length and adjacent-length refinements, and their maximum
     (the monotone catenary degree of the block).  The atom 0 occurs v_0(B)
     times in every factorization, so it adds to the lengths only."""
-    y, _, counts, zs = _count_vectors(*_packed(atomset, block))
-    c, c_eq, c_adj = _catenary_maxima(counts, zs)
-    lengths = tuple(sorted({counts.total(z) + y for z in zs}))
-    return CatenaryProfile(c, c_eq, c_adj, max(c_eq, c_adj), len(zs), lengths)
+    return _profile(*_count_vectors(*_packed(atomset, block)))
+
+
+def factorize_with_profile(atomset, block):
+    """(factorize(atomset, block), catenary_profile(atomset, block)) from one enumeration of Z(B)."""
+    packed, b = _packed(atomset, block)
+    vectors = _count_vectors(packed, b)
+    return tuple(Factorization(atomset, c) for c in _factorizations(packed, b, vectors)), _profile(*vectors)

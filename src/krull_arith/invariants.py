@@ -7,7 +7,10 @@ BoundedResult records which.  Sweeps walk deduplicated products of atoms
 level by level, and one sweep serves many values: delta* sweeps only the
 largest atom sets it keeps, recording the least gap of L(B) for each block
 support, so that min delta(B(G1)) of a kept subset G1 is the least gap
-recorded for a support inside G1.
+recorded for a support inside G1.  The delta sweep stops at the omega
+ceiling: delta(H) lies in [1, c(H) - 2] (Geroldinger-Halter-Koch 2006,
+Thm. 1.6.3) and c(H) <= omega(H) (Geroldinger-Hassler, *JPAA* 212, 2008),
+so once the gaps found fill [1, omega(H) - 2] no later level adds one.
 
 Unions of sets of lengths have two exact engines, and both start from what
 the smaller unions prove (Geroldinger-Halter-Koch, *Non-Unique
@@ -43,17 +46,17 @@ Omega and tame search covers packed for products of D(G0) atoms, the most a
 minimal cover holds.  ``Sequence`` is used only where a public function
 takes or returns one.
 
-The catenary sweep factors one block per orbit of the maps x -> kx that
-send G0 onto itself (``Alphabet.unit_maps``; k a unit mod exp(G), or k = -1
-for an infinite G) and the swept atoms onto themselves (``_atom_maps``; a
-restricted AtomSet can be kept by fewer maps than its alphabet).  Each is an
-automorphism of G that keeps G0, hence of B(G0): it permutes the atoms and
-keeps Z(B), L(B) and every distance, so all blocks of an orbit have the same
-catenary data.  The kept maps form a group and permute the swept blocks, so
-each orbit of a swept block lies in the sweep; a block is kept only when
-no kept map sends it to a smaller packed int, once per orbit, and the maxima
-over these blocks are the maxima over the whole bounded sweep.  The Delta
-and Delta* sweeps and the union search stay unreduced, since their repeated
+The catenary sweep factors one block per orbit, and omega and tame search
+one atom per orbit, of the maps x -> kx that send G0 onto itself
+(``Alphabet.unit_maps``; k a unit mod exp(G), or k = -1 for an infinite G)
+and the atoms onto themselves (a restricted AtomSet can be kept by fewer
+maps than its alphabet).  Each is an automorphism of G that keeps G0, hence
+of B(G0): it permutes the atoms and keeps Z(B), L(B) and every distance, so
+an orbit shares its catenary data, or its omega(H, u) and t(H, u).  The kept
+maps form a group and permute the atoms and the swept blocks, so
+``_least_of_orbits`` keeps one block or atom per orbit, the least packed
+int, and the maxima over these are the maxima over all.  The Delta and
+Delta* sweeps and the union search stay unreduced, since their repeated
 blocks are memo hits in ``_lengths``.  As d(z, z') <= max(|z|, |z'|), c(B),
 c_eq(B) and c_adj(B) are at most max L(B), and c_adj(B) = 0 when
 |L(B)| = 1; so the kept blocks are taken largest max L(B) first, and
@@ -156,14 +159,16 @@ def delta_of_set(lengths):
 def delta_set(atomset, bound, memo=None):
     """The set of distances of B(G0), swept over products of at most
     ``bound`` atoms, so never certified exact.  Levels 0 and 1 hold only
-    singletons, so the gaps are those of the levels from 2 on.
-    """
+    singletons, so the gaps are those of the levels from 2 on, read until
+    they fill [1, omega(H) - 2] (module docstring)."""
     if bound < 2:
         raise ArgumentError("delta_set needs bound >= 2")
+    ceiling = set(range(1, monoid_omega(atomset).value - 1))
     gaps = set()
     for masks in islice(_length_masks(atomset, bound, memo), 2, None):
-        for mask in masks:
-            gaps.update(delta_of_set(_members(mask)))
+        gaps.update(gap for mask in masks for gap in delta_of_set(_members(mask)))
+        if gaps == ceiling:
+            break
     return BoundedResult(frozenset(gaps), False, bound, "product-sweep")
 
 
@@ -518,24 +523,26 @@ def monoid_omega(atomset):
     """omega(H), the largest omega(H, u) over the atoms, or 0 if none: exact,
     since the cover search of each atom is exhaustive."""
     packed = PackedAtoms.for_products(atomset, atomset.davenport())
-    return BoundedResult(max((_omega(packed, u) for u in packed.atoms), default=0), True, 0, "atomwise-covers")
+    atoms = _least_of_orbits(packed, atomset.alphabet, packed.atoms)
+    return BoundedResult(max((_omega(packed, u) for u in atoms), default=0), True, 0, "atomwise-covers")
 
 
 def monoid_tame(atomset, memo=None):
     """t(H), the largest t(H, u) over the atoms: exact, like monoid_omega."""
     packed = PackedAtoms.for_products(atomset, atomset.davenport(), memo)
-    return BoundedResult(max((_tame(packed, u) for u in packed.atoms), default=0), True, 0, "atomwise-covers")
+    atoms = _least_of_orbits(packed, atomset.alphabet, packed.atoms)
+    return BoundedResult(max((_tame(packed, u) for u in atoms), default=0), True, 0, "atomwise-covers")
 
 
-def _atom_maps(packed, maps):
-    """The index permutations among ``maps`` that send the packed nonzero
-    atoms onto themselves, each as a ``Packing.mover`` on keys: they form a
-    group, the part of the group of ``maps`` that keeps the atom set; an
-    AtomSet restricted to a divisor-closed piece can be kept by fewer maps
-    than its alphabet."""
+def _least_of_orbits(packed, alphabet, blocks):
+    """The least of each orbit in ``blocks``, a union of orbits of the group
+    of unit maps of ``alphabet`` that send the packed nonzero atoms onto
+    themselves (a restricted AtomSet can be kept by fewer maps than its
+    alphabet): the blocks that no such map sends to a smaller packed int."""
     keys = {packed.key(u) for u in packed.nonzero()}
-    moves = (packed.mover(perm) for perm in maps)
-    return [move for move in moves if all(bytes(move(key)) in keys for key in keys)]
+    moves = [move for move in map(packed.mover, alphabet.unit_maps()) if all(bytes(move(k)) in keys for k in keys)]
+    keyed = ((b, packed.key(b)) for b in blocks)
+    return [b for b, key in keyed if not any(bytes(move(key)) < key for move in moves)]
 
 
 def monoid_catenary(atomset, bound, memo=None):
@@ -548,10 +555,8 @@ def monoid_catenary(atomset, bound, memo=None):
         raise ArgumentError("monoid_catenary needs bound >= 2")
     packed = PackedAtoms.for_products(atomset, bound, memo)
     levels = product_levels(packed.nonzero(), bound)
-    moves = _atom_maps(packed, atomset.alphabet.unit_maps())
     # A block with lengths 2 and 3 lies on two levels; it is kept once.
-    keyed = ((b, packed.key(b)) for b in set().union(*levels[2:]))
-    least = [(_lengths(packed, b), b) for b, key in keyed if not any(bytes(move(key)) < key for move in moves)]
+    least = [(_lengths(packed, b), b) for b in _least_of_orbits(packed, atomset.alphabet, set().union(*levels[2:]))]
     c = c_eq = c_adj = 0
     # Larger masks first: max L(B) = mask.bit_length() - 1 does not increase.
     for mask, b in sorted(least, reverse=True):

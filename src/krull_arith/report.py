@@ -31,7 +31,7 @@ def _flatten(data, prefix=""):
         for key in sorted(data, key=str):
             rows.extend(_flatten(data[key], "%s%s." % (prefix, key)))
     else:
-        rows.append((prefix.rstrip("."), json.dumps(data, default=_default)))
+        rows.append((prefix.rstrip("."), json.dumps(data, sort_keys=True, default=_default)))
     return rows
 
 
@@ -68,18 +68,23 @@ def cache_key(payload):
 
 
 def cache_get(directory, key):
+    """(report, its text) from the file of ``key``; None if unreadable or not JSON."""
     path = os.path.join(directory, key + ".json")
     try:
         with open(path) as fh:
-            return json.load(fh)
+            text = fh.read()
+        return json.loads(text), text
     except (OSError, ValueError):
         return None
 
 
 def cache_put(directory, key, data):
+    """Write the canonical JSON of ``data`` under ``key``, and return that text."""
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, key + ".json")
     tmp = path + ".tmp"
+    text = canonical_json(data)
     with open(tmp, "w") as fh:
-        fh.write(canonical_json(data))
+        fh.write(text)
     os.replace(tmp, path)
+    return text

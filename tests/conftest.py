@@ -1,5 +1,5 @@
 """Shared fixtures: small alphabets and atom sets reused across the suite,
-the exhaustive atom oracle, the level-sweep union and closure-probe
+the exhaustive atom oracle, the level-sweep Delta, union and closure-probe
 oracles, and the chain oracle of the catenary degrees."""
 
 from collections import Counter
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from krull_arith import Alphabet, GroupSpec, Sequence, enumerate_atoms
 from krull_arith.factorizations import _mask, _members
-from krull_arith.invariants import _length_masks
+from krull_arith.invariants import _length_masks, delta_of_set
 from krull_arith.lengths import ClosureProbe, sumset
 from krull_arith.presets import build_preset
 
@@ -57,6 +57,14 @@ def unions_by_levels(atomset, k, memo=None):
     ``_length_masks``.  Builds every level; only for small instances."""
     levels = islice(_length_masks(atomset, k, memo), 1, None)
     return [_members(reduce(or_, masks, 0)) for masks in levels]
+
+
+def delta_by_full_sweep(atomset, bound, memo=None):
+    """Reference Delta sweep: the gaps of every length set on levels 2 to
+    ``bound`` of ``_length_masks``, with no stop at the omega ceiling.
+    Builds every level; only for small instances."""
+    levels = islice(_length_masks(atomset, bound, memo), 2, None)
+    return frozenset(gap for masks in levels for mask in masks for gap in delta_of_set(_members(mask)))
 
 
 def closure_probe_by_levels(atomset, product_bound, memo=None):

@@ -131,6 +131,53 @@ def test_report_exact_flags_follow_the_check_table():
     assert all(inv[name]["exact"] for name in ("delta", "catenary", "omega", "tame"))
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+def test_warm_report_and_report_file_match_the_cold_report(runner, tmp_path, fmt):
+    """In every format, the report served from the cache and the file that
+    --report writes, cold or warm, hold the bytes of the cold stdout."""
+    tail = ["--format", fmt, "invariants", "--preset", "thm74:2,1"]
+    runs = [runner.invoke(main, ["--cache-dir", str(tmp_path / "a")] + tail) for _ in range(2)]
+    for name in ("cold", "warm"):
+        path = tmp_path / name
+        runs.append(runner.invoke(main, ["--cache-dir", str(tmp_path / "b")] + tail + ["--report", str(path)]))
+        assert runs[-1].stdout_bytes == b""
+        runs[-1].stdout_bytes = path.read_bytes()
+    assert [r.exit_code for r in runs] == [0] * 4
+    assert len({r.stdout_bytes for r in runs}) == 1
+
+
+def test_truncated_cache_file_is_a_miss(runner, tmp_path, monkeypatch):
+    args = ["--cache-dir", str(tmp_path), "invariants", "--preset", "cyclic:4"]
+    cold = runner.invoke(main, args)
+    (cached,) = tmp_path.glob("*.json")
+    text = cached.read_text()
+    cached.write_text(text[: len(text) // 2])
+    computed = []
+    compute = cli.run_invariants
+    monkeypatch.setattr(cli, "run_invariants", lambda *a: computed.append(a) or compute(*a))
+    again = runner.invoke(main, args)
+    assert (again.exit_code, again.output, len(computed)) == (0, cold.output, 1)
+    assert cached.read_text() == text
+
+
+def test_failed_expectation_exits_2_cold_and_warm(runner, tmp_path, monkeypatch):
+    """The exit code is read from the report, also when it comes from the
+    cache."""
+    parse = cli.parse_preset
+
+    def failing(token, **params):
+        p = parse(token, **params)
+        p.expected = dict(p.expected, omega=99)
+        return p
+
+    monkeypatch.setattr(cli, "parse_preset", failing)
+    args = ["--cache-dir", str(tmp_path), "invariants", "--preset", "cyclic:4"]
+    cold, warm = runner.invoke(main, args), runner.invoke(main, args)
+    assert (cold.exit_code, warm.exit_code) == (2, 2)
+    assert warm.output == cold.output
+    assert json.loads(cold.output)["expectations_ok"] is False
+
+
 def test_invariants_env_cache(runner, tmp_path):
     env = {"KRULL_ARITH_CACHE": str(tmp_path / "envcache")}
     result = runner.invoke(
@@ -420,7 +467,8 @@ def test_report_cached_under_another_schema_or_version_is_a_miss(runner, tmp_pat
     assert first.exit_code == 0
     (cached,) = tmp_path.glob("*.json")
     # A report written by code with another layout: same inputs, other bytes.
-    cached.write_text(json.dumps({"stale": True}))
+    # The cache writes canonical JSON, and a hit prints the file as it is.
+    cached.write_text(canonical_json({"stale": True}))
     assert runner.invoke(main, args).output == json.dumps({"stale": True}, indent=2) + "\n"
     monkeypatch.setattr(reporting, "REPORT_SCHEMA", reporting.REPORT_SCHEMA + 1)
     fresh = runner.invoke(main, args)

@@ -38,6 +38,7 @@ from krull_arith.factorizations import (
     _factorizations,
     _lengths,
     _members,
+    factorize_with_profile,
 )
 from krull_arith.invariants import _length_masks, _union_by_enumeration, product_levels
 
@@ -519,6 +520,23 @@ def test_catenary_profile_of_a_block_with_many_factorizations():
     atomset = enumerate_atoms(cyclic_alphabet(7))
     block = parse_sequence(atomset.alphabet, "1^14 * 6^14 * 2^7 * 5^7")
     assert catenary_profile(atomset, block) == CatenaryProfile(4, 6, 3, 6, 981, tuple(range(6, 22)))
+
+
+@pytest.mark.parametrize(
+    "token, text",
+    [("cyclic:7", "1^14 * 6^14 * 2^7 * 5^7"), ("cyclic:5", "0^2 * 1^5 * 4^5 * 2 * 3"), ("cyclic:3", "0")],
+)
+def test_factorize_with_profile_enumerates_once(token, text, monkeypatch):
+    """factorize_with_profile gives factorize and catenary_profile of the
+    block from one enumeration of Z(B)."""
+    atomset = enumerate_atoms(parse_preset(token).alphabet)
+    block = parse_sequence(atomset.alphabet, text)
+    expected = (factorize(atomset, block), catenary_profile(atomset, block))
+    calls = []
+    count = factorizations._count_vectors
+    monkeypatch.setattr(factorizations, "_count_vectors", lambda p, b: calls.append(b) or count(p, b))
+    assert factorize_with_profile(atomset, block) == expected
+    assert len(calls) == 1
 
 
 def test_factorization_search_skips_dead_remainders():

@@ -47,7 +47,7 @@ from krull_arith.invariants import (
 )
 from krull_arith.presets import build_preset
 
-from conftest import catenary_by_chains, int_alphabet, small_alphabets, unions_by_levels
+from conftest import catenary_by_chains, delta_by_full_sweep, int_alphabet, small_alphabets, unions_by_levels
 
 
 def test_delta_set_cyclic(cyclic4_atoms, cyclic5_atoms):
@@ -621,17 +621,18 @@ def _kept_maps(atomset, packed):
      ("thm74:2,1", None, 1), ("thm74:2,1", (0, 1, 2, 5), 0), ("wide", None, 1)],
 )
 def test_catenary_sweep_uses_only_the_maps_that_keep_the_atoms(token, piece, count):
+    """The orbit filter keeps the least block of each orbit of the unit maps
+    that keep the atoms, each map applied by multiplicities (``_apply``),
+    and of no other map: a restricted atom set is kept by fewer maps."""
     atomset = _sweep_atomset(token, piece)
     packed = PackedAtoms.for_products(atomset, 3)
     assert packed.width == (16 if token == "wide" else 8)
-    moves = invariants._atom_maps(packed, atomset.alphabet.unit_maps())
     kept = _kept_maps(atomset, packed)
-    assert len(moves) == len(kept) == count
+    assert len(kept) == count
+    group = [tuple(range(len(atomset.alphabet)))] + kept
     blocks = {b for level in product_levels(packed.nonzero(), 3) for b in level}
-    for move, perm in zip(moves, kept):
-        for b in blocks:
-            image = bytes(move(packed.key(b)))
-            assert int.from_bytes(image, "big") == _apply(packed, b, perm)
+    least = sorted({min(_apply(packed, b, perm) for perm in group) for b in blocks})
+    assert sorted(invariants._least_of_orbits(packed, atomset.alphabet, blocks)) == least
 
 
 SWEEP_CASES = [(token, None) for token in SWEEP_PRESETS + ["wide"]] + PIECES
@@ -712,3 +713,91 @@ def test_monoid_catenary_factors_one_block_per_orbit(token, piece, monkeypatch):
         ls = lengths_of(atomset, atomset.alphabet.from_mults(packed.unpack(b)))
         assert max(ls) <= min(value["catenary"], value["equal"])
         assert len(ls) == 1 or max(ls) <= value["adjacent"]
+
+
+# The cases of the tests below, which compare a search cut short by a proved
+# bound or reduced by symmetry with the full search.
+REDUCED_CASES = SWEEP_CASES + [("frt_t:1", None), ("frt_t:2", None)]
+
+
+def _check_delta_ceiling(atomset):
+    """delta_set, which stops once its gaps fill [1, omega(H) - 2], equals
+    the full sweep at bounds 2 to 4, whose gaps are all at most
+    omega(H) - 2 (Delta(H) lies in [1, c(H) - 2] and c(H) <= omega(H))."""
+    ceiling = monoid_omega(atomset).value - 2
+    for bound in (2, 3, 4):
+        full = delta_by_full_sweep(atomset, bound)
+        assert delta_set(atomset, bound) == BoundedResult(full, False, bound, "product-sweep")
+        assert all(d <= ceiling for d in full)
+
+
+@pytest.mark.parametrize("token, piece", REDUCED_CASES)
+def test_delta_set_stops_at_the_omega_ceiling(token, piece):
+    _check_delta_ceiling(_sweep_atomset(token, piece))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_alphabets())
+def test_delta_set_stops_at_the_omega_ceiling_on_small_alphabets(alphabet):
+    _check_delta_ceiling(enumerate_atoms(alphabet))
+
+
+@pytest.mark.parametrize(
+    "values, omega_h, level_2",
+    [((-5, -4, -1, 1, 4, 5), 9, {1, 3, 4, 5, 6, 7}), ((-7, -6, 3, 4), 7, {1, 3, 4, 5})],
+)
+def test_delta_set_stops_on_the_level_that_fills_the_ceiling(values, omega_h, level_2, monkeypatch):
+    """Over these subsets of Z the gap 2 first appears on level 3, after
+    every other gap of [1, omega(H) - 2]: the sweep reads level 3, and
+    builds no level after it."""
+    atomset = enumerate_atoms(int_alphabet(*values))
+    assert monoid_omega(atomset).value == omega_h
+    assert delta_set(atomset, 2).value == frozenset(level_2)
+    _check_delta_ceiling(atomset)
+    read = []
+    sweep = invariants._length_masks
+
+    def counted(*args):
+        for level in sweep(*args):
+            read.append(level)
+            yield level
+
+    monkeypatch.setattr(invariants, "_length_masks", counted)
+    assert delta_set(atomset, 6).value == frozenset(range(1, omega_h - 1))
+    assert len(read) == 4
+
+
+def _check_orbit_searches(atomset):
+    """monoid_omega and monoid_tame, which search one atom per orbit of the
+    unit maps, equal the maxima of omega(H, u) and t(H, u) over all atoms."""
+    memo = {}
+    assert monoid_omega(atomset).value == max((omega(atomset, u) for u in atomset.atoms), default=0)
+    assert monoid_tame(atomset, memo).value == max((tame(atomset, u, memo) for u in atomset.atoms), default=0)
+
+
+@pytest.mark.parametrize("token, piece", REDUCED_CASES)
+def test_omega_and_tame_match_the_all_atom_search(token, piece):
+    _check_orbit_searches(_sweep_atomset(token, piece))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_alphabets())
+def test_omega_and_tame_match_the_all_atom_search_on_small_alphabets(alphabet):
+    _check_orbit_searches(enumerate_atoms(alphabet))
+
+
+@pytest.mark.parametrize("token, piece", [("cyclic:5", None), ("cyclic:6", None), ("cyclic:5", (1, 4))])
+def test_omega_and_tame_search_one_atom_per_orbit(token, piece, monkeypatch):
+    """The cover searches run once on the least atom of each orbit of the
+    unit maps that keep the atoms, and on no other atom."""
+    atomset = _sweep_atomset(token, piece)
+    packed = PackedAtoms.for_products(atomset, atomset.davenport())
+    group = [tuple(range(len(atomset.alphabet)))] + _kept_maps(atomset, packed)
+    least = sorted({min(_apply(packed, u, perm) for perm in group) for u in packed.atoms})
+    assert len(least) < len(atomset)
+    for name, monoid in (("_omega", monoid_omega), ("_tame", monoid_tame)):
+        searched = []
+        search = getattr(invariants, name)
+        monkeypatch.setattr(invariants, name, lambda p, u, search=search: searched.append(u) or search(p, u))
+        monoid(atomset)
+        assert sorted(searched) == least

@@ -1,5 +1,6 @@
 """Report rendering and the content-addressed result cache."""
 
+import json
 import os
 
 import pytest
@@ -32,6 +33,10 @@ def test_emit_formats():
     assert '""' in out_csv  # embedded quote doubled
     lines = out_csv.strip().split("\n")[1:]
     assert lines == sorted(lines)
+    # A dict inside a list renders with sorted keys, as the cache stores it.
+    listed = {"checks": [{"name": "x", "expected": 1}]}
+    for fmt in ("csv", "markdown"):
+        assert emit(listed, fmt) == emit(json.loads(canonical_json(listed)), fmt)
     out_md = emit(data, "markdown")
     assert out_md.startswith("| key | value |")
     assert "\\|" in out_md
@@ -52,8 +57,9 @@ def test_cache_round_trip(tmp_path):
     key = cache_key({"alphabet": [1, 2], "bound": frozenset((4,))})
     assert key == cache_key({"bound": {4}, "alphabet": [1, 2]})
     assert cache_get(str(tmp_path), key) is None
-    cache_put(str(tmp_path), key, {"result": 7})
-    assert cache_get(str(tmp_path), key) == {"result": 7}
+    text = cache_put(str(tmp_path), key, {"result": 7})
+    assert text == canonical_json({"result": 7})
+    assert cache_get(str(tmp_path), key) == ({"result": 7}, text)
 
 
 def test_cache_corrupted_file(tmp_path):
