@@ -17,14 +17,14 @@ the smaller unions prove (Geroldinger-Halter-Koch, *Non-Unique
 Factorizations*, 2006, 1.4; Freeze-Geroldinger, "Unions of sets of
 lengths", *Funct. Approx.* 39, 2008): m is in U_k exactly when k is in U_m,
 and U_i + U_{k-i} lies in U_k (``_witnessed``).  This fixes U_k up to k and
-holds the lengths of every product with the atom 0, a prime.  A product B
-of k nonzero atoms has lengths at most |B|/2, so the search engine
-("enum") computes U_1, ..., U_k in turn and factors only the products of k
-nonzero atoms large enough to hold a length the witnesses leave open.  The
-integer-programming engine ("milp") is used when there are more than
-ENUM_PRODUCT_GUARD multisets of k atoms; the guard only picks the engine,
-and both give the same U_k.  With D = D(G0), a nonzero atom has length at
-least 2 and the atom 0 has length 1, so for k >= 2 and D >= 2
+holds the lengths of every product with the atom 0, a prime.  The search
+engine ("enum") computes U_1, ..., U_k in turn and factors only products of
+k nonzero atoms whose pair ceiling admits a length the witnesses leave open.
+It serves every k when each element of a nonzero atom lies in an atom
+g(-g) or g^2, as for a negation-closed G0; otherwise the integer-programming
+engine ("milp") is used past ENUM_PRODUCT_GUARD multisets of k atoms, and
+both give the same U_k.  With D = D(G0), a nonzero atom has length at least
+2 and the atom 0 has length 1, so for k >= 2 and D >= 2
 
     U_k  lies in  [max(2, ceil(2k/D)), floor(kD/2)],
 
@@ -67,7 +67,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import accumulate, combinations, islice
 from math import comb
 
 from .atoms import _integer_point
@@ -302,39 +302,78 @@ def _witnessed(lower, k):
     return witnessed
 
 
+def _reaches(packed, mirror, block, mirrored, target, failed):
+    """Whether max L(B) >= ``target`` for a zero-free packed B with m(B) =
+    ``mirrored``, depth first over the pivot atoms as ``_lengths`` branches,
+    each sub-block cut by its pair ceiling, the memo or ``failed`` (the least
+    target each block misses)."""
+    table, guard, pivots, minimum, total = packed.table, packed.guard, packed.pivots, packed.minimum, packed.total
+    stack = [(block, mirrored, target, None)]
+    while stack:
+        b, mb, t, rests = stack.pop()
+        if rests is None:
+            if table.get(b, 0).bit_length() > t:
+                return True
+            if b in table or failed.get(b, t + 1) <= t or 2 * total(b) + total(minimum(b, mb)) < 6 * t:
+                continue
+            held = b | guard
+            rests = iter([(d ^ guard, mb - mirror[u]) for u in pivots[b.bit_length()]
+                          if (d := held - u) & guard == guard])
+        child = next(rests, None)
+        if child is None:
+            failed[b] = t
+        else:
+            stack += [(b, mb, t, rests), (*child, t - 1, None)]
+    return False
+
+
 def _union_by_enumeration(atomset, k, memo):
     """[U_1, ..., U_k], each U_i from U_1, ..., U_{i-1} by threshold tests.
 
     ``_witnessed`` proves U_i up to i and every length of a product with the
-    atom 0.  A product B of i nonzero atoms has lengths at most |B|/2 (each
-    such atom has at least two elements), so with (i, c] the run of proved
-    lengths above i, B can prove a new member only when |B| >= 2(c + 1).
-    A depth-first search over multisets of the nonzero atoms, larger atoms
-    first, cuts a branch once its atoms cannot reach that size, and ORs in
-    L(B) of the products that do, raising c as it goes."""
-    packed = PackedAtoms.for_products(atomset, k, memo)
+    atom 0, so with (i, c] the run of proved lengths above i, a product B of
+    i nonzero atoms adds a member only when max L(B) > c.  A factorization
+    holds at most P2(B) / 2 atoms g(-g) or g^2, P2(B) = |minimum(B, m(B))|,
+    and other atoms have at least three elements: this gives the pair
+    ceiling 6 max L(B) <= 2|B| + P2(B) <= 3|B|.  A depth-first search over
+    multisets of the nonzero atoms, larger first, carries m along, cuts each
+    branch that cannot reach c + 1, and hands each product left to
+    ``_reaches``."""
+    # The fields hold |B| <= kD, so ``Packing.total`` is exact.
+    packed = PackedAtoms(atomset, k * max(map(sum, atomset.vectors), default=0), memo)
+    # m moves field g to field -g when g(-g) (g^2 if 2g = 0) is an atom, and drops the rest.
+    partner = {}
+    for held in ([j for j, x in enumerate(v) if x] for v in atomset.vectors if sum(v) == 2):
+        partner.update(zip(held, reversed(held)))
+    mirror = {u: packed.pack([v[partner[j]] if j in partner else 0 for j in range(len(v))])
+              for u, v in zip(packed.atoms, atomset.vectors)}
     by_size = sorted(((sum(v), u) for v, u in zip(atomset.vectors, packed.atoms) if sum(v) > 1), reverse=True)
-    sizes = [s for s, _ in by_size]
-    atoms = [u for _, u in by_size]
-    unions = []
+    sizes, atoms = [s for s, _ in by_size], [u for _, u in by_size]
+    # grows[t] bounds what one of the atoms t, t + 1, ... adds to 2|B| + P2(B).
+    grows = list(accumulate((2 * s + 2 * packed.total(mirror[u]) for s, u in reversed(by_size)), max))[::-1]
+    failed, unions = {}, []
     for i in range(1, k + 1):
         proved = _witnessed(unions, i)
-        # (product, its size, least index it may still take, atoms left)
-        stack = [(0, 0, 0, i)] if atoms else []
+        # (product, its mirror, its size, least index it may still take, atoms left)
+        stack = [(0, 0, 0, 0, i)] if atoms else []
         while stack:
-            b, size, start, left = stack.pop()
+            b, mb, size, start, left = stack.pop()
             open_above = ~proved >> (i + 1)
-            floor = 2 * (i + (open_above & -open_above).bit_length())
+            need = i + (open_above & -open_above).bit_length()
+            pairs = 2 * size + packed.total(packed.minimum(b, mb))
             end = start
-            while end < len(atoms) and size + left * sizes[end] >= floor:
+            while end < len(atoms) and min(pairs + left * grows[end], 3 * (size + left * sizes[end])) >= 6 * need:
                 end += 1
             if left > 1:
-                stack.extend((b + atoms[t], size + sizes[t], t, left - 1) for t in reversed(range(start, end)))
+                stack += [(b + atoms[t], mb + mirror[atoms[t]], size + sizes[t], t, left - 1)
+                          for t in reversed(range(start, end))]
             else:
-                # The last atoms share this node's floor; a lower floor only
-                # tests more products.
-                for t in range(start, end):
-                    proved |= _lengths(packed, b + atoms[t])
+                # The last atoms share this node's need; a lower need only tests more products.
+                for u in atoms[start:end]:
+                    # A product met again is read from the memo or from ``failed``.
+                    if (block := b + u) in packed.table or (failed.get(block, need + 1) > need and _reaches(
+                            packed, mirror, block, mb + mirror[u], need, failed)):
+                        proved |= _lengths(packed, block)
         unions.append(_members(proved))
     return unions
 
@@ -392,7 +431,7 @@ def _union_by_milp(atomset, k, lower):
 def unions(atomset, k, memo=None):
     """U_k(H), the union of all length sets containing k, with rho_k = max
     and lambda_k = min: the last of ``union_profiles(atomset, k)``, so its
-    method is "enum" or "milp" as the multiset count of k atoms picks."""
+    method is "enum" or "milp" as that picks."""
     if k < 0:
         raise ArgumentError("k must be nonnegative")
     if k == 0:
@@ -407,17 +446,18 @@ def _profile(k, members, method):
 
 def union_profiles(atomset, max_k, memo=None):
     """[U_1, ..., U_max_k] in one pass, sharing one memo, each exact.  The
-    search engine ("enum") serves U_k while there are at most
-    ENUM_PRODUCT_GUARD multisets of k atoms, a prefix of the k, so one call
-    gives all of them; each U_k after it is found by the MILP engine,
-    starting from the unions below it.  The guard only picks the engine:
-    both give the same U_k."""
+    search engine ("enum") serves every k when each element that a nonzero
+    atom holds lies in an atom of size 2, and otherwise while there are at
+    most ENUM_PRODUCT_GUARD multisets of k atoms; each U_k after that prefix
+    is found by the MILP engine, starting from the unions below it.  The
+    rule only picks the engine: both give the same U_k."""
     if max_k < 1:
         return []
     if not atomset.vectors:
         raise DomainError("B(G0) has no atoms, so U_k is empty for every k >= 1")
     n = len(atomset)
-    swept = 0
+    paired = {j for v in atomset.vectors if sum(v) == 2 for j, x in enumerate(v) if x}
+    swept = 0 if any(x and j not in paired for v in atomset.vectors if sum(v) > 1 for j, x in enumerate(v)) else max_k
     while swept < max_k and comb(n + swept, swept + 1) <= ENUM_PRODUCT_GUARD:
         swept += 1
     profiles = [

@@ -10,7 +10,7 @@ import os
 # The layout of the invariants report.  It is part of the cache key, with the
 # package version, so a report cached by code with another layout is not
 # served; raise it whenever the report's fields or their meaning change.
-REPORT_SCHEMA = 1
+REPORT_SCHEMA = 2
 
 
 def canonical_json(data):

@@ -6,6 +6,10 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import comb, gcd, prod
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -36,11 +40,12 @@ from krull_arith import (
 )
 from krull_arith import invariants
 from krull_arith.errors import ArgumentError, DomainError
-from krull_arith.factorizations import PackedAtoms, _catenary_maxima, _count_vectors, _factorizations
+from krull_arith.factorizations import PackedAtoms, _catenary_maxima, _count_vectors, _factorizations, _lengths
 from krull_arith.invariants import (
     ENUM_PRODUCT_GUARD,
     BoundedResult,
     _profile,
+    _reaches,
     _union_by_enumeration,
     _union_by_milp,
     product_levels,
@@ -154,22 +159,63 @@ def test_union_search_matches_the_level_sweep(token, piece, with_zero):
     assert _union_by_enumeration(atomset, 6, {}) == unions_by_levels(atomset, 6, {})
 
 
+@settings(max_examples=40, deadline=None)
+@given(small_alphabets())
+def test_pair_ceiling_and_reach_test_on_small_alphabets(alphabet):
+    """For every product B of at most four nonzero atoms, max L(B) is at most
+    the pair ceiling (|B| + P(B)) / 3, P(B) the sum of min(v_g, v_-g) over
+    the atoms g(-g) and of v_g // 2 over the atoms g^2, and ``_reaches``
+    answers max L(B) >= t as the full length set does, for every t up to
+    max L(B) + 1, with a cold memo table and with a warm one, each search
+    keeping one table of failed targets."""
+    atomset = enumerate_atoms(alphabet)
+    full = PackedAtoms.for_products(atomset, 4, {})
+    cold = PackedAtoms.for_products(atomset, 4)
+    # (j, l) with g_l = -g_j for each atom g_j g_l; j = l for an atom g_j^2.
+    pairs = [(held[0], held[-1]) for held in ([j for j, x in enumerate(v) if x] for v in atomset.vectors if sum(v) == 2)]
+    partner = {**dict(pairs), **{l: j for j, l in pairs}}
+    mirror = {u: full.pack([v[partner[j]] if j in partner else 0 for j in range(len(v))])
+              for u, v in zip(full.atoms, atomset.vectors)}
+    failed = {cold: {}, full: {}}
+    for count in range(5):
+        for atoms in combinations_with_replacement(full.nonzero(), count):
+            b, mb = sum(atoms), sum(mirror[u] for u in atoms)
+            mults = full.unpack(b)
+            top = _lengths(full, b).bit_length() - 1
+            assert top >= count
+            assert 3 * top <= sum(mults) + sum(min(mults[j], mults[l]) if j != l else mults[j] // 2 for j, l in pairs)
+            for packed in (cold, full):
+                for t in range(top + 2):
+                    assert _reaches(packed, mirror, b, mb, t, failed[packed]) == (top >= t)
+    assert cold.table == {0: 1}
+
+
 def test_union_search_sends_few_products_to_lengths(monkeypatch):
     """On C6 the witnesses prove U_5 up to [2, 13], so only products of five
-    atoms of size at least 28 can add a member; the full level sweep sends
-    10,559 products to ``_lengths`` for U_1, ..., U_5, the search at most 300."""
-    calls = []
-    lengths = invariants._lengths
+    atoms with max L(B) >= 14 can add a member.  For U_1, ..., U_5 the full
+    level sweep sends 10,559 products to ``_lengths`` and the size floor
+    |B| >= 2 max L(B) alone 121; the pair ceiling leaves 58 products for the
+    reach test, and 9 of them reach ``_lengths``.  On C7 (U_5 = [2, 15]) a
+    ceiling looser by 2/6 would test 1,491 products, not 954."""
+    calls = {}
 
-    def counted(packed, block):
-        calls.append(block)
-        return lengths(packed, block)
+    def counting(name):
+        kernel = getattr(invariants, name)
 
-    monkeypatch.setattr(invariants, "_lengths", counted)
-    profiles = union_profiles(enumerate_atoms(build_preset("cyclic", 6).alphabet), 5)
-    assert [u.method for u in profiles] == ["enum"] * 5
-    assert profiles[-1].members == tuple(range(2, 14))
-    assert len(calls) <= 300
+        def counted(*args):
+            calls[name] += 1
+            return kernel(*args)
+
+        return counted
+
+    for name in ("_lengths", "_reaches"):
+        monkeypatch.setattr(invariants, name, counting(name))
+    for n, reaches, lengths in [(6, 58, 9), (7, 954, 33)]:
+        calls.update(_lengths=0, _reaches=0)
+        profiles = union_profiles(enumerate_atoms(build_preset("cyclic", n).alphabet), 5)
+        assert [u.method for u in profiles] == ["enum"] * 5
+        assert profiles[-1].members == tuple(range(2, 2 * n + 2))
+        assert calls == {"_lengths": lengths, "_reaches": reaches}
 
 
 def test_union_engines_agree(monkeypatch, cyclic4_atoms, cyclic5_atoms, thm74_21):
@@ -180,14 +226,54 @@ def test_union_engines_agree(monkeypatch, cyclic4_atoms, cyclic5_atoms, thm74_21
             milp = _engine(atomset, k, "milp")
             assert enum.members == milp.members
             assert enum.rho == milp.rho and enum.lam == milp.lam
-    # The product sweep serves U_k while at most ENUM_PRODUCT_GUARD multisets
-    # of k atoms exist: 15 atoms give 120 pairs, so a guard of 120 sweeps
-    # k <= 2.
-    default = [u.members for u in union_profiles(cyclic5_atoms, 4)]
-    monkeypatch.setattr(invariants, "ENUM_PRODUCT_GUARD", comb(16, 2))
-    profiles = union_profiles(cyclic5_atoms, 4)
+    # A negation-closed G0 is searched for every k; otherwise the product
+    # sweep serves U_k while at most ENUM_PRODUCT_GUARD multisets of k atoms
+    # exist.  {-6, -5, -3, 4} has 6 atoms and no pair g(-g), and 6 atoms
+    # give 21 pairs, so a guard of 21 sweeps k <= 2.
+    gapped = enumerate_atoms(int_alphabet(-6, -5, -3, 4))
+    assert len(gapped) == 6 and not any(sum(v) == 2 for v in gapped.vectors)
+    default = [u.members for u in union_profiles(gapped, 4)]
+    monkeypatch.setattr(invariants, "ENUM_PRODUCT_GUARD", comb(7, 2))
+    profiles = union_profiles(gapped, 4)
     assert [u.method for u in profiles] == ["enum", "enum", "milp", "milp"]
     assert [u.members for u in profiles] == default
+    assert [u.method for u in union_profiles(cyclic5_atoms, 4)] == ["enum"] * 4
+
+
+@pytest.mark.parametrize("token", ["cyclic:7", "cube:3"])
+def test_union_search_serves_negation_closed_g0_past_the_guard(token):
+    """cyclic:7 and cube:3 are negation-closed, so the search gives U_4 and
+    U_5 though the guard would send them to the MILP engine, which gives
+    the same members from the same smaller unions."""
+    atomset = enumerate_atoms(parse_preset(token).alphabet)
+    assert comb(len(atomset) + 3, 4) > ENUM_PRODUCT_GUARD
+    profiles = union_profiles(atomset, 5)
+    assert [u.method for u in profiles] == ["enum"] * 5
+    lower = [u.members for u in profiles]
+    for k in (4, 5):
+        assert tuple(sorted(_union_by_milp(atomset, k, lower[: k - 1]))) == lower[k - 1]
+
+
+def test_negation_closed_unions_import_no_integer_programming():
+    """U_1, ..., U_5 of cyclic:7 are all "enum", and scipy is never loaded
+    (checked in a fresh interpreter).  Over Z, {-12, -7, 3, 5, 8} has no
+    pair g(-g) and 42 atoms, past the guard from k = 4: its U_4 and U_5 stay
+    "milp"."""
+    import krull_arith
+
+    code = (
+        "import sys; import krull_arith as ka; "
+        "ps = ka.union_profiles(ka.enumerate_atoms(ka.parse_preset('cyclic:7').alphabet), 5); "
+        "print([p.method for p in ps], 'scipy' in sys.modules)"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(krull_arith.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=src)
+    )
+    assert proc.stdout == "%s False\n" % (["enum"] * 5,)
+    atomset = enumerate_atoms(int_alphabet(-12, -7, 3, 5, 8))
+    assert len(atomset) == 42
+    assert [u.method for u in union_profiles(atomset, 5)] == ["enum"] * 3 + ["milp"] * 2
 
 
 def _unions_probing_every_m(atomset, k):
@@ -270,13 +356,13 @@ def test_milp_engine_solves_only_what_smaller_unions_leave_open(monkeypatch):
     so rho_2 is solved and each m in [3, 70] is probed."""
     calls = _count_milp_calls(monkeypatch)
     atomset = enumerate_atoms(build_preset("cyclic", 7).alphabet)
-    assert comb(len(atomset) + 3, 4) > ENUM_PRODUCT_GUARD
     memo = {}
-    u4 = union_profiles(atomset, 4, memo=memo)[-1]
-    assert (u4.method, u4.members, len(calls)) == ("milp", tuple(range(2, 15)), 0)
-    u5 = union_profiles(atomset, 5, memo=memo)[-1]
-    assert (u5.method, u5.members, len(calls)) == ("milp", tuple(range(2, 16)), 1)
-    assert unions(atomset, 5, memo=memo).members == u5.members
+    lower = [u.members for u in union_profiles(atomset, 3, memo=memo)]
+    u4 = tuple(sorted(_union_by_milp(atomset, 4, lower)))
+    assert (u4, len(calls)) == (tuple(range(2, 15)), 0)
+    u5 = tuple(sorted(_union_by_milp(atomset, 5, lower + [u4])))
+    assert (u5, len(calls)) == (tuple(range(2, 16)), 1)
+    assert unions(atomset, 5, memo=memo).members == u5
     del calls[:]
     gapped = enumerate_atoms(int_alphabet(-70, -1, 1, 70), cap=128)
     assert _engine(gapped, 2, "milp").members == (2, 71)
