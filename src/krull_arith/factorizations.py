@@ -346,8 +346,6 @@ def _lengths(packed, block):
     while stack:
         b, rests = stack.pop()
         if rests is None:
-            if b in table:
-                continue
             held = b | guard
             rests = [
                 d ^ guard for u in pivots[b.bit_length()] if (d := held - u) & guard == guard

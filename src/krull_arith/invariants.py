@@ -17,21 +17,23 @@ the smaller unions prove (Geroldinger-Halter-Koch, *Non-Unique
 Factorizations*, 2006, 1.4; Freeze-Geroldinger, "Unions of sets of
 lengths", *Funct. Approx.* 39, 2008): m is in U_k exactly when k is in U_m,
 and U_i + U_{k-i} lies in U_k (``_witnessed``).  This fixes U_k up to k and
-holds the lengths of every product with the atom 0, a prime.  The search
-engine ("enum") computes U_1, ..., U_k in turn and factors only products of
-k nonzero atoms whose pair ceiling admits a length the witnesses leave open.
-It serves every k when each element of a nonzero atom lies in an atom
-g(-g) or g^2, as for a negation-closed G0; otherwise the integer-programming
-engine ("milp") is used past ENUM_PRODUCT_GUARD multisets of k atoms, and
-both give the same U_k.  With D = D(G0), a nonzero atom has length at least
-2 and the atom 0 has length 1, so for k >= 2 and D >= 2
+holds the lengths of every product with the atom 0, a prime.  Each U_k is
+one bitmask in one list, from the engine that finds it to the profile
+returned.  The search ("enum") factors only products of k nonzero atoms
+whose pair ceiling admits a length the witnesses leave open; the
+integer-programming engine ("milp") solves only for what they leave open,
+and checks every solution exactly in integers.  ``union_profiles`` alone
+picks the engine: the search serves every k when each element of a nonzero
+atom has a partner in the one pair table ``_partners`` (the atoms g(-g) and
+g^2), as for a negation-closed G0, and otherwise while there are at most
+ENUM_PRODUCT_GUARD multisets of k atoms.  Both give the same U_k.  With
+D = D(G0), a nonzero atom has length at least 2 and the atom 0 has length
+1, so for k >= 2 and D >= 2
 
     U_k  lies in  [max(2, ceil(2k/D)), floor(kD/2)],
 
 the lower end following from the upper one by the symmetry above; for
-D <= 1 the only atom is 0 and U_k = {k}.  A program is solved for rho_k only
-when the witnesses stop short of kD/2, and for each m between k and rho_k
-that no witness proves; every solution is checked exactly in integers.
+D <= 1 the only atom is 0 and U_k = {k}.
 
 Inside the sweeps a block and an atom are ints packed by one
 ``factorizations.PackedAtoms``, wide enough for every product the sweep
@@ -72,7 +74,7 @@ from math import comb
 
 from .atoms import _integer_point
 from .errors import ArgumentError, DomainError
-from .factorizations import PackedAtoms, _catenary_maxima, _checked, _count_vectors, _lengths, _mask, _members
+from .factorizations import PackedAtoms, _catenary_maxima, _checked, _count_vectors, _lengths, _members
 from .groups import subgroup_rank
 
 ENUM_PRODUCT_GUARD = 120_000
@@ -287,19 +289,27 @@ class UnionProfile:
 
 
 def _witnessed(lower, k):
-    """The members of U_k that U_1, ..., U_{k-1} (``lower``, as collections
-    of members) prove, as a bitmask: m < k with k in U_m, k itself, and
-    every sum in U_i + U_{k-i}.  This is U_k up to k exactly, and it holds
-    L(B) of every product B of k atoms that contains the atom 0, a prime:
-    B = 0^j B' with L(B) = j + L(B') in U_j + U_{k-j}, or B = 0^k."""
-    masks = [_mask(union) for union in lower[: k - 1]]
+    """The members of U_k that U_1, ..., U_{k-1} (``lower``, as bitmasks)
+    prove, as a bitmask: m < k with k in U_m, k itself, and every sum in
+    U_i + U_{k-i}.  This is U_k up to k exactly, and it holds L(B) of every
+    product B of k atoms that contains the atom 0, a prime: B = 0^j B' with
+    L(B) = j + L(B') in U_j + U_{k-j}, or B = 0^k."""
     witnessed = 1 << k
-    for i, mask in enumerate(masks, 1):
+    for i, mask in enumerate(lower[: k - 1], 1):
         witnessed |= (mask >> k & 1) << i
         if 2 * i <= k:
-            for a in _members(masks[k - i - 1]):
+            for a in _members(lower[k - i - 1]):
                 witnessed |= mask << a
     return witnessed
+
+
+def _partners(atomset):
+    """{j: l} over the alphabet indices that an atom of size 2 holds: g_l =
+    -g_j for an atom g_j g_l, and l = j for an atom g_j^2."""
+    partner = {}
+    for held in ([j for j, x in enumerate(v) if x] for v in atomset.vectors if sum(v) == 2):
+        partner.update(zip(held, reversed(held)))
+    return partner
 
 
 def _reaches(packed, mirror, block, mirrored, target, failed):
@@ -328,7 +338,8 @@ def _reaches(packed, mirror, block, mirrored, target, failed):
 
 
 def _union_by_enumeration(atomset, k, memo):
-    """[U_1, ..., U_k], each U_i from U_1, ..., U_{i-1} by threshold tests.
+    """[U_1, ..., U_k] as bitmasks, each U_i from U_1, ..., U_{i-1} by
+    threshold tests.
 
     ``_witnessed`` proves U_i up to i and every length of a product with the
     atom 0, so with (i, c] the run of proved lengths above i, a product B of
@@ -338,13 +349,13 @@ def _union_by_enumeration(atomset, k, memo):
     ceiling 6 max L(B) <= 2|B| + P2(B) <= 3|B|.  A depth-first search over
     multisets of the nonzero atoms, larger first, carries m along, cuts each
     branch that cannot reach c + 1, and hands each product left to
-    ``_reaches``."""
+    ``_reaches``, which answers a product met again from the memo or from
+    ``failed``.  A memo hit below c + 1 adds nothing: its lengths up to i
+    are witnessed and those in (i, c] are proved."""
     # The fields hold |B| <= kD, so ``Packing.total`` is exact.
-    packed = PackedAtoms(atomset, k * max(map(sum, atomset.vectors), default=0), memo)
+    packed = PackedAtoms(atomset, k * atomset.davenport(), memo)
     # m moves field g to field -g when g(-g) (g^2 if 2g = 0) is an atom, and drops the rest.
-    partner = {}
-    for held in ([j for j, x in enumerate(v) if x] for v in atomset.vectors if sum(v) == 2):
-        partner.update(zip(held, reversed(held)))
+    partner = _partners(atomset)
     mirror = {u: packed.pack([v[partner[j]] if j in partner else 0 for j in range(len(v))])
               for u, v in zip(packed.atoms, atomset.vectors)}
     by_size = sorted(((sum(v), u) for v, u in zip(atomset.vectors, packed.atoms) if sum(v) > 1), reverse=True)
@@ -370,61 +381,42 @@ def _union_by_enumeration(atomset, k, memo):
             else:
                 # The last atoms share this node's need; a lower need only tests more products.
                 for u in atoms[start:end]:
-                    # A product met again is read from the memo or from ``failed``.
-                    if (block := b + u) in packed.table or (failed.get(block, need + 1) > need and _reaches(
-                            packed, mirror, block, mb + mirror[u], need, failed)):
+                    if _reaches(packed, mirror, (block := b + u), mb + mirror[u], need, failed):
                         proved |= _lengths(packed, block)
-        unions.append(_members(proved))
+        unions.append(proved)
     return unions
 
 
-def _union_program(atomset, k):
-    """solve(m) for the integer program of U_k: is there a block that is at
-    once a product of k atoms (counts x) and of m atoms (counts y)?  Equality
-    of the two products is imposed coordinatewise.  solve() maximizes |y| and
-    returns rho_k; solve(m) returns m, or None when the program is infeasible.
-    ``atoms._integer_point`` checks every solution exactly in integers.
-    """
-    vectors = atomset.vectors
-    na = len(vectors)
-    rows = [[v[j] for v in vectors] + [-v[j] for v in vectors] for j in range(len(atomset.alphabet))]
-    rows.append([1] * na + [0] * na)
-    rhs = [0] * len(atomset.alphabet) + [k]
-    ys = [0] * na + [1] * na
-
-    def solve(m=None):
-        point = _integer_point(rows, rhs, ys) if m is None else _integer_point(rows + [ys], rhs + [m])
-        return None if point is None else sum(point[na:])
-
-    return solve
-
-
 def _union_by_milp(atomset, k, lower):
-    """U_k from the members of U_1, ..., U_{k-1} (``lower``) and integer
-    programs for what they leave open.
-
-    m in U_k iff k in U_m, so the members up to k are read off ``lower``.
-    Above k, U_i + U_{k-i} lies in U_k, and rho_k <= kD/2 (module docstring)
-    bounds the rest: rho_k is solved for only when these witnesses stop
-    short of that bound, and then each m between k and rho_k that no
-    witness covers is probed.  scipy is imported only when a program is
-    solved.
-    """
-    members = set(_members(_witnessed(lower, k)))
+    """U_k as a bitmask, from U_1, ..., U_{k-1} (``lower``, bitmasks) and
+    integer programs for what their witnesses leave open: rho_k, only when
+    they stop short of its bound (module docstring), and then each m between
+    k and rho_k that none proves.  A program asks for a block that is at
+    once a product of k atoms (counts x) and of m atoms (counts y); for
+    rho_k it maximizes |y|.  ``atoms._integer_point`` checks each answer
+    exactly in integers, and scipy is imported only when one is solved."""
+    members = _witnessed(lower, k)
     d = atomset.davenport()
     top = k * d // 2 if k > 1 and d > 1 else k
-    rho = max(members)
-    open_ms = [m for m in range(k + 1, rho) if m not in members]
+    rho = members.bit_length() - 1
+    open_ms = [m for m in range(k + 1, rho) if not members >> m & 1]
     if rho == top and not open_ms:
         return members
-    solve = _union_program(atomset, k)
+    vectors, n = atomset.vectors, len(atomset.alphabet)
+    na = len(vectors)
+    rows = [[v[j] for v in vectors] + [-v[j] for v in vectors] for j in range(n)] + [[1] * na + [0] * na]
+    rhs = [0] * n + [k]
+    ys = [0] * na + [1] * na
     if rho < top:
-        found = solve()
+        point = _integer_point(rows, rhs, ys)
+        found = None if point is None else sum(point[na:])
         if found is None or found < rho:
             raise DomainError("MILP rho_%d = %s is below the witness %d" % (k, found, rho))
         open_ms += range(rho + 1, found)
-        members.add(found)
-    members.update(m for m in open_ms if solve(m) is not None)
+        members |= 1 << found
+    for m in open_ms:
+        if _integer_point(rows + [ys], rhs + [m]) is not None:
+            members |= 1 << m
     return members
 
 
@@ -439,34 +431,27 @@ def unions(atomset, k, memo=None):
     return union_profiles(atomset, k, memo)[-1]
 
 
-def _profile(k, members, method):
-    members = tuple(sorted(members))
-    return UnionProfile(k, members, members[-1], members[0], True, method)
-
-
 def union_profiles(atomset, max_k, memo=None):
-    """[U_1, ..., U_max_k] in one pass, sharing one memo, each exact.  The
-    search engine ("enum") serves every k when each element that a nonzero
-    atom holds lies in an atom of size 2, and otherwise while there are at
-    most ENUM_PRODUCT_GUARD multisets of k atoms; each U_k after that prefix
-    is found by the MILP engine, starting from the unions below it.  The
-    rule only picks the engine: both give the same U_k."""
+    """[U_1, ..., U_max_k] in one pass, sharing one memo, each exact.  This
+    is the one place that picks the engine.  The search ("enum") serves
+    every k when each element that a nonzero atom holds has a partner
+    (``_partners``), and otherwise while there are at most
+    ENUM_PRODUCT_GUARD multisets of k atoms; each U_k after that prefix is
+    found by the MILP engine ("milp"), starting from the unions below it.
+    The rule only picks the engine: both give the same U_k."""
     if max_k < 1:
         return []
     if not atomset.vectors:
         raise DomainError("B(G0) has no atoms, so U_k is empty for every k >= 1")
-    n = len(atomset)
-    paired = {j for v in atomset.vectors if sum(v) == 2 for j, x in enumerate(v) if x}
-    swept = 0 if any(x and j not in paired for v in atomset.vectors if sum(v) > 1 for j, x in enumerate(v)) else max_k
-    while swept < max_k and comb(n + swept, swept + 1) <= ENUM_PRODUCT_GUARD:
+    partner = _partners(atomset)
+    swept = max_k if all(j in partner for v in atomset.vectors if sum(v) > 1 for j, x in enumerate(v) if x) else 0
+    while swept < max_k and comb(len(atomset) + swept, swept + 1) <= ENUM_PRODUCT_GUARD:
         swept += 1
-    profiles = [
-        _profile(k, members, "enum")
-        for k, members in enumerate(_union_by_enumeration(atomset, swept, memo), 1)
-    ]
+    masks = _union_by_enumeration(atomset, swept, memo)
     for k in range(swept + 1, max_k + 1):
-        profiles.append(_profile(k, _union_by_milp(atomset, k, [p.members for p in profiles]), "milp"))
-    return profiles
+        masks.append(_union_by_milp(atomset, k, masks))
+    return [UnionProfile(k, tuple(sorted(_members(mask))), mask.bit_length() - 1, (mask & -mask).bit_length() - 1,
+                         True, "enum" if k <= swept else "milp") for k, mask in enumerate(masks, 1)]
 
 
 def elasticity(atomset, bound=8, memo=None):

@@ -90,59 +90,6 @@ def _thm74(r, alpha):
     return Preset("thm74", {"r": r, "alpha": alpha}, Alphabet(spec, elements), None, expected)
 
 
-def thm74_atoms_symbolic(preset):
-    """The atoms V = (-e_0)^alpha e_1...e_r and U_i = (-e_i)e_i, returned as
-    sequences over the preset alphabet (V first, then U_0..U_r, then -V)."""
-    r = preset.params["r"]
-    alpha = preset.params["alpha"]
-    alphabet = preset.alphabet
-    es = _thm74_basis(alphabet.spec, r, alpha)
-    v = alphabet.sequence([(-es[0], alpha)] + [(e, 1) for e in es[1:]])
-    us = [alphabet.sequence([(e, 1), (-e, 1)]) for e in es]
-    return es, v, us
-
-
-def thm74_block(preset, ks, ls):
-    """The sequence prod e_i^{k_i} (-e_i)^{l_i} over a thm74 alphabet."""
-    es, _, _ = thm74_atoms_symbolic(preset)
-    pairs = []
-    for e, k, l in zip(es, ks, ls):
-        pairs.append((e, k))
-        pairs.append((-e, l))
-    return preset.alphabet.sequence(pairs)
-
-
-def thm74_closed_form(preset, ks, ls):
-    """Closed-form Z(S) and L(S) for S = prod e_i^{k_i}(-e_i)^{l_i}.
-
-    Returns (is_zero_sum, factorizations, lengths) where each factorization
-    is a sequence over the alphabet (the product is reassembled from the
-    symbolic atoms); factorizations are reported as multisets of atoms.
-    S must satisfy k_0 >= l_0 (negate first otherwise).
-    """
-    r = preset.params["r"]
-    alpha = preset.params["alpha"]
-    k0, l0 = ks[0], ls[0]
-    if k0 < l0:
-        raise ArgumentError("closed form stated for k_0 >= l_0; negate first")
-    if (k0 - l0) % alpha != 0:
-        return False, (), frozenset()
-    q = (k0 - l0) // alpha
-    if any(ls[i] != q + ks[i] for i in range(1, r + 1)):
-        return False, (), frozenset()
-    _, v, us = thm74_atoms_symbolic(preset)
-    kstar = min(ks[1:])
-    top = min(l0 // alpha, kstar)
-    facs = []
-    lengths = set()
-    for nu in range(top + 1):
-        parts = [(v, nu), (v.negate(), q + nu), (us[0], l0 - alpha * nu)]
-        parts += [(us[i], ks[i] - nu) for i in range(1, r + 1)]
-        facs.append(tuple((a, m) for a, m in parts if m))
-        lengths.add(q + l0 + sum(ks[1:]) - (r + alpha - 2) * nu)
-    return True, tuple(facs), frozenset(lengths)
-
-
 def _cube(r, include_zero=True):
     if r < 1:
         raise ArgumentError("need r >= 1")
@@ -281,7 +228,7 @@ def _hypersurface(kind, n=0):
             (spec.element(torsion=(0, 1)), 1),
             (spec.element(torsion=(1, 1)), (n - 2) // 2),
         ]
-        expected = {"claimed_atom_count": (n * n + 8) // 4, "claimed_count_check": True}
+        expected = {"claimed_atom_count": (n * n + 8) // 4}
     elif kind == "D":
         if n < 5:
             raise ArgumentError("odd D_n needs n >= 5")

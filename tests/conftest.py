@@ -1,20 +1,23 @@
 """Shared fixtures: small alphabets and atom sets reused across the suite,
-the exhaustive atom oracle, the level-sweep Delta, union and closure-probe
-oracles, and the chain oracle of the catenary degrees."""
+the exhaustive atom oracle, the closed-form Z(S) and L(S) of Theorem 7.4,
+the level-sweep Delta, union and closure-probe oracles, the kernel oracle
+of min Delta, and the chain oracle of the catenary degrees."""
 
 from collections import Counter
 from functools import reduce
 from itertools import islice, product
+from math import gcd
 from operator import or_
 
 import pytest
 from hypothesis import strategies as st
 
 from krull_arith import Alphabet, GroupSpec, Sequence, enumerate_atoms
+from krull_arith.errors import ArgumentError
 from krull_arith.factorizations import _mask, _members
 from krull_arith.invariants import _length_masks, delta_of_set
 from krull_arith.lengths import ClosureProbe, sumset
-from krull_arith.presets import build_preset
+from krull_arith.presets import _thm74_basis, build_preset
 
 
 def cyclic_alphabet(n):
@@ -26,6 +29,14 @@ def int_alphabet(*values):
     """Alphabet over Z from plain integers."""
     spec = GroupSpec(1)
     return Alphabet(spec, [spec.element(free=(v,)) for v in values])
+
+
+def simplex_alphabet(r):
+    """e_1, ..., e_r and -(e_1 + ... + e_r) in Z^r: r + 1 elements, not
+    closed under negation, whose one atom holds each of them once."""
+    spec = GroupSpec(r)
+    basis = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    return Alphabet(spec, [spec.element(free=v) for v in basis + [(-1,) * r]])
 
 
 def minimalize(vectors):
@@ -51,12 +62,66 @@ def atoms_by_exhaustion(alphabet, max_mult):
     return tuple(Sequence(alphabet, v) for v in minimalize(zero_sum))
 
 
+def thm74_atoms_symbolic(preset):
+    """(e_0..e_r, V, [U_0, ..., U_r]) for a thm74 preset: its basis and the
+    atoms V = (-e_0)^alpha e_1...e_r and U_i = (-e_i)e_i, as sequences over
+    the preset alphabet."""
+    r = preset.params["r"]
+    alpha = preset.params["alpha"]
+    alphabet = preset.alphabet
+    es = _thm74_basis(alphabet.spec, r, alpha)
+    v = alphabet.sequence([(-es[0], alpha)] + [(e, 1) for e in es[1:]])
+    us = [alphabet.sequence([(e, 1), (-e, 1)]) for e in es]
+    return es, v, us
+
+
+def thm74_block(preset, ks, ls):
+    """The sequence prod e_i^{k_i} (-e_i)^{l_i} over a thm74 alphabet."""
+    es, _, _ = thm74_atoms_symbolic(preset)
+    pairs = []
+    for e, k, l in zip(es, ks, ls):
+        pairs.append((e, k))
+        pairs.append((-e, l))
+    return preset.alphabet.sequence(pairs)
+
+
+def thm74_closed_form(preset, ks, ls):
+    """Closed-form Z(S) and L(S) for S = prod e_i^{k_i}(-e_i)^{l_i}.
+
+    Returns (is_zero_sum, factorizations, lengths) where each factorization
+    is a sequence over the alphabet (the product is reassembled from the
+    symbolic atoms); factorizations are reported as multisets of atoms.
+    S must satisfy k_0 >= l_0 (negate first otherwise).
+    """
+    r = preset.params["r"]
+    alpha = preset.params["alpha"]
+    k0, l0 = ks[0], ls[0]
+    if k0 < l0:
+        raise ArgumentError("closed form stated for k_0 >= l_0; negate first")
+    if (k0 - l0) % alpha != 0:
+        return False, (), frozenset()
+    q = (k0 - l0) // alpha
+    if any(ls[i] != q + ks[i] for i in range(1, r + 1)):
+        return False, (), frozenset()
+    _, v, us = thm74_atoms_symbolic(preset)
+    kstar = min(ks[1:])
+    top = min(l0 // alpha, kstar)
+    facs = []
+    lengths = set()
+    for nu in range(top + 1):
+        parts = [(v, nu), (v.negate(), q + nu), (us[0], l0 - alpha * nu)]
+        parts += [(us[i], ks[i] - nu) for i in range(1, r + 1)]
+        facs.append(tuple((a, m) for a, m in parts if m))
+        lengths.add(q + l0 + sum(ks[1:]) - (r + alpha - 2) * nu)
+    return True, tuple(facs), frozenset(lengths)
+
+
 def unions_by_levels(atomset, k, memo=None):
-    """Reference [U_1, ..., U_k] by the full level sweep: U_i is the OR of
-    the length bitmasks of every product of exactly i atoms, level i of
-    ``_length_masks``.  Builds every level; only for small instances."""
+    """Reference [U_1, ..., U_k] as bitmasks by the full level sweep: U_i is
+    the OR of the length bitmasks of every product of exactly i atoms, level
+    i of ``_length_masks``.  Builds every level; only for small instances."""
     levels = islice(_length_masks(atomset, k, memo), 1, None)
-    return [_members(reduce(or_, masks, 0)) for masks in levels]
+    return [reduce(or_, masks, 0) for masks in levels]
 
 
 def delta_by_full_sweep(atomset, bound, memo=None):
@@ -65,6 +130,39 @@ def delta_by_full_sweep(atomset, bound, memo=None):
     Builds every level; only for small instances."""
     levels = islice(_length_masks(atomset, bound, memo), 2, None)
     return frozenset(gap for masks in levels for mask in masks for gap in delta_of_set(_members(mask)))
+
+
+def kernel_basis(columns):
+    """A basis of the integer kernel {z : sum z_i c_i = 0} of the integer
+    vectors ``columns``, by unimodular column reduction of [A; I], A the
+    matrix with these columns: Euclid on each row of A, by swapping columns
+    and subtracting integer multiples of one from another, keeps the lower
+    part the unimodular transformation, so the lower parts of the columns
+    whose upper part ends at zero form a basis of the kernel."""
+    height, n = len(columns[0]) if columns else 0, len(columns)
+    cols = [list(c) + [int(i == j) for j in range(n)] for i, c in enumerate(columns)]
+    done = 0
+    for row in range(height):
+        while len(live := [j for j in range(done, n) if cols[j][row]]) > 1:
+            pivot = min(live, key=lambda j: abs(cols[j][row]))
+            for j in live:
+                if j != pivot:
+                    q = cols[j][row] // cols[pivot][row]
+                    cols[j] = [a - q * b for a, b in zip(cols[j], cols[pivot])]
+        if live:
+            cols[done], cols[live[0]] = cols[live[0]], cols[done]
+            done += 1
+    return [c[height:] for c in cols[done:]]
+
+
+def min_delta_by_kernel(atomset):
+    """d(H) = gcd{|x| - |y| : x, y in Z(a), a in H}, which is min Delta(H) =
+    gcd Delta(H) (Geroldinger-Halter-Koch 2006, Prop. 1.4.4), or 0 when
+    Delta(H) is empty.  Each such x - y is an integer kernel vector z of the
+    atom matrix (the atom multiplicity vectors as columns), and every z is
+    one, split into its positive and negative parts; |x| - |y| = sum(z) is
+    linear in z, so the gcd over a kernel basis is d(H)."""
+    return reduce(gcd, (sum(z) for z in kernel_basis(atomset.vectors)), 0)
 
 
 def closure_probe_by_levels(atomset, product_bound, memo=None):

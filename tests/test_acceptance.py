@@ -41,8 +41,6 @@ from krull_arith.presets import (
     check_divisor_theory,
     decompose,
     fibonacci,
-    thm74_block,
-    thm74_closed_form,
 )
 from krull_arith.transfer import (
     check_transfer,
@@ -50,7 +48,7 @@ from krull_arith.transfer import (
     count_lifted_atoms_brute,
     lengths_preserved,
 )
-from conftest import int_alphabet
+from conftest import int_alphabet, thm74_block, thm74_closed_form
 
 
 def _report(num, ok, detail):
@@ -378,8 +376,8 @@ def test_criterion_7_lifted_atom_counts():
     d6 = build_preset("hypersurface", "D", 6)
     claimed = d6.expected["claimed_atom_count"]
     computed = count_lifted_atoms_brute(d6.characteristic)
-    _add(problems, claimed == 11 and computed == 10, "D_6 discrepancy flagged")
-    _add(problems, d6.expected["claimed_count_check"], "D_even flag present")
+    formula = count_lifted_atoms(d6.characteristic, enumerate_atoms(d6.characteristic.support_alphabet()))
+    _add(problems, claimed == 11 and computed == 10 == formula, "D_6 discrepancy flagged")
     ok = _report(
         7,
         not problems,

@@ -17,8 +17,10 @@ from click.testing import CliRunner
 
 from krull_arith import cli, report as reporting
 from krull_arith.cli import main, run_invariants
-from krull_arith.presets import builtin_map, parse_preset
+from krull_arith.presets import Preset, builtin_map, parse_preset
 from krull_arith.report import canonical_json
+
+from conftest import simplex_alphabet
 
 
 @pytest.fixture()
@@ -498,6 +500,28 @@ def test_inputs_of_two_kinds_are_a_usage_error(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert "Usage:" in result.output and "Error:" in result.output
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["invariants"], "provide --preset, or --group together with --set"),
+        (["atom-count", "--preset", "thm74:2,1"], "preset has no characteristic"),
+        (["atom-count"], "provide --characteristic or --preset"),
+    ],
+)
+def test_missing_input_is_a_usage_error(runner, args, message):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "Usage:" in result.output and message in result.output
+
+
+def test_delta_star_error_is_a_report_row():
+    """An alphabet of 13 to 20 elements that is not negation-closed gets a
+    Delta* row naming the error, and the rest of its report."""
+    inv = run_invariants(Preset("custom", {}, simplex_alphabet(12)))["invariants"]
+    assert inv["delta_star"] == {"error": "restricted delta_star sweep needs a negation-closed alphabet"}
+    assert inv["unions"]["5"]["members"] == [5]
 
 
 def test_threads_flag_is_gone(runner):

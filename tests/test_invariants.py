@@ -3,6 +3,7 @@ catenary, absolute irreducibility.  The two union engines are cross-checked.
 """
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement, product
 from math import comb, gcd, prod
 
@@ -40,11 +41,11 @@ from krull_arith import (
 )
 from krull_arith import invariants
 from krull_arith.errors import ArgumentError, DomainError
-from krull_arith.factorizations import PackedAtoms, _catenary_maxima, _count_vectors, _factorizations, _lengths
+from krull_arith.factorizations import PackedAtoms, _catenary_maxima, _count_vectors, _factorizations, _lengths, _mask, _members
 from krull_arith.invariants import (
     ENUM_PRODUCT_GUARD,
     BoundedResult,
-    _profile,
+    UnionProfile,
     _reaches,
     _union_by_enumeration,
     _union_by_milp,
@@ -52,7 +53,15 @@ from krull_arith.invariants import (
 )
 from krull_arith.presets import build_preset
 
-from conftest import catenary_by_chains, delta_by_full_sweep, int_alphabet, small_alphabets, unions_by_levels
+from conftest import (
+    catenary_by_chains,
+    delta_by_full_sweep,
+    int_alphabet,
+    min_delta_by_kernel,
+    simplex_alphabet,
+    small_alphabets,
+    unions_by_levels,
+)
 
 
 def test_delta_set_cyclic(cyclic4_atoms, cyclic5_atoms):
@@ -83,6 +92,15 @@ def test_delta_star_atom_limit(cyclic5_atoms):
     res = delta_star(cyclic5_atoms, 3, atom_limit=4)
     assert res.value <= frozenset((1, 3))
     assert "skipped" in res.note
+
+
+def test_delta_star_refuses_the_alphabets_it_cannot_sweep():
+    """delta* sweeps at most 20 elements, and past 12 only the unions of the
+    pairs {g, -g}, so there it needs a negation-closed alphabet."""
+    with pytest.raises(ArgumentError, match="alphabets of size 20"):
+        delta_star(enumerate_atoms(int_alphabet(*range(1, 22))), 2)
+    with pytest.raises(ArgumentError, match="needs a negation-closed alphabet"):
+        delta_star(enumerate_atoms(simplex_alphabet(12)), 2)
 
 
 def _z_plus_z2(with_zero):
@@ -123,11 +141,12 @@ def _engine(atomset, k, engine, memo=None):
     engine started from U_1, ..., U_{k-1} ("milp")."""
     memo = {} if memo is None else memo
     if engine == "enum":
-        members = _union_by_enumeration(atomset, k, memo)[-1]
+        mask = _union_by_enumeration(atomset, k, memo)[-1]
     else:
-        lower = [u.members for u in union_profiles(atomset, k - 1, memo=memo)]
-        members = _union_by_milp(atomset, k, lower)
-    return _profile(k, members, engine)
+        lower = [_mask(u.members) for u in union_profiles(atomset, k - 1, memo=memo)]
+        mask = _union_by_milp(atomset, k, lower)
+    members = tuple(sorted(_members(mask)))
+    return UnionProfile(k, members, members[-1], members[0], True, engine)
 
 
 # (preset, AtomSet.restrict piece or None, 0 in G0).  thm74:3,2 has gapped
@@ -229,14 +248,19 @@ def test_union_engines_agree(monkeypatch, cyclic4_atoms, cyclic5_atoms, thm74_21
     # A negation-closed G0 is searched for every k; otherwise the product
     # sweep serves U_k while at most ENUM_PRODUCT_GUARD multisets of k atoms
     # exist.  {-6, -5, -3, 4} has 6 atoms and no pair g(-g), and 6 atoms
-    # give 21 pairs, so a guard of 21 sweeps k <= 2.
+    # give 21 pairs, so a guard of 21 sweeps k <= 2.  One pair is not
+    # enough: {-6, -5, -3, 3, 4} has the atom 3(-3), but -6, -5 and 4 lie in
+    # no atom of size 2, and its 12 atoms pass the guard at k = 2.
     gapped = enumerate_atoms(int_alphabet(-6, -5, -3, 4))
     assert len(gapped) == 6 and not any(sum(v) == 2 for v in gapped.vectors)
-    default = [u.members for u in union_profiles(gapped, 4)]
+    mixed = enumerate_atoms(int_alphabet(-6, -5, -3, 3, 4))
+    assert len(mixed) == 12 and sum(sum(v) == 2 for v in mixed.vectors) == 1
+    default = {atomset: [u.members for u in union_profiles(atomset, 4)] for atomset in (gapped, mixed)}
     monkeypatch.setattr(invariants, "ENUM_PRODUCT_GUARD", comb(7, 2))
-    profiles = union_profiles(gapped, 4)
-    assert [u.method for u in profiles] == ["enum", "enum", "milp", "milp"]
-    assert [u.members for u in profiles] == default
+    for atomset, methods in [(gapped, ["enum"] * 2 + ["milp"] * 2), (mixed, ["enum"] + ["milp"] * 3)]:
+        profiles = union_profiles(atomset, 4)
+        assert [u.method for u in profiles] == methods
+        assert [u.members for u in profiles] == default[atomset]
     assert [u.method for u in union_profiles(cyclic5_atoms, 4)] == ["enum"] * 4
 
 
@@ -249,9 +273,9 @@ def test_union_search_serves_negation_closed_g0_past_the_guard(token):
     assert comb(len(atomset) + 3, 4) > ENUM_PRODUCT_GUARD
     profiles = union_profiles(atomset, 5)
     assert [u.method for u in profiles] == ["enum"] * 5
-    lower = [u.members for u in profiles]
+    lower = [_mask(u.members) for u in profiles]
     for k in (4, 5):
-        assert tuple(sorted(_union_by_milp(atomset, k, lower[: k - 1]))) == lower[k - 1]
+        assert _union_by_milp(atomset, k, lower[: k - 1]) == lower[k - 1]
 
 
 def test_negation_closed_unions_import_no_integer_programming():
@@ -357,12 +381,12 @@ def test_milp_engine_solves_only_what_smaller_unions_leave_open(monkeypatch):
     calls = _count_milp_calls(monkeypatch)
     atomset = enumerate_atoms(build_preset("cyclic", 7).alphabet)
     memo = {}
-    lower = [u.members for u in union_profiles(atomset, 3, memo=memo)]
-    u4 = tuple(sorted(_union_by_milp(atomset, 4, lower)))
-    assert (u4, len(calls)) == (tuple(range(2, 15)), 0)
-    u5 = tuple(sorted(_union_by_milp(atomset, 5, lower + [u4])))
-    assert (u5, len(calls)) == (tuple(range(2, 16)), 1)
-    assert unions(atomset, 5, memo=memo).members == u5
+    lower = [_mask(u.members) for u in union_profiles(atomset, 3, memo=memo)]
+    u4 = _union_by_milp(atomset, 4, lower)
+    assert (u4, len(calls)) == (_mask(range(2, 15)), 0)
+    u5 = _union_by_milp(atomset, 5, lower + [u4])
+    assert (u5, len(calls)) == (_mask(range(2, 16)), 1)
+    assert _mask(unions(atomset, 5, memo=memo).members) == u5
     del calls[:]
     gapped = enumerate_atoms(int_alphabet(-70, -1, 1, 70), cap=128)
     assert _engine(gapped, 2, "milp").members == (2, 71)
@@ -382,9 +406,9 @@ def test_milp_engine_probes_gaps_below_a_witnessed_rho(monkeypatch, cyclic4_atom
         memo = {}
         full = [_engine(atomset, k, "enum", memo).members for k in range(1, 6)]
         for k in range(2, 6):
-            cut = [tuple(sorted({i, u[-1]} | ({k} & set(u)))) for i, u in enumerate(full[: k - 1], 1)]
+            cut = [_mask({i, u[-1]} | ({k} & set(u))) for i, u in enumerate(full[: k - 1], 1)]
             del calls[:]
-            assert tuple(sorted(_union_by_milp(atomset, k, cut))) == full[k - 1]
+            assert _union_by_milp(atomset, k, cut) == _mask(full[k - 1])
             solved[atomset.davenport(), k] = len(calls)
     assert solved[4, 4] == 1 and solved[6, 4] == 3
 
@@ -407,6 +431,27 @@ def test_milp_solutions_are_checked_in_integers(monkeypatch, cyclic5_atoms):
     monkeypatch.setattr(scipy.optimize, "milp", corrupted)
     with pytest.raises(DomainError):
         _engine(cyclic5_atoms, 2, "milp")
+
+
+def test_milp_rho_below_a_witness_is_refused(monkeypatch):
+    """An integer answer to the rho_k program that is smaller than what the
+    unions below k prove is refused: here the solver answers y = x, |y| = 5,
+    while U_1, ..., U_4 of C7 prove 15 in U_5."""
+    import scipy.optimize
+
+    solve = scipy.optimize.milp
+
+    def trivial(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        na = len(res.x) // 2
+        res.x[na:] = res.x[:na]
+        return res
+
+    atomset = enumerate_atoms(build_preset("cyclic", 7).alphabet)
+    lower = [_mask(u.members) for u in union_profiles(atomset, 4)]
+    monkeypatch.setattr(scipy.optimize, "milp", trivial)
+    with pytest.raises(DomainError, match="rho_5 = 5 is below the witness 15"):
+        _union_by_milp(atomset, 5, lower)
 
 
 def test_alphabet_whose_only_atom_is_zero(monkeypatch):
@@ -887,3 +932,33 @@ def test_omega_and_tame_search_one_atom_per_orbit(token, piece, monkeypatch):
         monkeypatch.setattr(invariants, name, lambda p, u, search=search: searched.append(u) or search(p, u))
         monoid(atomset)
         assert sorted(searched) == least
+
+
+# d(H) = min Delta(H) by the kernel oracle, where the gaps that
+# delta_set(., 4) sweeps have d(H) as their gcd: 0 means Delta(H) is empty.
+MIN_DELTA = {
+    "thm74:2,1": 1, "thm74:3,2": 3, "thm74:4,3": 5, "cyclic:5": 1, "cyclic:6": 1, "full_box:2": 1,
+    "prop713": 1, "cube:3": 1, "five_point": 1, "four_point": 1, "frt_t:2": 1, "split1:2": 1,
+    "split2:2": 1, "frt_t:1": 0,
+}
+
+
+def _check_min_delta(atomset):
+    """d(H) divides every gap of the Delta sweep (d = 0 leaves none), and
+    returns both."""
+    d, gaps = min_delta_by_kernel(atomset), delta_set(atomset, 4).value
+    assert all(d and gap % d == 0 for gap in gaps)
+    return d, gaps
+
+
+@pytest.mark.parametrize("token", sorted(set(SWEEP_PRESETS) | set(MIN_DELTA)))
+def test_min_delta_divides_the_swept_gaps(token):
+    d, gaps = _check_min_delta(enumerate_atoms(parse_preset(token).alphabet))
+    if token in MIN_DELTA:
+        assert d == MIN_DELTA[token] == reduce(gcd, gaps, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_alphabets())
+def test_min_delta_divides_the_swept_gaps_on_small_alphabets(alphabet):
+    _check_min_delta(enumerate_atoms(alphabet))

@@ -66,6 +66,7 @@ def test_member_symmetric_rank_family():
     assert member("thm74:2,2", {4, 6, 8})[0] is True
     assert member("thm74:2,2", {4, 5})[0] is False
     assert member("thm74:2,1", {0, 1})[0] is False  # m would be negative
+    assert member("thm74:3,2", {5}) == (True, {"m": 5, "k*": 0})  # a singleton has no gap
     with pytest.raises(ArgumentError):
         member("nonsense", {1})
 

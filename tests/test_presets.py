@@ -19,11 +19,9 @@ from krull_arith.presets import (
     from_matrix,
     parse_preset,
     preset_families,
-    thm74_block,
-    thm74_closed_form,
 )
 
-from conftest import int_alphabet
+from conftest import int_alphabet, thm74_block, thm74_closed_form
 
 
 def test_all_families_build():
@@ -199,6 +197,13 @@ def _patch_milp(monkeypatch, answer):
 
     solve = scipy.optimize.milp
     monkeypatch.setattr(scipy.optimize, "milp", lambda *a, **kw: answer(solve(*a, **kw)))
+
+
+def test_classes_with_several_primes_pass_the_divisor_theory_check():
+    """Every class of hypersurface:E6 carries at least two primes, so each
+    passes with no submonoid test."""
+    ok, reasons = check_divisor_theory(build_preset("hypersurface", "E6"))
+    assert ok and list(reasons.values()) == ["multiple primes in class"] * 3
 
 
 def test_divisor_theory_refuses_a_corrupted_solver_answer(monkeypatch):

@@ -318,6 +318,17 @@ def test_lifted_atom_count_known_values():
         )
 
 
+def test_characteristic_without_primes():
+    """A class the characteristic does not list has multiplicity 0, and with
+    no prime the brute count finds no atom; over the trivial group it has
+    not even a column to solve for."""
+    c3 = GroupSpec(0, (3,))
+    char = Characteristic(c3, [(c3.element(torsion=(1,)), 2)])
+    assert char.multiplicity(c3.element(torsion=(2,))) == 0
+    assert count_lifted_atoms_brute(Characteristic(c3, [])) == 0
+    assert count_lifted_atoms_brute(Characteristic(GroupSpec(0, ()), [])) == 0
+
+
 def test_d_even_claimed_count_discrepancy():
     d4 = build_preset("hypersurface", "D", 4)
     d6 = build_preset("hypersurface", "D", 6)
