@@ -21,6 +21,7 @@ from .factorizations import factorize_with_profile
 from .groups import GroupSpec
 from .invariants import (
     DELTA_STAR_SWEEP_LIMIT,
+    delta_of_set,
     delta_set,
     delta_star,
     elasticity,
@@ -227,42 +228,20 @@ def main(ctx, cache_dir, fmt, bound):
     ctx.obj.update(cache_dir=cache_dir, fmt=fmt, bound=bound)
 
 
-# The parameters of the preset families, by keyword of parse_preset.
-_FAMILY_OPTIONS = {
-    "r": click.option("--r", "r", type=int, default=None),
-    "alpha": click.option("--alpha", type=int, default=None),
-    "n": click.option("--n", type=int, default=None),
-    "q": click.option("--q", type=int, default=None),
-    "spl": click.option("--spl", type=int, default=None),
-    "kind": click.option("--type", "kind", default=None),
-    "include_zero": click.option("--include-zero/--no-include-zero", "include_zero", default=None),
-}
-
-
-def _family_options(fn):
-    for opt in reversed(list(_FAMILY_OPTIONS.values())):
-        fn = opt(fn)
-    return fn
-
-
 def _input_options(fn):
-    """Give a command --preset (with the family options), or --group with
-    --set, and pass it the resolved Preset as ``p``.  Flags of the other
-    kind of input are a usage error, never silently ignored."""
+    """Give a command --preset, or --group with --set, and pass it the
+    resolved Preset as ``p``.  Flags of the other kind of input are a usage
+    error, never silently ignored."""
 
-    @click.option("--preset", default=None, help="Preset token, e.g. cyclic:5.")
+    @click.option("--preset", default=None, help="Preset token, e.g. cyclic:5 or cube:2,false.")
     @click.option("--group", default=None, help="Group spec JSON (inline or file), with --set.")
     @click.option("--set", "elements", default=None, help="Alphabet JSON (inline or file), with --group.")
-    @_family_options
     @functools.wraps(fn)
     def command(*args, preset, group, elements, **kwargs):
-        params = {name: kwargs.pop(name) for name in _FAMILY_OPTIONS}
         if preset and (group or elements):
             raise click.UsageError("--preset excludes --group and --set")
         if preset:
-            p = parse_preset(preset, **params)
-        elif any(v is not None for v in params.values()):
-            raise click.UsageError("the family options need --preset")
+            p = parse_preset(preset)
         elif group and elements:
             p = Preset("custom", {}, _alphabet_from_args(group, elements))
         else:
@@ -299,12 +278,11 @@ def factorize_cmd(ctx, p, element):
     atomset = enumerate_atoms(p.alphabet)
     block = parse_sequence(p.alphabet, element)
     zs, prof = factorize_with_profile(atomset, block)
-    lengths = sorted({z.length for z in zs})
     data = {
         "element": str(block),
         "factorizations": [str(z) for z in zs],
-        "lengths": lengths,
-        "delta": [b - a for a, b in zip(lengths, lengths[1:])],
+        "lengths": list(prof.lengths),
+        "delta": sorted(delta_of_set(prof.lengths)),
         "catenary": {
             "c": prof.catenary,
             "c_eq": prof.equal,
@@ -421,19 +399,18 @@ def preset_list(ctx):
 
 
 @preset.command("build")
-@click.option("--family", required=True)
+@click.option("--family", required=True, help="Preset token, e.g. thm74:2,1, or from_matrix with --matrix.")
 @click.option("--matrix", default=None, help="Matrix JSON {rows, columns:[{vec, mult}]} for from_matrix.")
 @click.option("--row-reduce/--no-row-reduce", default=False)
 @click.option("--out", default=None)
-@_family_options
 @click.pass_context
-def preset_build(ctx, family, matrix, row_reduce, out, **params):
+def preset_build(ctx, family, matrix, row_reduce, out):
     if family == "from_matrix":
         if not matrix:
             raise click.UsageError("from_matrix needs --matrix")
         p = from_matrix(_json_input("--matrix", matrix, DefiningMatrix.from_json), row_reduce)
     else:
-        p = parse_preset(family, **params)
+        p = parse_preset(family)
     _emit(ctx, p.to_json(), out_path=out)
 
 

@@ -29,6 +29,7 @@ from itertools import chain, combinations_with_replacement, islice
 from .errors import ArgumentError
 from .factorizations import PackedAtoms, _lengths, _mask, _members
 from .invariants import _length_masks, delta_of_set
+from .presets import parse_preset
 
 
 def sumset(l1, l2):
@@ -86,8 +87,10 @@ def member(family, lengths):
                 return True, {"form": "ap2", "y": y, "k": k}
         return False, None
     if family.startswith("thm74:"):
-        r, alpha = (int(x) for x in family.split(":")[1].split(","))
-        d = r + alpha - 2
+        # The preset parser checks the arguments and the rule r, alpha >= 1,
+        # r + alpha > 2.
+        params = parse_preset(family).params
+        d = params["r"] + params["alpha"] - 2
         if len(ls) == 1:
             return True, {"m": lo, "k*": 0}
         gaps = delta_of_set(ls)

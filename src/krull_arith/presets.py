@@ -268,18 +268,27 @@ def _hypersurface(kind, n=0):
     )
 
 
+# family -> (builder, parameter names in token order, number of required
+# arguments).
 _FAMILIES = {
-    "thm74": (_thm74, ("r", "alpha")),
-    "cube": (_cube, ("r", "include_zero")),
-    "full_box": (_full_box, ("q",)),
-    "five_point": (_five_point, ()),
-    "four_point": (_four_point, ()),
-    "prop713": (_prop713, ()),
-    "split1": (lambda q: _split(1, q), ("q",)),
-    "split2": (lambda q: _split(2, q), ("q",)),
-    "cyclic": (_cyclic, ("n",)),
-    "frt_t": (_frt_t, ("spl",)),
-    "hypersurface": (_hypersurface, ("kind", "n")),
+    "thm74": (_thm74, ("r", "alpha"), 2),
+    "cube": (_cube, ("r", "include_zero"), 1),
+    "full_box": (_full_box, ("q",), 1),
+    "five_point": (_five_point, (), 0),
+    "four_point": (_four_point, (), 0),
+    "prop713": (_prop713, (), 0),
+    "split1": (lambda q: _split(1, q), ("q",), 1),
+    "split2": (lambda q: _split(2, q), ("q",), 1),
+    "cyclic": (_cyclic, ("n",), 1),
+    "frt_t": (_frt_t, ("spl",), 1),
+    "hypersurface": (_hypersurface, ("kind", "n"), 1),
+}
+
+# How a token argument is read, by parameter: (parse, what it accepts).
+# Every parameter not listed is an integer.
+_TOKEN_ARGS = {
+    "include_zero": ({"0": False, "1": True, "false": False, "true": True}.__getitem__, "0, 1, false or true"),
+    "kind": (str, None),
 }
 
 
@@ -290,35 +299,33 @@ def preset_families():
 def build_preset(family, *args, **kwargs):
     if family not in _FAMILIES:
         raise ArgumentError("unknown preset family %r" % family)
-    fn, _ = _FAMILIES[family]
-    return fn(*args, **kwargs)
+    return _FAMILIES[family][0](*args, **kwargs)
 
 
-def parse_preset(token, **overrides):
-    """Parse 'family' or 'family:a,b' tokens (e.g. 'cyclic:5', 'thm74:2,1').
-    Token arguments bind to the family's parameters by position; keyword
-    overrides that are not None replace them, and one that names no
-    parameter of the family is an error."""
-    name, _, argstr = token.partition(":")
+def parse_preset(token):
+    """Parse 'family' or 'family:a,b' tokens (e.g. 'cyclic:5', 'thm74:2,1',
+    'cube:2,false', 'hypersurface:D,16').  Token arguments bind to the
+    family's parameters by position.  A missing, extra or malformed
+    argument is an ArgumentError."""
+    name, colon, argstr = token.partition(":")
     if name not in _FAMILIES:
         raise ArgumentError("unknown preset family %r" % name)
-    fn, param_names = _FAMILIES[name]
-    args = []
-    if argstr:
-        for raw in argstr.split(","):
-            raw = raw.strip()
-            args.append(int(raw) if raw.lstrip("-").isdigit() else raw)
-    if len(args) > len(param_names):
-        raise ArgumentError(
-            "preset family %r takes at most %d arguments" % (name, len(param_names))
-        )
-    kwargs = dict(zip(param_names, args))
-    for k, v in overrides.items():
-        if v is None:
-            continue
-        if k not in param_names:
-            raise ArgumentError("preset family %r has no parameter %r" % (name, k))
-        kwargs[k] = v
+    fn, params, required = _FAMILIES[name]
+    raws = argstr.split(",") if colon else []
+    if not required <= len(raws) <= len(params):
+        form = ",".join(params[:required])
+        if required < len(params):
+            form += "[,%s]" % ",".join(params[required:])
+        raise ArgumentError("preset %r: the form is %s" % (token, name + ":" + form if form else name))
+    kwargs = {}
+    for param, raw in zip(params, raws):
+        parse, accepts = _TOKEN_ARGS.get(param, (int, "an integer"))
+        try:
+            kwargs[param] = parse(raw.strip())
+        except (KeyError, ValueError):
+            raise ArgumentError(
+                "preset %r: %s must be %s, not %r" % (token, param, accepts, raw)
+            ) from None
     return fn(**kwargs)
 
 

@@ -53,6 +53,14 @@ def test_factorize_command(runner):
     assert data["delta"] == [1]
     assert data["catenary"]["c"] == 3
     assert len(data["factorizations"]) == 2
+    # Delta(L) is a set: L = {4, 5, 6} has the one distance 1, not [1, 1].
+    result = runner.invoke(
+        main, ["factorize", "--preset", "cyclic:3", "--element", "1^6 * 2^6"]
+    )
+    assert result.exit_code == 0
+    data = json.loads(result.output)
+    assert data["lengths"] == [4, 5, 6]
+    assert data["delta"] == [1]
 
 
 def test_invariants_deterministic_and_cached(runner, tmp_path):
@@ -61,11 +69,7 @@ def test_invariants_deterministic_and_cached(runner, tmp_path):
         str(tmp_path),
         "invariants",
         "--preset",
-        "thm74",
-        "--r",
-        "2",
-        "--alpha",
-        "1",
+        "thm74:2,1",
     ]
     first = runner.invoke(main, args)
     assert first.exit_code == 0, first.output
@@ -310,9 +314,7 @@ def test_preset_list_and_build(runner):
     assert result.exit_code == 0
     families = json.loads(result.output)["families"]
     assert "cyclic" in families and "from_matrix" not in families
-    result = runner.invoke(
-        main, ["preset", "build", "--family", "thm74", "--r", "2", "--alpha", "1"]
-    )
+    result = runner.invoke(main, ["preset", "build", "--family", "thm74:2,1"])
     assert result.exit_code == 0
     data = json.loads(result.output)
     assert data["name"] == "thm74"
@@ -320,9 +322,7 @@ def test_preset_list_and_build(runner):
 
 
 def test_preset_build_hypersurface_type(runner):
-    result = runner.invoke(
-        main, ["preset", "build", "--family", "hypersurface", "--type", "E6"]
-    )
+    result = runner.invoke(main, ["preset", "build", "--family", "hypersurface:E6"])
     assert result.exit_code == 0, result.output
     data = json.loads(result.output)
     assert data["params"] == {"type": "E6", "n": 0}
@@ -366,7 +366,7 @@ def test_lengths_command_with_probe(runner):
 
 
 def test_decompose_command(runner):
-    result = runner.invoke(main, ["decompose", "--preset", "split1", "--q", "2"])
+    result = runner.invoke(main, ["decompose", "--preset", "split1:2"])
     assert result.exit_code == 0
     data = json.loads(result.output)
     assert data["num_components"] == 2
@@ -407,8 +407,23 @@ def _assert_one_line_error(result):
 
 def test_unknown_preset_is_an_error(runner):
     _assert_one_line_error(runner.invoke(main, ["invariants", "--preset", "nope"]))
-    # cyclic has no parameter r, so --r is rejected rather than dropped.
-    result = runner.invoke(main, ["preset", "build", "--family", "cyclic:3", "--r", "9"])
+    # The preset token is the only way to set a family's arguments.
+    for option in ("--r", "--alpha", "--n", "--q", "--spl", "--type", "--include-zero"):
+        for args in (["invariants", "--preset"], ["preset", "build", "--family"]):
+            result = runner.invoke(main, args + ["cyclic:3", option, "9"])
+            assert result.exit_code == 2
+            assert "No such option '%s'" % option in result.output
+
+
+@pytest.mark.parametrize("token", ["cyclic:abc", "thm74:2", "cube:2,maybe", "cyclic:5,"])
+def test_malformed_preset_token_is_an_error(runner, token):
+    _assert_one_line_error(runner.invoke(main, ["invariants", "--preset", token]))
+    _assert_one_line_error(runner.invoke(main, ["preset", "build", "--family", token]))
+
+
+@pytest.mark.parametrize("family", ["thm74:x", "thm74:2", "thm74:0,0"])
+def test_malformed_length_family_is_an_error(runner, family):
+    result = runner.invoke(main, ["lengths", "--preset", "cyclic:3", "--family", family])
     _assert_one_line_error(result)
 
 
@@ -488,15 +503,15 @@ def test_report_cached_under_another_schema_or_version_is_a_miss(runner, tmp_pat
     "args",
     [
         [
-            "decompose", "--preset", "split1", "--q", "2",
+            "decompose", "--preset", "split1:2",
             "--group", '{"free_rank":1}', "--set", "[[1],[-1]]",
         ],
-        ["decompose", "--group", '{"free_rank":1}', "--set", "[[1],[-1]]", "--r", "5"],
+        ["decompose", "--preset", "split1:2", "--set", "[[1],[-1]]"],
     ],
 )
 def test_inputs_of_two_kinds_are_a_usage_error(runner, args):
-    """--preset with --group/--set, or a family option without --preset,
-    would answer for an input other than the one typed."""
+    """--preset with --group or --set would answer for an input other than
+    the one typed."""
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert "Usage:" in result.output and "Error:" in result.output

@@ -69,6 +69,11 @@ def test_member_symmetric_rank_family():
     assert member("thm74:3,2", {5}) == (True, {"m": 5, "k*": 0})  # a singleton has no gap
     with pytest.raises(ArgumentError):
         member("nonsense", {1})
+    # A malformed family, or one outside r, alpha >= 1 with r + alpha > 2,
+    # is an error rather than a traceback or a miss on every set.
+    for family in ("thm74:x", "thm74:2", "thm74:0,0", "thm74:1,1", "thm74:2,1,1"):
+        with pytest.raises(ArgumentError):
+            member(family, {4, 5, 6})
 
 
 def test_fit_progression():

@@ -51,23 +51,27 @@ def test_parse_preset():
     assert preset.params == {"n": 5}
     preset = parse_preset("thm74:2,1")
     assert preset.params == {"r": 2, "alpha": 1}
-    preset = parse_preset("thm74", r=3, alpha=2)
+    preset = parse_preset("thm74:3,2")
     assert preset.params == {"r": 3, "alpha": 2}
     preset = parse_preset("hypersurface:E7")
     assert preset.params["type"] == "E7"
-    # Keyword overrides replace token arguments of the same parameter.
-    assert parse_preset("cyclic:3", n=4).params == {"n": 4}
-    assert parse_preset("thm74:2,1", alpha=3).params == {"r": 2, "alpha": 3}
-    assert parse_preset("hypersurface", kind="E6").params["type"] == "E6"
-    assert parse_preset("hypersurface:E7", kind="E6").params["type"] == "E6"
-    assert parse_preset("hypersurface:D", n=6).params == {"type": "D", "n": 6}
-    with pytest.raises(ArgumentError):
-        parse_preset("cyclic:3,4")
-    # An override naming no parameter of the family is an error, not ignored.
-    with pytest.raises(ArgumentError):
-        parse_preset("cyclic:3", r=9)
-    with pytest.raises(ArgumentError):
-        parse_preset("five_point:1")
+    assert parse_preset("hypersurface:D,6").params == {"type": "D", "n": 6}
+    # include_zero is a flag: 0/1/true/false give a real bool.
+    for token in ("cube:2,false", "cube:2,0"):
+        preset = parse_preset(token)
+        assert preset.params == {"r": 2, "include_zero": False}
+        assert preset.params["include_zero"] is False
+        assert len(preset.alphabet) == 6
+    assert parse_preset("cube:2,true").params["include_zero"] is True
+    assert len(parse_preset("cube:2").alphabet) == 7
+    # A missing, extra or malformed argument is an error, never a traceback
+    # or a silently kept default.
+    for token in (
+        "cyclic:abc", "thm74:2", "cube:2,maybe", "cyclic:5,", "cyclic:3,4",
+        "thm74", "five_point:1", "hypersurface:D,x",
+    ):
+        with pytest.raises(ArgumentError):
+            parse_preset(token)
     with pytest.raises(ArgumentError):
         parse_preset("no-such-family")
     with pytest.raises(ArgumentError):
