@@ -233,42 +233,40 @@ def _count_vectors(packed, block):
     ``Packing`` ``counts``.
 
     The atoms are filtered once, at the root: an atom that does not divide B
-    divides no part of it.  The search is depth first over atoms in
-    nondecreasing order, so each multiset is produced once.  ``reach[i]``
-    holds the supports of the atoms i, i + 1, ...; a remainder left to them
-    is pushed only when each of its elements lies in ``reach[i]``, since no
-    other remainder can be finished, so the search visits no dead
-    sub-multiset of the atoms.  A nonzero atom has at least two elements, so
-    no factorization of the zero-free part is longer than half its size,
-    which sets the count width."""
+    divides no part of it.  A remainder has no element below its lowest one,
+    so the atoms covering that element start there.  The search is depth
+    first over those atoms only, in nondecreasing index while the same
+    element stays lowest and from the first again once it moves on, so each
+    multiset has one path.  A nonzero atom has at least two elements, so no
+    factorization of the zero-free part is longer than half its size, which
+    sets the count width."""
     y, block = packed.split_zeros(block)
-    guards, supports = packed.guard, packed.supports
-    lift = guards - packed.ones
+    guards, width = packed.guard, packed.width
     held = block | guards
     positions = [p for p, u in enumerate(packed.atoms) if (held - u) & guards == guards]
-    atoms = [packed.atoms[p] for p in positions]
-    reach = [0] * (len(atoms) + 1)
-    for i in reversed(range(len(atoms))):
-        reach[i] = reach[i + 1] | supports(atoms[i])
-    counts = Packing(len(atoms), sum(packed.unpack(block)) // 2)
-    ones = [1 << s for s in counts.shifts]
+    counts = Packing(len(positions), sum(packed.unpack(block)) // 2)
+    # starting[f]: (atom, its unit count) for the atoms whose lowest element is in field f, from the least significant.
+    starting = [[] for _ in range(packed.length)]
+    for u, s in zip(map(packed.atoms.__getitem__, positions), counts.shifts):
+        starting[(u.bit_length() - 1) // width].append((u, 1 << s))
     out = []
-    stack = [(block, 0, 0)]
+    # (remainder, field of the last atom's lowest element, that atom's index in its group, counts)
+    stack = [(block, -1, 0, 0)]
     while stack:
-        rem, start, z = stack.pop()
+        rem, field, start, z = stack.pop()
         if not rem:
             out.append(z)
             if len(out) > FACTORIZATION_GUARD:
                 raise BoundExceededError("more than %d factorizations" % FACTORIZATION_GUARD)
             continue
+        low = (rem.bit_length() - 1) // width
+        group = starting[low]
         held = rem | guards
-        for i in range(start, len(atoms)):
-            d = held - atoms[i]
+        for t in range(start if low == field else 0, len(group)):
+            u, one = group[t]
+            d = held - u
             if d & guards == guards:
-                rest = d ^ guards
-                # (rest + lift) & guards is supports(rest), inlined.
-                if (rest + lift) & guards | reach[i] == reach[i]:
-                    stack.append((rest, i, z + ones[i]))
+                stack.append((d ^ guards, low, t, z + one))
     out.sort()
     return y, positions, counts, out
 

@@ -4,13 +4,16 @@ irreducible elements.
 
 Everything here is computed by unbounded-exact or bounded-sweep methods; a
 BoundedResult records which.  Sweeps walk deduplicated products of atoms
-level by level, and one sweep serves many values: delta* sweeps only the
-largest atom sets it keeps, recording the least gap of L(B) for each block
-support, so that min delta(B(G1)) of a kept subset G1 is the least gap
-recorded for a support inside G1.  The delta sweep stops at the omega
-ceiling: delta(H) lies in [1, c(H) - 2] (Geroldinger-Halter-Koch 2006,
-Thm. 1.6.3) and c(H) <= omega(H) (Geroldinger-Hassler, *JPAA* 212, 2008),
-so once the gaps found fill [1, omega(H) - 2] no later level adds one.
+level by level, and one sweep serves many values: delta* sweeps the
+largest atom sets it keeps at once, recording the least gap of L(B) for
+each block support, so that min delta(B(G1)) of a kept subset G1 is the
+least gap recorded for a support inside G1.  A gap is at least 1, so once
+a support has least gap 1, every G1 holding it has min delta 1, and that
+sweep drops every block whose support holds it, with all its multiples.
+The delta sweep stops at the omega ceiling: delta(H) lies in
+[1, c(H) - 2] (Geroldinger-Halter-Koch 2006, Thm. 1.6.3) and
+c(H) <= omega(H) (Geroldinger-Hassler, *JPAA* 212, 2008), so once the gaps
+found fill [1, omega(H) - 2] no later level adds one.
 
 Unions of sets of lengths have two exact engines, and both start from what
 the smaller unions prove (Geroldinger-Halter-Koch, *Non-Unique
@@ -40,10 +43,11 @@ Inside the sweeps a block and an atom are ints packed by one
 builds; the packed kernels of ``factorizations`` are called on them
 directly, since every swept block is a product of atoms and so has zero sum.
 Length sets stay bitmasks until a value is returned.  One lazy generator,
-``_levels``, builds every level of blocks.  Delta and ``lengths`` read it
-level by level through ``_length_masks``, as length bitmasks with the blocks
-that realize them; delta* and the catenary sweep need every block, and
-take the blocks from ``product_levels``, a list of its levels.
+``_levels``, builds the levels of blocks of every sweep but delta*'s, which
+keys each block by the atom sets it is swept for.  Delta and ``lengths``
+read it level by level through ``_length_masks``, as length bitmasks with
+the blocks that realize them; the catenary sweep needs every block, and
+takes the blocks from ``product_levels``, a list of its levels.
 Omega and tame search covers packed for products of D(G0) atoms, the most a
 minimal cover holds.  ``Sequence`` is used only where a public function
 takes or returns one.
@@ -185,26 +189,44 @@ def _unions_of_groups(packed, groups):
 
 
 def _least_gaps_by_support(packed, atom_sets, bound):
-    """{support: least gap of L(B)} over the products B of 2..``bound``
+    """{support: least gap of L(B)} over the products B of at most ``bound``
     nonzero atoms from any one of ``atom_sets`` (masks of AtomSet indices),
-    each support as ``packed.supports`` gives it."""
+    each support as ``packed.supports`` gives it, but for the blocks whose
+    support holds one of least gap 1.  A level maps each product to the mask
+    of the sets it is a product of atoms of.  Once a support o has least gap
+    1, every G1 holding o has min Delta(B(G1)) = 1, so a block whose support
+    holds o is dropped, with its multiples on later levels."""
     zero = packed.zero[0] if packed.zero else None
-    blocks = set()
-    for atoms in atom_sets:
-        chosen = [u for i, u in enumerate(packed.atoms) if atoms >> i & 1 and i != zero]
-        for level in product_levels(chosen, bound)[2:]:
-            blocks |= level
-    least = {}
-    by_mask = {}
-    for b in blocks:
-        mask = _lengths(packed, b)
-        if mask not in by_mask:
-            by_mask[mask] = min(delta_of_set(_members(mask)), default=None)
-        gap = by_mask[mask]
-        if gap is not None:
-            support = packed.supports(b)
-            if gap < least.get(support, gap + 1):
+    guard, lift = packed.guard, packed.guard - packed.ones
+    atoms = [(u, held) for i, u in enumerate(packed.atoms)
+             if i != zero and (held := sum(1 << j for j, m in enumerate(atom_sets) if m >> i & 1))]
+    level = {0: (1 << len(atom_sets)) - 1}
+    least, by_mask, floor, dead = {}, {}, [], {}
+    for _ in range(bound):
+        below, level = level, {}
+        for b, sets in below.items():
+            for a, held in atoms:
+                if sets & held:
+                    level[b + a] = level.get(b + a, 0) | (sets & held)
+        for b in list(level):
+            # (b + lift) & guard is packed.supports(b), inlined.
+            support = (b + lift) & guard
+            hit = dead.get(support)
+            if hit is None:
+                hit = dead[support] = any(o & support == o for o in floor)
+            if hit:
+                del level[b]
+                continue
+            mask = _lengths(packed, b)
+            if mask not in by_mask:
+                by_mask[mask] = min(delta_of_set(_members(mask)), default=None)
+            gap = by_mask[mask]
+            if gap is not None and gap < least.get(support, gap + 1):
                 least[support] = gap
+                if gap == 1:
+                    floor.append(support)
+                    dead.clear()
+                    del level[b]
     return least
 
 
@@ -220,10 +242,9 @@ def delta_star(atomset, bound, memo=None, atom_limit=None):
     result is then a certified subset of delta*).
 
     A product of atoms supported in G1 is a product of atoms of B(G1), with
-    the same length set in both.  So one sweep serves every subset: only
-    the maximal kept atom sets are swept, over products of 2..``bound``
-    nonzero atoms, recording the least gap for each block support, and
-    min delta(B(G1)) is the least recorded gap over supports inside G1.
+    the same length set in both.  So one sweep of the maximal kept atom sets
+    serves every subset: min delta(B(G1)) is the least gap it records over
+    supports inside G1.
     """
     n = len(atomset.alphabet)
     if n > DELTA_STAR_SWEEP_LIMIT:
@@ -241,9 +262,7 @@ def delta_star(atomset, bound, memo=None, atom_limit=None):
     packed = PackedAtoms.for_products(atomset, bound, memo)
     supports = [packed.supports(u) for u in packed.atoms]
     # Each kept subset G1 as (mask of its atoms, supports of its elements).
-    kept = []
-    seen_atom_sets = set()
-    skipped = 0
+    kept, seen_atom_sets, skipped = [], set(), 0
     for allowed in _unions_of_groups(packed, groups):
         atoms = sum(1 << i for i, s in enumerate(supports) if s & allowed == s)
         if not atoms or atoms in seen_atom_sets:
@@ -258,11 +277,7 @@ def delta_star(atomset, bound, memo=None, atom_limit=None):
         if all(atoms & m != atoms for m in maximal):
             maximal.append(atoms)
     least = sorted(_least_gaps_by_support(packed, maximal, bound).items(), key=lambda sg: sg[1])
-    mins = set()
-    for _, g1 in kept:
-        gap = next((gap for s, gap in least if s & g1 == s), None)
-        if gap is not None:
-            mins.add(gap)
+    mins = {next((gap for s, gap in least if s & g1 == s), None) for _, g1 in kept} - {None}
     method = "symmetric-subset-sweep" if restricted else "subset-sweep"
     note = "%d subsets above the atom limit skipped" % skipped if skipped else ""
     return BoundedResult(frozenset(mins), False, bound, method, note)

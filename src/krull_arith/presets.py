@@ -212,6 +212,8 @@ def _frt_t(spl):
 
 def _hypersurface(kind, n=0):
     kind = kind.upper()
+    if n and kind in ("E6", "E7", "E8"):
+        raise ArgumentError("hypersurface type %s takes no n" % kind)
     if kind == "A":
         if n < 1:
             raise ArgumentError("A_n needs n >= 1")
@@ -263,9 +265,7 @@ def _hypersurface(kind, n=0):
         raise ArgumentError("unknown hypersurface type %r" % kind)
     char = Characteristic(spec, classes)
     alphabet = char.support_alphabet()
-    return Preset(
-        "hypersurface", {"type": kind, "n": n}, alphabet, char, expected
-    )
+    return Preset("hypersurface", {"type": kind, "n": n}, alphabet, char, expected)
 
 
 # family -> (builder, parameter names in token order, number of required

@@ -1,7 +1,8 @@
 """Shared fixtures: small alphabets and atom sets reused across the suite,
 the exhaustive atom oracle, the closed-form Z(S) and L(S) of Theorem 7.4,
-the level-sweep Delta, union and closure-probe oracles, the kernel oracle
-of min Delta, and the chain oracle of the catenary degrees."""
+the level-sweep Delta, Delta*, union and closure-probe oracles, the
+reach-table Z(B) search, the kernel oracle of min Delta, and the chain
+oracle of the catenary degrees."""
 
 from collections import Counter
 from functools import reduce
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 
 from krull_arith import Alphabet, GroupSpec, Sequence, enumerate_atoms
 from krull_arith.errors import ArgumentError
-from krull_arith.factorizations import _mask, _members
-from krull_arith.invariants import _length_masks, delta_of_set
+from krull_arith.factorizations import Packing, _lengths, _mask, _members
+from krull_arith.invariants import _length_masks, delta_of_set, product_levels
 from krull_arith.lengths import ClosureProbe, sumset
 from krull_arith.presets import _thm74_basis, build_preset
 
@@ -130,6 +131,61 @@ def delta_by_full_sweep(atomset, bound, memo=None):
     Builds every level; only for small instances."""
     levels = islice(_length_masks(atomset, bound, memo), 2, None)
     return frozenset(gap for masks in levels for mask in masks for gap in delta_of_set(_members(mask)))
+
+
+def count_vectors_by_reach(packed, block):
+    """Reference ``factorizations._count_vectors``, with no guard on |Z(B)|:
+    a depth-first search over every dividing atom in nondecreasing index,
+    pushing a remainder only when each of its elements lies in ``reach[i]``,
+    the supports of the atoms i, i + 1, ...  Returns the same (y, positions,
+    counts, zs)."""
+    y, block = packed.split_zeros(block)
+    guards, supports = packed.guard, packed.supports
+    held = block | guards
+    positions = [p for p, u in enumerate(packed.atoms) if (held - u) & guards == guards]
+    atoms = [packed.atoms[p] for p in positions]
+    reach = [0] * (len(atoms) + 1)
+    for i in reversed(range(len(atoms))):
+        reach[i] = reach[i + 1] | supports(atoms[i])
+    counts = Packing(len(atoms), sum(packed.unpack(block)) // 2)
+    ones = [1 << s for s in counts.shifts]
+    out = []
+    stack = [(block, 0, 0)]
+    while stack:
+        rem, start, z = stack.pop()
+        if not rem:
+            out.append(z)
+            continue
+        held = rem | guards
+        for i in range(start, len(atoms)):
+            d = held - atoms[i]
+            if d & guards == guards:
+                rest = d ^ guards
+                if supports(rest) | reach[i] == reach[i]:
+                    stack.append((rest, i, z + ones[i]))
+    out.sort()
+    return y, positions, counts, out
+
+
+def least_gaps_by_levels(packed, atom_sets, bound):
+    """Reference ``invariants._least_gaps_by_support`` with no floor:
+    {support: least gap of L(B)} over every product B of 2..``bound``
+    nonzero atoms from any one of ``atom_sets`` (masks of AtomSet indices),
+    the blocks taken from ``product_levels`` of each set."""
+    zero = packed.zero[0] if packed.zero else None
+    blocks = set()
+    for atoms in atom_sets:
+        chosen = [u for i, u in enumerate(packed.atoms) if atoms >> i & 1 and i != zero]
+        for level in product_levels(chosen, bound)[2:]:
+            blocks |= level
+    least = {}
+    for b in blocks:
+        gap = min(delta_of_set(_members(_lengths(packed, b))), default=None)
+        if gap is not None:
+            support = packed.supports(b)
+            if gap < least.get(support, gap + 1):
+                least[support] = gap
+    return least
 
 
 def kernel_basis(columns):

@@ -109,6 +109,17 @@ GOLDEN_REPORTS = {
         ["davenport", "delta", "elasticity", "catenary", "omega", "rho_2", "rho_3",
          "rho_4", "rho_5"],
     ),
+    # 27 elements: delta* sweeps the unions of the pairs {g, -g}
+    # ("symmetric-subset-sweep"), which no bench preset reaches.
+    "cube:3": (
+        "a29c231fac72af362241b798671ccece2b81f63f596e7ef8445d62e91e176d55",
+        ["davenport_lower_bound"],
+    ),
+    "cyclic:8": (
+        "1d05e2e1dff7d92ce8c5bb21ec6c324c1fba5ef7036768a29f0d4f91f8129b4b",
+        ["davenport", "delta", "elasticity", "catenary", "omega", "rho_2", "rho_3",
+         "rho_4", "rho_5"],
+    ),
 }
 
 

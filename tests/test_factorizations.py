@@ -2,9 +2,10 @@
 
 import signal
 from itertools import combinations, combinations_with_replacement
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from krull_arith import (
     Alphabet,
@@ -30,11 +31,12 @@ from krull_arith import (
     tame,
     union_profiles,
 )
-from krull_arith import factorizations
+from krull_arith import factorizations, invariants
 from krull_arith.errors import BoundExceededError, DomainError, ShapeError
 from krull_arith.factorizations import (
     CatenaryProfile,
     PackedAtoms,
+    _count_vectors,
     _factorizations,
     _lengths,
     _members,
@@ -45,8 +47,10 @@ from krull_arith.invariants import _length_masks, _union_by_enumeration, product
 from conftest import (
     catenary_by_chains,
     closure_probe_by_levels,
+    count_vectors_by_reach,
     cyclic_alphabet,
     int_alphabet,
+    least_gaps_by_levels,
     small_alphabets,
 )
 
@@ -429,6 +433,49 @@ def test_packed_sweeps_match_sequence_references(alphabet, zero):
         assert result.note == ("%d subsets above the atom limit skipped" % skipped if skipped else "")
     for u in atomset.atoms[:4]:
         assert tame(atomset, u, memo) == _reference_tame(atomset, u, reference)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_alphabets(), st.booleans())
+def test_grouped_search_matches_the_reach_search(alphabet, zero):
+    """The search that branches over the atoms starting at the lowest
+    element gives the Z(B) of the reach-table search, on every product of at
+    most 4 atoms, the atom 0 included."""
+    atomset = enumerate_atoms(_with_zero(alphabet, zero))
+    packed = PackedAtoms.for_products(atomset, 4)
+    for level in product_levels(packed.atoms, 4):
+        for b in level:
+            y, positions, counts, zs = _count_vectors(packed, b)
+            ry, rpositions, rcounts, rzs = count_vectors_by_reach(packed, b)
+            assert (y, positions, counts.width, zs) == (ry, rpositions, rcounts.width, rzs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_alphabets(), st.booleans(), st.integers(2, 4))
+# Over C8, on level 2, the support {2, 6} has least gap 2 and {2, 4, 6},
+# which holds it, least gap 1: a floor at gap 2 would drop the latter.
+@example(cyclic_alphabet(8), False, 2)
+def test_delta_star_floor_matches_the_full_sweep(alphabet, zero, bound):
+    """delta* with the gap-1 floor gives the value and note of the sweep
+    over every product of each maximal atom set, with and without an atom
+    limit.  Below it, for all atoms and for two overlapping atom sets, the
+    least gap over the supports inside each support the full sweep records
+    is that of the full sweep."""
+    atomset = enumerate_atoms(_with_zero(alphabet, zero))
+    memo = {}
+    packed = PackedAtoms.for_products(atomset, bound, memo)
+    every = (1 << len(atomset)) - 1
+    for atom_sets in ([every], [every & ~1, every & ~2]):
+        least = invariants._least_gaps_by_support(packed, atom_sets, bound)
+        reference = least_gaps_by_levels(packed, atom_sets, bound)
+        for g in reference:
+            inside = [min(gap for s, gap in table.items() if s & g == s) for table in (least, reference)]
+            assert inside[0] == inside[1]
+    for limit in (None, 4):
+        result = delta_star(atomset, bound, memo=memo, atom_limit=limit)
+        with mock.patch.object(invariants, "_least_gaps_by_support", least_gaps_by_levels):
+            expected = delta_star(atomset, bound, memo=memo, atom_limit=limit)
+        assert (result.value, result.note) == (expected.value, expected.note)
 
 
 def test_packing_width_follows_the_largest_multiplicity(cyclic3_atoms):

@@ -54,7 +54,7 @@ def test_parse_preset():
     preset = parse_preset("thm74:3,2")
     assert preset.params == {"r": 3, "alpha": 2}
     preset = parse_preset("hypersurface:E7")
-    assert preset.params["type"] == "E7"
+    assert preset.params == {"type": "E7", "n": 0}
     assert parse_preset("hypersurface:D,6").params == {"type": "D", "n": 6}
     # include_zero is a flag: 0/1/true/false give a real bool.
     for token in ("cube:2,false", "cube:2,0"):
@@ -68,7 +68,8 @@ def test_parse_preset():
     # or a silently kept default.
     for token in (
         "cyclic:abc", "thm74:2", "cube:2,maybe", "cyclic:5,", "cyclic:3,4",
-        "thm74", "five_point:1", "hypersurface:D,x",
+        "thm74", "five_point:1", "hypersurface:D,x", "hypersurface:E6,7",
+        "hypersurface:E7,1", "hypersurface:E8,9",
     ):
         with pytest.raises(ArgumentError):
             parse_preset(token)
