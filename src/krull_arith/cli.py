@@ -144,7 +144,7 @@ def run_invariants(preset, bound=4, max_k=5, cap=64):
     rho = elasticity(atomset, memo=memo)
     inv["elasticity"] = rho.to_json()
     inv["catenary"] = monoid_catenary(atomset, min(bound, 3), memo).to_json()
-    inv["omega"] = monoid_omega(atomset).to_json()
+    inv["omega"] = monoid_omega(atomset, memo).to_json()
     if len(atomset) <= TAME_ATOM_LIMIT:
         inv["tame"] = monoid_tame(atomset, memo).to_json()
     else:

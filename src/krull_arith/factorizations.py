@@ -225,12 +225,12 @@ def _mask(lengths):
     return sum(1 << l for l in lengths)
 
 
-def _count_vectors(packed, block):
+def _count_vectors(packed, block, floor=0):
     """Z(B) for a packed block: (y, positions, counts, zs) with y = v_0(B),
     positions the indices into ``packed.atoms`` (AtomSet indices) of the
     nonzero atoms dividing B, and zs the factorizations of B without its
-    zeros, sorted, as tuples of counts of those atoms packed by the
-    ``Packing`` ``counts``.
+    zeros longer than ``floor``, sorted, as tuples of counts of those atoms
+    packed by the ``Packing`` ``counts``.
 
     The atoms are filtered once, at the root: an atom that does not divide B
     divides no part of it.  A remainder has no element below its lowest one,
@@ -239,9 +239,17 @@ def _count_vectors(packed, block):
     element stays lowest and from the first again once it moves on, so each
     multiset has one path.  A nonzero atom has at least two elements, so no
     factorization of the zero-free part is longer than half its size, which
-    sets the count width."""
+    sets the count width.
+
+    A floor drops each branch whose atoms taken plus max L(remainder) are at
+    most the floor.  Each remainder is a sub-block of the pivot recursion
+    of ``_lengths``, since the atoms covering its lowest element are its
+    pivots, so ``packed.table`` holds its L once ``_lengths`` has the block;
+    at floor 0 the table is not read."""
     y, block = packed.split_zeros(block)
-    guards, width = packed.guard, packed.width
+    if floor:
+        _lengths(packed, block)
+    table, guards, width = packed.table, packed.guard, packed.width
     held = block | guards
     positions = [p for p, u in enumerate(packed.atoms) if (held - u) & guards == guards]
     counts = Packing(len(positions), sum(packed.unpack(block)) // 2)
@@ -250,10 +258,11 @@ def _count_vectors(packed, block):
     for u, s in zip(map(packed.atoms.__getitem__, positions), counts.shifts):
         starting[(u.bit_length() - 1) // width].append((u, 1 << s))
     out = []
-    # (remainder, field of the last atom's lowest element, that atom's index in its group, counts)
-    stack = [(block, -1, 0, 0)]
+    # (remainder, field of the last atom's lowest element, that atom's index
+    # in its group, counts, floor less the atoms taken)
+    stack = [(block, -1, 0, 0, floor)]
     while stack:
-        rem, field, start, z = stack.pop()
+        rem, field, start, z, left = stack.pop()
         if not rem:
             out.append(z)
             if len(out) > FACTORIZATION_GUARD:
@@ -265,8 +274,9 @@ def _count_vectors(packed, block):
         for t in range(start if low == field else 0, len(group)):
             u, one = group[t]
             d = held - u
-            if d & guards == guards:
-                stack.append((d ^ guards, low, t, z + one))
+            # The bit length of L(d) is 1 + max L(d).
+            if d & guards == guards and (left < 1 or table[d ^ guards].bit_length() > left):
+                stack.append((d ^ guards, low, t, z + one, left - 1))
     out.sort()
     return y, positions, counts, out
 

@@ -67,6 +67,11 @@ blocks are memo hits in ``_lengths``.  As d(z, z') <= max(|z|, |z'|), c(B),
 c_eq(B) and c_adj(B) are at most max L(B), and c_adj(B) = 0 when
 |L(B)| = 1; so the kept blocks are taken largest max L(B) first, and
 ``_catenary_maxima`` factors those that can still raise a running maximum.
+A block that can raise only c_eq, its lengths at most the running c and
+one or at most the running c_adj, is factored only above the running c_eq
+(``_count_vectors`` at that floor): c and c_adj stay as they are, and
+every length class above c_eq is complete.  Omega and the Delta ceiling
+share one search through the memo (``monoid_omega``).
 """
 
 from __future__ import annotations
@@ -166,10 +171,11 @@ def delta_set(atomset, bound, memo=None):
     """The set of distances of B(G0), swept over products of at most
     ``bound`` atoms, so never certified exact.  Levels 0 and 1 hold only
     singletons, so the gaps are those of the levels from 2 on, read until
-    they fill [1, omega(H) - 2] (module docstring)."""
+    they fill [1, omega(H) - 2] (module docstring), omega(H) taken from
+    ``monoid_omega`` on the same memo."""
     if bound < 2:
         raise ArgumentError("delta_set needs bound >= 2")
-    ceiling = set(range(1, monoid_omega(atomset).value - 1))
+    ceiling = set(range(1, monoid_omega(atomset, memo).value - 1))
     gaps = set()
     for masks in islice(_length_masks(atomset, bound, memo), 2, None):
         gaps.update(gap for mask in masks for gap in delta_of_set(_members(mask)))
@@ -516,8 +522,8 @@ def _minimal_covers(packed, u, prune):
                 stack.append((prod + cands[i], size + 1, i, used + (i,)))
 
 
-def _omega(packed, u):
-    best = 0
+def _omega(packed, u, best=0):
+    """max(best, omega(H, u)), every cover that cannot beat ``best`` cut."""
     for size, _ in _minimal_covers(packed, u, lambda size, deficit: size + deficit <= best):
         best = size
         if best >= packed.total(u):
@@ -559,12 +565,29 @@ def tame(atomset, u, memo=None):
     return _tame(packed, packed.pack(_checked(atomset, u, atom=True)))
 
 
-def monoid_omega(atomset):
+def monoid_omega(atomset, memo=None):
     """omega(H), the largest omega(H, u) over the atoms, or 0 if none: exact,
-    since the cover search of each atom is exhaustive."""
+    since the cover search of each atom is exhaustive up to the best found.
+
+    Each member of a minimal cover of u holds a unit of u that no other
+    member needs, so omega(H, u) <= |u|.  The atoms are searched largest
+    |u| first, each cut at the running maximum (``_omega``), until |u| is
+    at most that maximum.  The result is kept in ``memo`` under a key of
+    three entries, which no (alphabet, width) table key matches, so that a
+    report and its Delta ceiling search once."""
+    key = ("omega", atomset.alphabet, atomset.vectors)
+    if memo is not None and key in memo:
+        return memo[key]
     packed = PackedAtoms.for_products(atomset, atomset.davenport())
-    atoms = _least_of_orbits(packed, atomset.alphabet, packed.atoms)
-    return BoundedResult(max((_omega(packed, u) for u in atoms), default=0), True, 0, "atomwise-covers")
+    best = 0
+    for u in sorted(_least_of_orbits(packed, atomset.alphabet, packed.atoms), key=packed.total, reverse=True):
+        if packed.total(u) <= best:
+            break
+        best = _omega(packed, u, best)
+    result = BoundedResult(best, True, 0, "atomwise-covers")
+    if memo is not None:
+        memo[key] = result
+    return result
 
 
 def monoid_tame(atomset, memo=None):
@@ -601,8 +624,10 @@ def monoid_catenary(atomset, bound, memo=None):
     # Larger masks first: max L(B) = mask.bit_length() - 1 does not increase.
     for mask, b in sorted(least, reverse=True):
         top = mask.bit_length() - 1
-        if top > min(c, c_eq) or (mask & (mask - 1) and top > c_adj):
-            _, _, counts, zs = _count_vectors(packed, b)
+        others = top > c or (mask & (mask - 1) and top > c_adj)
+        if others or top > c_eq:
+            # A block that can raise only c_eq needs only its factorizations longer than c_eq.
+            _, _, counts, zs = _count_vectors(packed, b, 0 if others else c_eq)
             c, c_eq, c_adj = _catenary_maxima(counts, zs, c, c_eq, c_adj)
     value = {"catenary": c, "equal": c_eq, "adjacent": c_adj, "monotone": max(c_eq, c_adj)}
     return BoundedResult(value, False, bound, "product-sweep")

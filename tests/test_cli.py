@@ -20,7 +20,7 @@ from krull_arith.cli import main, run_invariants
 from krull_arith.presets import Preset, builtin_map, parse_preset
 from krull_arith.report import canonical_json
 
-from conftest import simplex_alphabet
+from conftest import int_alphabet, simplex_alphabet
 
 
 @pytest.fixture()
@@ -129,6 +129,20 @@ def test_run_invariants_golden(token):
     data = run_invariants(parse_preset(token))
     assert [c["name"] for c in data["expectations"]] == names
     assert data["expectations_ok"] is True
+    assert hashlib.sha256(canonical_json(data).encode()).hexdigest() == digest
+
+
+def test_run_invariants_golden_with_milp_unions():
+    """The report on {-12, -7, 3, 5, 8} in Z, as --group '{"free_rank": 1}'
+    --set '[[-12], [-7], [3], [5], [8]]' gives it: no pair g(-g) is an atom,
+    so past ENUM_PRODUCT_GUARD U_4 and U_5 come from the integer programs,
+    the only pinned report that reaches them.  Its omega(H) = 17 searches
+    42 atoms with D = 17."""
+    data = run_invariants(Preset("custom", {}, int_alphabet(-12, -7, 3, 5, 8)))
+    inv = data["invariants"]
+    assert [inv["unions"][k]["method"] for k in "12345"] == ["enum"] * 3 + ["milp"] * 2
+    assert inv["omega"]["value"] == 17 and data["expectations"] == []
+    digest = "36712dab1642915725771ec6157e230be8da8678439e7a85bb94783e44d0e93c"
     assert hashlib.sha256(canonical_json(data).encode()).hexdigest() == digest
 
 

@@ -8,6 +8,7 @@ from itertools import combinations_with_replacement, product
 from math import comb, gcd, prod
 
 import os
+import signal
 import subprocess
 import sys
 
@@ -824,19 +825,44 @@ def test_catenary_values_are_at_most_the_longest_length(token, piece):
         assert len(prof.lengths) > 1 or prof.adjacent == 0
 
 
+def _check_count_floor(atomset):
+    """At every floor from 0 to max L(B) + 1, the search of Z(B) gives the
+    y, positions and count packing of the full search, and exactly its
+    factorizations longer than the floor, on every swept block."""
+    packed, blocks = _swept_blocks(atomset)
+    for b in blocks:
+        y, positions, counts, zs = _count_vectors(packed, b)
+        for f in range(max(map(counts.total, zs)) + 2):
+            fy, fpositions, fcounts, fzs = _count_vectors(packed, b, f)
+            assert (fy, fpositions, fcounts.length, fcounts.width) == (y, positions, counts.length, counts.width)
+            assert fzs == [z for z in zs if counts.total(z) > f]
+
+
+@pytest.mark.parametrize("token, piece", SWEEP_CASES)
+def test_count_vectors_floor_matches_the_full_search(token, piece):
+    _check_count_floor(_sweep_atomset(token, piece))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_alphabets())
+def test_count_vectors_floor_matches_the_full_search_on_small_alphabets(alphabet):
+    _check_count_floor(enumerate_atoms(alphabet))
+
+
 @pytest.mark.parametrize("token, piece", [("cyclic:5", None), ("cyclic:6", None), ("cyclic:5", (1, 4))])
 def test_monoid_catenary_factors_one_block_per_orbit(token, piece, monkeypatch):
     """No block reaches the kernel twice (a block on two levels included),
     each that does is the least block of its orbit, and a least block that
     does not has max L(B) at most the final c and c_eq, and at most the
-    final c_adj unless |L(B)| = 1."""
+    final c_adj unless |L(B)| = 1.  The kernel is called with the sweep's
+    floor, which ``test_count_vectors_floor_matches_the_full_search`` checks."""
     atomset = _sweep_atomset(token, piece)
     packed, blocks = _swept_blocks(atomset)
     group = [tuple(range(len(atomset.alphabet)))] + _kept_maps(atomset, packed)
     least = {min(_apply(packed, b, perm) for perm in group) for b in blocks}
     factored = []
     count = invariants._count_vectors
-    monkeypatch.setattr(invariants, "_count_vectors", lambda p, b: factored.append(b) or count(p, b))
+    monkeypatch.setattr(invariants, "_count_vectors", lambda p, b, floor=0: factored.append(b) or count(p, b, floor))
     value = monoid_catenary(atomset, 3).value
     assert len(factored) == len(set(factored))
     assert set(factored) <= least
@@ -919,19 +945,77 @@ def test_omega_and_tame_match_the_all_atom_search_on_small_alphabets(alphabet):
 
 @pytest.mark.parametrize("token, piece", [("cyclic:5", None), ("cyclic:6", None), ("cyclic:5", (1, 4))])
 def test_omega_and_tame_search_one_atom_per_orbit(token, piece, monkeypatch):
-    """The cover searches run once on the least atom of each orbit of the
-    unit maps that keep the atoms, and on no other atom."""
+    """The cover searches run only on the least atom of each orbit of the
+    unit maps that keep the atoms.  Tame searches each of them once.  Omega
+    searches them largest |u| first, and skips those left once |u| is at
+    most the running maximum, as omega(H, u) <= |u|."""
     atomset = _sweep_atomset(token, piece)
     packed = PackedAtoms.for_products(atomset, atomset.davenport())
     group = [tuple(range(len(atomset.alphabet)))] + _kept_maps(atomset, packed)
     least = sorted({min(_apply(packed, u, perm) for perm in group) for u in packed.atoms})
     assert len(least) < len(atomset)
-    for name, monoid in (("_omega", monoid_omega), ("_tame", monoid_tame)):
-        searched = []
-        search = getattr(invariants, name)
-        monkeypatch.setattr(invariants, name, lambda p, u, search=search: searched.append(u) or search(p, u))
-        monoid(atomset)
-        assert sorted(searched) == least
+    searched = []
+    search = invariants._omega
+    monkeypatch.setattr(invariants, "_omega", lambda p, u, *best: searched.append(u) or search(p, u, *best))
+    value = monoid_omega(atomset).value
+    sizes = [packed.total(u) for u in searched]
+    assert len(set(searched)) == len(searched) and set(searched) <= set(least)
+    assert sizes == sorted(sizes, reverse=True)
+    assert all(packed.total(u) <= value for u in set(least) - set(searched))
+    searched = []
+    search = invariants._tame
+    monkeypatch.setattr(invariants, "_tame", lambda p, u: searched.append(u) or search(p, u))
+    monoid_tame(atomset)
+    assert sorted(searched) == least
+
+
+def test_omega_cover_search_stops_at_the_running_maximum():
+    """Over {-12, -7, 3, 5, 8} in Z (42 atoms, D = 17) a cover search of
+    each atom from 0 runs for minutes.  Cut at the running maximum, with
+    the atoms taken largest first, it ends within the alarm."""
+    atomset = enumerate_atoms(int_alphabet(-12, -7, 3, 5, 8))
+
+    def expire(signum, frame):
+        raise TimeoutError
+
+    # The timeout is caught and asserted on here: a traceback through the
+    # kernel frames the alarm interrupted can lack line numbers, which
+    # pytest fails to render.
+    timed_out = False
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(20)
+    try:
+        result = monoid_omega(atomset)
+    except TimeoutError:
+        timed_out = True
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert not timed_out, "omega cover search still running after 20 s"
+    assert (len(atomset), atomset.davenport()) == (42, 17)
+    assert result == BoundedResult(17, True, 0, "atomwise-covers")
+
+
+@pytest.mark.parametrize("values, omega_h", [((-9, -4, 5, 7), 16), ((-11, -3, 4, 6, 9), 20)])
+def test_monoid_omega_over_subsets_of_z(values, omega_h):
+    """omega(H) as the search of every atom from 0 gives it."""
+    assert monoid_omega(enumerate_atoms(int_alphabet(*values))).value == omega_h
+
+
+def test_monoid_omega_is_kept_in_the_memo(cyclic5_atoms, monkeypatch):
+    """With a memo, Delta's ceiling and a second call share one search, and
+    a restricted atom set over the same alphabet gets its own value."""
+    memo = {}
+    searched = []
+    search = invariants._omega
+    monkeypatch.setattr(invariants, "_omega", lambda p, u, *best: searched.append(u) or search(p, u, *best))
+    delta_set(cyclic5_atoms, 3, memo)
+    calls = len(searched)
+    assert monoid_omega(cyclic5_atoms, memo) == BoundedResult(5, True, 0, "atomwise-covers")
+    assert len(searched) == calls > 0
+    piece = cyclic5_atoms.restrict((0,))
+    assert monoid_omega(piece, memo).value == monoid_omega(piece).value == 1
+    assert len(searched) > calls
 
 
 # d(H) = min Delta(H) by the kernel oracle, where the gaps that
