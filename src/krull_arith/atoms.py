@@ -12,6 +12,13 @@ candidate x + e_j agrees with it at j (otherwise b would divide x).  The
 basis is therefore indexed by (coordinate, entry), and a candidate is tested
 only against the solutions in one bucket.
 
+Two cuts spare work and change no candidate's fate.  The move test <Ax,
+Ae_j> < 0 reads only the residual s = Ax, so the moves allowed at each
+distinct s, each with its residual after the move, are listed once.  And a
+frontier vector carries a mask of the moves j with x + e_j divided by a
+solution b, which its children inherit: b <= x + e_j and x <= x' give b <=
+x' + e_j, so those candidates are rejected with no bucket scan.
+
 Because torsion residues are stored in [0, n), the slack a zero-sum vector
 needs is a monotone function of the vector: x <= x' gives slack(x) <=
 slack(x').  So the minimal solutions of the extended system project one to
@@ -47,11 +54,8 @@ def minimal_nonneg_solutions(columns, caps=None):
     Completion procedure: grow candidate vectors from the unit vectors,
     extending x by e_j only when <Ax, A e_j> < 0 (which strictly decreases
     |Ax|^2 along some path), and harvesting solutions as they appear.  Every
-    minimal solution is reached this way.
-
-    Each level takes two passes: its zero-sum vectors join the basis, then
-    the others are extended.  The module docstring says why a candidate
-    y = x + e_j is tested only against basis vectors b with b[j] == y[j].
+    minimal solution is reached this way.  The module docstring says how
+    candidates are tested against the solutions found so far.
     """
     q = len(columns)
     if q == 0:
@@ -70,46 +74,57 @@ def minimal_nonneg_solutions(columns, caps=None):
 def _completion(columns, caps, packing):
     """The packed minimal solutions, with candidates packed by ``packing``,
     or None when an uncapped entry reaches its guard bit."""
-    guard, shifts = packing.guard, packing.shifts
-    units = [1 << t for t in shifts]
-    masks = [packing.field << t for t in shifts]
-    # Field j masked in place passes limits[j]: past its cap, or at the guard bit.
-    limits = [(packing.field >> 1 if cap is None else cap) << t for cap, t in zip(caps, shifts)]
+    guard, field = packing.guard, packing.field
+    # Move j: unit, field mask, limit past the cap or at the guard bit, j, dead-mask bit.
+    moves = [
+        (1 << t, field << t, (field >> 1 if cap is None else cap) << t, j, 1 << j)
+        for j, (cap, t) in enumerate(zip(caps, packing.shifts))
+    ]
     basis = []
     # field i of b, masked in place -> the basis vectors b with that field
     by_entry = {}
-    frontier = dict(zip(units, columns))
+    # residual Ax -> its allowed moves, each with the residual after it
+    steps = {}
+    # x -> (Ax, the mask of the moves j with x + e_j dominated)
+    frontier = {move[0]: (tuple(column), 0) for move, column in zip(moves, columns)}
     while frontier:
         growing = []
-        for x, s in frontier.items():
+        for x, (s, dead) in frontier.items():
             if any(s):
-                growing.append((x, s))
+                growing.append((x, s, dead))
                 continue
             basis.append(x)
-            for mask in masks:
-                if x & mask:
-                    by_entry.setdefault(x & mask, []).append(x)
+            for move in moves:
+                if x & move[1]:
+                    by_entry.setdefault(x & move[1], []).append(x)
         nxt = {}
-        for x, s in growing:
-            for j, column in enumerate(columns):
-                if sum(map(mul, s, column)) >= 0:
+        for x, s, dead in growing:
+            if (allowed := steps.get(s)) is None:
+                allowed = steps[s] = [
+                    (*move, tuple(map(add, s, column)))
+                    for move, column in zip(moves, columns)
+                    if sum(map(mul, s, column)) < 0
+                ]
+            kids = []
+            for unit, mask, limit, j, bit, t in allowed:
+                if dead & bit or (y := x + unit) in nxt:
                     continue
-                y = x + units[j]
-                if y in nxt:
-                    continue
-                entry = y & masks[j]
+                entry = y & mask
                 held = y | guard
                 for b in by_entry.get(entry, ()):
                     if (held - b) & guard == guard:
+                        dead |= bit
                         break
                 else:
-                    if entry > limits[j]:
+                    if entry > limit:
                         if caps[j] is None:
                             return None
                         raise BoundExceededError(
                             "multiplicity cap %d exceeded at coordinate %d" % (caps[j], j)
                         )
-                    nxt[y] = tuple(map(add, s, column))
+                    kids.append((y, t))
+            for y, t in kids:
+                nxt[y] = (t, dead)
         frontier = nxt
     return basis
 

@@ -175,9 +175,9 @@ def run_invariants(preset, bound=4, max_k=5, cap=64):
     checks = [
         _check(name, wanted[name], value) for name, value in computed.items() if name in wanted
     ]
-    # Report schema 1 pins these bytes: there the "exact" flag of these four
-    # values is the pass of their check when the preset has one.  ROADMAP
-    # item 5 deletes this loop at the schema bump.
+    # Report schema 2 (reporting.REPORT_SCHEMA) pins these bytes: there the
+    # "exact" flag of these four values is the pass of their check when the
+    # preset has one.  ROADMAP item 5 deletes this loop at the schema bump.
     for c in checks:
         if c["name"] in ("delta", "catenary", "omega", "tame"):
             inv[c["name"]]["exact"] = c["pass"]

@@ -1,20 +1,21 @@
 """Shared fixtures: small alphabets and atom sets reused across the suite,
 the exhaustive atom oracle, the closed-form Z(S) and L(S) of Theorem 7.4,
 the level-sweep Delta, Delta*, union and closure-probe oracles, the
-reach-table Z(B) search, the kernel oracle of min Delta, and the chain
-oracle of the catenary degrees."""
+reach-table Z(B) search, the kernel oracle of min Delta, the chain oracle
+of the catenary degrees, and the reference atom completion."""
 
 from collections import Counter
 from functools import reduce
 from itertools import islice, product
 from math import gcd
-from operator import or_
+from operator import add, mul, or_
 
 import pytest
 from hypothesis import strategies as st
 
 from krull_arith import Alphabet, GroupSpec, Sequence, enumerate_atoms
-from krull_arith.errors import ArgumentError
+from krull_arith.atoms import _zero_sum_columns
+from krull_arith.errors import ArgumentError, BoundExceededError
 from krull_arith.factorizations import Packing, _lengths, _mask, _members
 from krull_arith.invariants import _length_masks, delta_of_set, product_levels
 from krull_arith.lengths import ClosureProbe, sumset
@@ -61,6 +62,83 @@ def atoms_by_exhaustion(alphabet, max_mult):
         if any(v) and Sequence(alphabet, v).is_zero_sum():
             zero_sum.append(v)
     return tuple(Sequence(alphabet, v) for v in minimalize(zero_sum))
+
+
+def completion_reference(columns, caps, packing):
+    """Reference ``atoms._completion``: the same completion with no table of
+    moves and no dead masks.  It takes <Ax, Ae_j> for every column of every
+    frontier vector and tests every candidate against its bucket, so it
+    checks that the kernel's skipped candidates are exactly those the bucket
+    scan rejects.  Returns the packed basis in the order it is found, or None
+    when an uncapped entry reaches its guard bit."""
+    guard, shifts = packing.guard, packing.shifts
+    units = [1 << t for t in shifts]
+    masks = [packing.field << t for t in shifts]
+    limits = [(packing.field >> 1 if cap is None else cap) << t for cap, t in zip(caps, shifts)]
+    basis = []
+    by_entry = {}
+    frontier = dict(zip(units, columns))
+    while frontier:
+        growing = []
+        for x, s in frontier.items():
+            if any(s):
+                growing.append((x, s))
+                continue
+            basis.append(x)
+            for mask in masks:
+                if x & mask:
+                    by_entry.setdefault(x & mask, []).append(x)
+        nxt = {}
+        for x, s in growing:
+            for j, column in enumerate(columns):
+                if sum(map(mul, s, column)) >= 0:
+                    continue
+                y = x + units[j]
+                if y in nxt:
+                    continue
+                entry = y & masks[j]
+                held = y | guard
+                for b in by_entry.get(entry, ()):
+                    if (held - b) & guard == guard:
+                        break
+                else:
+                    if entry > limits[j]:
+                        if caps[j] is None:
+                            return None
+                        raise BoundExceededError(
+                            "multiplicity cap %d exceeded at coordinate %d" % (caps[j], j)
+                        )
+                    nxt[y] = tuple(map(add, s, column))
+        frontier = nxt
+    return basis
+
+
+def completion_runs(kernel, columns, caps):
+    """The outcome of ``kernel`` (``atoms._completion`` or
+    ``completion_reference``) at each width that ``minimal_nonneg_solutions``
+    tries on a system with every cap at least 1: None for each width that
+    an uncapped entry outgrows, then the basis as unpacked tuples in the
+    order found, or the message of the BoundExceededError raised."""
+    packing = Packing(len(columns), max((cap for cap in caps if cap is not None), default=0))
+    runs = []
+    while True:
+        try:
+            basis = kernel(columns, caps, packing)
+        except BoundExceededError as exc:
+            return runs + [str(exc)]
+        if basis is not None:
+            return runs + [[packing.unpack(b) for b in basis]]
+        runs.append(None)
+        packing = Packing(len(columns), packing.field)
+
+
+def atoms_by_reference(alphabet, cap=64):
+    """The atom vectors of ``alphabet`` in AtomSet order, from
+    ``completion_reference`` on the columns ``enumerate_atoms`` builds."""
+    k = len(alphabet)
+    cols = _zero_sum_columns(alphabet.spec, alphabet.elements)
+    basis = completion_runs(completion_reference, cols, [cap] * k + [None] * (len(cols) - k))[-1]
+    return tuple(sorted(v[:k] for v in basis))
 
 
 def thm74_atoms_symbolic(preset):

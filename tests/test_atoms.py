@@ -16,12 +16,15 @@ from krull_arith import (
     enumerate_atoms,
     parse_preset,
 )
-from krull_arith.atoms import minimal_nonneg_solutions
+from krull_arith.atoms import _completion, minimal_nonneg_solutions
 from krull_arith.errors import BoundExceededError
 from krull_arith.presets import build_preset
 
 from conftest import (
     atoms_by_exhaustion,
+    atoms_by_reference,
+    completion_reference,
+    completion_runs,
     cyclic_alphabet,
     int_alphabet,
     minimalize,
@@ -248,6 +251,64 @@ def test_completion_kernel_widens_uncapped_fields():
     assert minimal_nonneg_solutions([(2,), (-255,)], [None, 2]) == [(255, 2)]
     with pytest.raises(BoundExceededError, match="cap 1 exceeded at coordinate 1"):
         minimal_nonneg_solutions([(2,), (-255,)], [None, 1])
+
+
+def _systems():
+    """Strategy: (columns, caps) with one to three rows, two to six columns,
+    entries in [-5, 5], and each column's cap None or one of 1..5."""
+    return st.tuples(st.integers(1, 3), st.integers(2, 6)).flatmap(
+        lambda shape: st.tuples(
+            st.lists(
+                st.tuples(*[st.integers(-5, 5)] * shape[0]), min_size=shape[1], max_size=shape[1]
+            ),
+            st.lists(st.sampled_from([None, 1, 2, 3, 4, 5]), min_size=shape[1], max_size=shape[1]),
+        )
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems())
+def test_completion_kernel_matches_reference(system):
+    """The table of moves by residual and the inherited dead masks change no
+    outcome: at every width the kernel and ``conftest.completion_reference``
+    find the same basis in the same order, or both outgrow the width, or
+    both raise BoundExceededError with the same message."""
+    columns, caps = system
+    assert completion_runs(_completion, columns, caps) == completion_runs(
+        completion_reference, columns, caps
+    )
+
+
+def test_dominated_move_is_skipped_at_the_child():
+    """On x - 3y + 3z = 0, (1, 1, 0) finds its move on z dominated by the
+    solution (0, 1, 1), and its child (2, 1, 0) inherits the move as dead:
+    the candidate (2, 1, 1), at cap 1 in its third entry, is skipped without
+    a scan and raises nothing.  A dominated candidate never passes its cap,
+    since the solution that divides it agrees with it at the coordinate it
+    grows.  Cap 2 on x makes (3, 1, 0) raise in both kernels."""
+    columns = [(1,), (-3,), (3,)]
+    runs = completion_runs(_completion, columns, [3, 3, 1])
+    assert runs == [[(0, 1, 1), (3, 1, 0)]]
+    assert runs == completion_runs(completion_reference, columns, [3, 3, 1])
+    raised = completion_runs(_completion, columns, [2, 3, 1])
+    assert raised == ["multiplicity cap 2 exceeded at coordinate 0"]
+    assert raised == completion_runs(completion_reference, columns, [2, 3, 1])
+
+
+def test_completion_kernel_matches_reference_when_widening():
+    """The entry 150 of the first column outgrows the 8-bit fields."""
+    columns, caps = [(1, 0), (0, 1), (-150, -1), (-1, 0), (0, -1)], [None, 2, 2, 3, None]
+    runs = completion_runs(_completion, columns, caps)
+    assert runs[0] is None and runs == completion_runs(completion_reference, columns, caps)
+
+
+@pytest.mark.parametrize(
+    "token,count", [("cyclic:13", 827), ("cyclic:16", 2135), ("full_box:3", 2362)]
+)
+def test_atom_vectors_match_reference_at_scale(token, count):
+    alphabet = parse_preset(token).alphabet
+    vectors = enumerate_atoms(alphabet).vectors
+    assert len(vectors) == count and vectors == atoms_by_reference(alphabet)
 
 
 # Atom counts and sha256 of json.dumps of the atoms' multiplicity tuples, in
