@@ -95,12 +95,6 @@ def _json_input(option, value, build):
         ) from None
 
 
-def _alphabet_from_args(group, elements):
-    spec = _json_input("--group", group, GroupSpec.from_json)
-    members = _json_input("--set", elements, lambda cs: [spec.element_from_coords(c) for c in cs])
-    return Alphabet(spec, members)
-
-
 def _check(name, expected, computed):
     """One expectation of the report, rendered like a BoundedResult value.
     ``davenport_lower_bound`` passes when the computed value reaches it."""
@@ -243,7 +237,9 @@ def _input_options(fn):
         if preset:
             p = parse_preset(preset)
         elif group and elements:
-            p = Preset("custom", {}, _alphabet_from_args(group, elements))
+            spec = _json_input("--group", group, GroupSpec.from_json)
+            members = _json_input("--set", elements, lambda cs: [spec.element_from_coords(c) for c in cs])
+            p = Preset("custom", {}, Alphabet(spec, members))
         else:
             raise click.UsageError("provide --preset, or --group together with --set")
         return fn(*args, p=p, **kwargs)
@@ -252,19 +248,17 @@ def _input_options(fn):
 
 
 @main.command()
-@click.option("--group", required=True, help="Group spec JSON.")
-@click.option("--set", "elements", required=True, help="Alphabet JSON (inline or file).")
+@_input_options
 @click.option("--cap", default=64, show_default=True)
 @click.pass_context
-def atoms(ctx, group, elements, cap):
+def atoms(ctx, p, cap):
     """Enumerate the atoms of B(G0) and the Davenport constant."""
-    alphabet = _alphabet_from_args(group, elements)
-    atomset = enumerate_atoms(alphabet, cap=cap)
+    atomset = enumerate_atoms(p.alphabet, cap=cap)
     data = {
         "atoms": [a.to_json() for a in atomset.atoms],
         "rendered": [str(a) for a in atomset.atoms],
         "davenport": atomset.davenport(),
-        "alphabet": alphabet.to_json(),
+        "alphabet": p.alphabet.to_json(),
     }
     _emit(ctx, data)
 

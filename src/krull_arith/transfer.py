@@ -12,20 +12,24 @@ against two finite-window criteria:
 Together these are the defining properties of a transfer homomorphism,
 verified on a bounded window.
 
-The window checks work on multiplicity tuples: ``_ZeroSums`` holds one
-coordinate column per group coordinate and enumerates zero-sum tuples with
-running sums, and ``_preimages`` splits a target tuple over the fibers of
-theta.  ``lengths_preserved`` packs each window tuple for the length kernel
-of ``factorizations``.  ``Sequence`` is built only for the failures a report
-lists.
+The window checks work on multiplicity tuples, and one enumerator,
+``_ZeroSums.vectors``, lists every zero-sum tuple they read: it meets in the
+middle, completing each prefix over one half of the alphabet by the tuples
+over the other half whose group sum cancels it.  Both properties are then
+membership tests.  A lift of a target sequence B has length |B|, so it lies
+in the source window, and B fails T1 exactly when it is not in the set of
+images of the source window.  A pair (A, B') fails T2 exactly when B' is not
+in the set of images of the zero-sum divisors of A.  ``lengths_preserved``
+packs each window tuple for the length kernel of ``factorizations``.
+``Sequence`` is built only for the failures a report lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import islice
 from math import comb
-from operator import add, mul
+from operator import add, mod, mul, neg
 
 from .atoms import _zero_sum_columns, minimal_nonneg_solutions
 from .errors import DomainError, ShapeError
@@ -81,86 +85,64 @@ class TransferMap:
 
 
 class _ZeroSums:
-    """Zero-sum tests on multiplicity tuples over one alphabet: one column of
-    the elements' entries per group coordinate, and the coordinate's
-    modulus (0 for a free coordinate)."""
+    """Zero-sum tests and zero-sum enumeration on multiplicity tuples over
+    one alphabet: each element's coordinates, each coordinate's modulus (0
+    for a free coordinate), and the largest absolute entry of each
+    coordinate."""
 
-    __slots__ = ("rows", "columns", "mods")
+    __slots__ = ("rows", "mods", "spans")
 
     def __init__(self, alphabet):
         spec = alphabet.spec
         self.rows = [g.coords for g in alphabet.elements]
-        self.columns = list(zip(*self.rows))
         self.mods = (0,) * spec.free_rank + spec.torsion
-
-    def _zero(self, sums):
-        return not any(s % n if n else s for s, n in zip(sums, self.mods))
+        self.spans = [max(map(abs, column)) for column in zip(*self.rows)]
 
     def __call__(self, mults):
         """Is the sequence with these multiplicities zero-sum?"""
-        return self._zero(sum(map(mul, mults, column)) for column in self.columns)
+        sums = (sum(map(mul, mults, column)) for column in zip(*self.rows))
+        return not any(s % n if n else s for s, n in zip(sums, self.mods))
 
     def vectors(self, limits, total):
         """The zero-sum v with v[i] <= limits[i] and sum(v) <= total, the zero
-        vector included, in lexicographic order.  The sum of the prefix is
-        carried down the recursion, one entry per coordinate."""
-        rows, width = self.rows, len(self.rows)
+        vector included, in lexicographic order.
 
-        def rec(i, remaining, sums, prefix):
-            if i == width:
-                if self._zero(sums):
-                    yield prefix
-                return
-            row = rows[i]
-            for m in range(min(limits[i], remaining) + 1):
-                yield from rec(i + 1, remaining - m, sums, prefix + (m,))
-                sums = tuple(map(add, sums, row))
-
-        return rec(0, total, (0,) * len(self.mods), ())
+        Meet in the middle: the tuples over the second half of the alphabet
+        are listed under their group sums, and each prefix over the first
+        half, in lexicographic order, is completed by the tuples listed under
+        minus its sum, so no full tuple is built only to fail the zero-sum
+        test.  A free coordinate is reduced modulo 2 * total * span + 1:
+        each half's sum there lies within +-total * span, so the sums of a
+        prefix and a tail with equal keys cancel exactly."""
+        mods = tuple(n or 2 * total * span + 1 for n, span in zip(self.mods, self.spans))
+        mid = len(self.rows) // 2
+        tails = {}
+        for t, count, key in _tuples(self.rows[mid:], limits[mid:], total, mods):
+            tails.setdefault(key, []).append((t, count))
+        negated = [tuple(map(neg, row)) for row in self.rows[:mid]]
+        for prefix, count, key in _tuples(negated, limits[:mid], total, mods):
+            room = total - count
+            for t, c in tails.get(key, ()):
+                if c <= room:
+                    yield prefix + t
 
     def window(self, bound):
         """The zero-sum sequences of length 1 to ``bound``."""
         return (v for v in self.vectors((bound,) * len(self.rows), bound) if any(v))
 
 
-def _preimages(tmap, target_mults, within=None):
-    """All source multiplicity tuples d with theta(d) = target_mults, limited
-    to the divisors of ``within`` (a source multiplicity vector) when it is
-    given.
-
-    Each target multiplicity is split over the fiber of source elements
-    mapping onto it."""
-    fibers = [[] for _ in target_mults]
-    for i, j in enumerate(tmap.images):
-        if within is None or within[i]:
-            fibers[j].append(i)
-    slots = [(fibers[j], m) for j, m in enumerate(target_mults) if m]
-    if not all(idxs for idxs, _ in slots):
-        return
-    choices = [
-        [
-            tuple(zip(idxs, split))
-            for split in _compositions(m, len(idxs))
-            if within is None or all(c <= within[i] for i, c in zip(idxs, split))
-        ]
-        for idxs, m in slots
-    ]
-    width = len(tmap.source)
-    for pick in product(*choices):
-        d = [0] * width
-        for part in pick:
-            for i, c in part:
-                d[i] = c
-        yield tuple(d)
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _tuples(rows, limits, total, mods):
+    """Every t <= limits with sum(t) <= total, in lexicographic order, as
+    (t, sum(t), sum of t[i] * rows[i] reduced by ``mods``)."""
+    level = [((), 0, (0,) * len(mods))]
+    for row, limit in zip(rows, limits):
+        grown = []
+        for t, count, key in level:
+            for m in range(min(limit, total - count) + 1):
+                grown.append((t + (m,), count + m, key))
+                key = tuple(map(mod, map(add, key, row), mods))
+        level = grown
+    return level
 
 
 @dataclass(frozen=True)
@@ -196,18 +178,25 @@ class TransferReport:
 def check_transfer(tmap, bound):
     """Verify the two transfer properties on the window of sequences of
     length at most ``bound``, keeping the first 10 failures of each.  The
-    scan of a property stops at its 10th failure."""
+    images of the whole source window are taken once; the scan of target
+    sequences (T1) and of source blocks (T2) stops at its 10th failure, and
+    the divisor images of a block are taken when the scan reaches it."""
     source, target = _ZeroSums(tmap.source), _ZeroSums(tmap.target)
-    t1 = (b for b in target.window(bound) if not any(map(source, _preimages(tmap, b))))
-    t2 = (
-        (a, bt)
-        for a in source.window(bound)
-        for bt in target.vectors(tmap._image(a), bound)
-        if not any(map(source, _preimages(tmap, bt, within=a)))
-    )
+    image = tmap._image
+    window = list(source.window(bound))
+    lifted = set(map(image, window))
+    t1 = (b for b in target.window(bound) if b not in lifted)
+
+    def t2():
+        for a in window:
+            divisors = set(map(image, source.vectors(a, bound)))
+            for bt in target.vectors(image(a), bound):
+                if bt not in divisors:
+                    yield a, bt
+
     t1_failures = tuple(Sequence(tmap.target, b) for b in islice(t1, 10))
     t2_failures = tuple(
-        (Sequence(tmap.source, a), Sequence(tmap.target, bt)) for a, bt in islice(t2, 10)
+        (Sequence(tmap.source, a), Sequence(tmap.target, bt)) for a, bt in islice(t2(), 10)
     )
     return TransferReport(not t1_failures, not t2_failures, bound, t1_failures, t2_failures)
 

@@ -2,7 +2,8 @@
 the exhaustive atom oracle, the closed-form Z(S) and L(S) of Theorem 7.4,
 the level-sweep Delta, Delta*, union and closure-probe oracles, the
 reach-table Z(B) search, the kernel oracle of min Delta, the chain oracle
-of the catenary degrees, and the reference atom completion."""
+of the catenary degrees, the reference atom completion, and the fiber-split
+transfer window check."""
 
 from collections import Counter
 from functools import reduce
@@ -20,6 +21,7 @@ from krull_arith.factorizations import Packing, _lengths, _mask, _members
 from krull_arith.invariants import _length_masks, delta_of_set, product_levels
 from krull_arith.lengths import ClosureProbe, sumset
 from krull_arith.presets import _thm74_basis, build_preset
+from krull_arith.transfer import TransferReport
 
 
 def cyclic_alphabet(n):
@@ -363,6 +365,98 @@ def catenary_by_chains(zs):
         default=0,
     )
     return _chain_degree(zs), max(_chain_degree(group) for group in by_len.values()), adjacent
+
+
+class ZeroSumsByRecursion:
+    """Zero-sum tests and enumeration on multiplicity tuples by a recursion
+    that carries the prefix's group sum and tests it at each leaf."""
+
+    def __init__(self, alphabet):
+        spec = alphabet.spec
+        self.rows = [g.coords for g in alphabet.elements]
+        self.columns = list(zip(*self.rows))
+        self.mods = (0,) * spec.free_rank + spec.torsion
+
+    def _zero(self, sums):
+        return not any(s % n if n else s for s, n in zip(sums, self.mods))
+
+    def __call__(self, mults):
+        return self._zero(sum(map(mul, mults, column)) for column in self.columns)
+
+    def vectors(self, limits, total):
+        """The zero-sum v <= limits with sum(v) <= total, in lexicographic
+        order."""
+        rows, width = self.rows, len(self.rows)
+
+        def rec(i, remaining, sums, prefix):
+            if i == width:
+                if self._zero(sums):
+                    yield prefix
+                return
+            row = rows[i]
+            for m in range(min(limits[i], remaining) + 1):
+                yield from rec(i + 1, remaining - m, sums, prefix + (m,))
+                sums = tuple(map(add, sums, row))
+
+        return rec(0, total, (0,) * len(self.mods), ())
+
+    def window(self, bound):
+        return (v for v in self.vectors((bound,) * len(self.rows), bound) if any(v))
+
+
+def _compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def preimages_by_fibers(tmap, target_mults, within=None):
+    """All source tuples d with theta(d) = target_mults, dividing ``within``
+    when it is given: each target multiplicity split over its fiber."""
+    fibers = [[] for _ in target_mults]
+    for i, j in enumerate(tmap.images):
+        if within is None or within[i]:
+            fibers[j].append(i)
+    slots = [(fibers[j], m) for j, m in enumerate(target_mults) if m]
+    if not all(idxs for idxs, _ in slots):
+        return
+    choices = [
+        [
+            tuple(zip(idxs, split))
+            for split in _compositions(m, len(idxs))
+            if within is None or all(c <= within[i] for i, c in zip(idxs, split))
+        ]
+        for idxs, m in slots
+    ]
+    for pick in product(*choices):
+        d = [0] * len(tmap.source)
+        for part in pick:
+            for i, c in part:
+                d[i] = c
+        yield tuple(d)
+
+
+def check_transfer_by_fibers(tmap, bound):
+    """Reference check_transfer: each target window sequence (T1) and each
+    zero-sum divisor B' of theta(A) (T2) is split over the fibers of theta,
+    and the splits are searched for a zero-sum one; the scan of a property
+    stops at its 10th failure."""
+    source, target = ZeroSumsByRecursion(tmap.source), ZeroSumsByRecursion(tmap.target)
+    t1 = (b for b in target.window(bound) if not any(map(source, preimages_by_fibers(tmap, b))))
+    t2 = (
+        (a, bt)
+        for a in source.window(bound)
+        for bt in target.vectors(tmap._image(a), bound)
+        if not any(map(source, preimages_by_fibers(tmap, bt, within=a)))
+    )
+    t1_failures = tuple(Sequence(tmap.target, b) for b in islice(t1, 10))
+    t2_failures = tuple(
+        (Sequence(tmap.source, a), Sequence(tmap.target, bt)) for a, bt in islice(t2, 10)
+    )
+    return TransferReport(not t1_failures, not t2_failures, bound, t1_failures, t2_failures)
 
 
 def small_alphabets():

@@ -38,6 +38,21 @@ def test_atoms_command(runner):
     assert data["davenport"] == 2
 
 
+def test_atoms_of_a_preset_match_its_alphabet(runner):
+    """``atoms --preset`` answers as the preset's alphabet does through
+    --group and --set."""
+    by_preset = runner.invoke(main, ["atoms", "--preset", "cyclic:5"])
+    assert by_preset.exit_code == 0
+    alphabet = parse_preset("cyclic:5").alphabet.to_json()
+    by_json = runner.invoke(
+        main,
+        ["atoms", "--group", json.dumps(alphabet["group"]), "--set", json.dumps(alphabet["elements"])],
+    )
+    assert by_json.exit_code == 0
+    assert by_preset.output == by_json.output
+    assert json.loads(by_preset.output)["davenport"] == 5
+
+
 def test_atoms_requires_both_arguments(runner):
     result = runner.invoke(main, ["atoms", "--group", '{"free_rank": 1}'])
     assert result.exit_code != 0
@@ -532,6 +547,7 @@ def test_report_cached_under_another_schema_or_version_is_a_miss(runner, tmp_pat
             "--group", '{"free_rank":1}', "--set", "[[1],[-1]]",
         ],
         ["decompose", "--preset", "split1:2", "--set", "[[1],[-1]]"],
+        ["atoms", "--preset", "cyclic:5", "--set", "[[1]]"],
     ],
 )
 def test_inputs_of_two_kinds_are_a_usage_error(runner, args):

@@ -23,9 +23,11 @@ from krull_arith.transfer import (
     check_transfer,
     count_lifted_atoms,
     count_lifted_atoms_brute,
-    _preimages,
     lengths_preserved,
+    _ZeroSums,
 )
+
+from conftest import check_transfer_by_fibers
 
 
 def _doubling_map():
@@ -41,39 +43,33 @@ def _doubling_map():
 
 
 @st.composite
-def _map_and_target(draw):
-    """A random map of a small alphabet over Z onto a smaller one, a target
-    multiplicity vector, and an optional bounding source vector."""
-    width = draw(st.integers(1, 4))
-    height = draw(st.integers(1, 3))
-    images = draw(st.lists(st.integers(0, height - 1), min_size=width, max_size=width))
-    target_mults = draw(st.lists(st.integers(0, 3), min_size=height, max_size=height))
-    within = draw(
-        st.none() | st.lists(st.integers(0, 3), min_size=width, max_size=width)
-    )
-    spec = GroupSpec(1)
-    source = Alphabet(spec, [spec.element(free=(v,)) for v in range(1, width + 1)])
-    target = Alphabet(spec, [spec.element(free=(v,)) for v in range(1, height + 1)])
-    tmap = TransferMap(
-        source, target, {g: target.elements[j] for g, j in zip(source.elements, images)}
-    )
-    return tmap, tuple(target_mults), within
+def _limits_and_total(draw):
+    """An alphabet of at most five elements over Z, Z/n, Z^2 or Z + Z/n
+    (free entries in [-3, 3], 2 <= n <= 5), a limit per element and a
+    total."""
+    n = draw(st.integers(2, 5))
+    free, torsion = draw(st.sampled_from([(1, ()), (0, (n,)), (2, ()), (1, (n,))]))
+    spec = GroupSpec(free, torsion)
+    entries = [st.integers(-3, 3)] * free + [st.integers(0, n - 1)] * len(torsion)
+    chosen = draw(st.sets(st.tuples(*entries), min_size=1, max_size=5))
+    alphabet = Alphabet(spec, [spec.element_from_coords(c) for c in chosen])
+    limits = draw(st.lists(st.integers(0, 4), min_size=len(alphabet), max_size=len(alphabet)))
+    return alphabet, tuple(limits), draw(st.integers(0, 12))
 
 
-@settings(max_examples=200, deadline=None)
-@given(_map_and_target())
-def test_preimages_match_brute_force(case):
-    tmap, target_mults, within = case
-    got = list(_preimages(tmap, target_mults, within))
-    assert all(isinstance(d, tuple) for d in got)
-    ranges = [range(target_mults[j] + 1) for j in tmap.images]
+@settings(max_examples=300, deadline=None)
+@given(_limits_and_total())
+def test_zero_sum_vectors_match_brute_force(case):
+    """The meet-in-the-middle enumerator yields exactly the zero-sum tuples
+    a filter of every bounded tuple keeps, in the same (lexicographic)
+    order."""
+    alphabet, limits, total = case
     brute = [
         v
-        for v in product(*ranges)
-        if tmap.apply(Sequence(tmap.source, v)).mults == target_mults
-        and (within is None or all(c <= w for c, w in zip(v, within)))
+        for v in product(*[range(m + 1) for m in limits])
+        if sum(v) <= total and Sequence(alphabet, v).is_zero_sum()
     ]
-    assert sorted(got) == sorted(brute)
+    assert list(_ZeroSums(alphabet).vectors(limits, total)) == brute
 
 
 def _reference_window(alphabet, bound):
@@ -117,9 +113,9 @@ def _reference_check_transfer(tmap, bound):
 
 
 @st.composite
-def _small_maps(draw):
+def _small_maps(draw, max_bound=5):
     """A map between two small alphabets, each over Z (entries in [-3, 3])
-    or over Z/n (2 <= n <= 5), and a window of at most 5.  Half of the maps
+    or over Z/n (2 <= n <= 5), and a window of at most ``max_bound``.  Half of the maps
     send each element to an arbitrary target element; the other half are
     induced by a homomorphism x -> t * x into Z/m, so they keep zero sums."""
 
@@ -141,7 +137,7 @@ def _small_maps(draw):
         spec = GroupSpec(0, (m,))
         images = {g: spec.element(torsion=(t * g.coords[0],)) for g in source.elements}
         target = Alphabet(spec, set(images.values()))
-    return TransferMap(source, target, images), draw(st.integers(1, 5))
+    return TransferMap(source, target, images), draw(st.integers(1, max_bound))
 
 
 @settings(max_examples=150, deadline=None)
@@ -166,6 +162,29 @@ def test_transfer_kernel_matches_sequence_reference(case):
     ]
     failures = [f for f in failures if f[1] != f[2]]
     assert lengths_preserved(tmap, src, tgt, bound) == (not failures, failures[:10])
+
+
+@pytest.mark.parametrize(
+    "name, bound",
+    [("prop713", 6), ("prop713", 8), ("prop713", 10), ("prop712", 6), ("prop712", 12),
+     ("collapse", 4), ("collapse", 19)],
+)
+def test_transfer_kernel_matches_fiber_reference(name, bound):
+    """The membership tests against the fiber-split search, on the windows
+    of the benchmark and of the CI step and on either side of them."""
+    tmap = builtin_map(name)
+    report, reference = check_transfer(tmap, bound), check_transfer_by_fibers(tmap, bound)
+    assert report == reference
+    assert report.to_json() == reference.to_json()
+
+
+@settings(max_examples=500, deadline=None)
+@given(_small_maps(max_bound=8))
+def test_transfer_kernel_matches_fiber_reference_on_small_maps(case):
+    tmap, bound = case
+    report, reference = check_transfer(tmap, bound), check_transfer_by_fibers(tmap, bound)
+    assert report == reference
+    assert report.to_json() == reference.to_json()
 
 
 def test_apply_and_shape_errors():
