@@ -70,8 +70,17 @@ c_eq(B) and c_adj(B) are at most max L(B), and c_adj(B) = 0 when
 A block that can raise only c_eq, its lengths at most the running c and
 one or at most the running c_adj, is factored only above the running c_eq
 (``_count_vectors`` at that floor): c and c_adj stay as they are, and
-every length class above c_eq is complete.  Omega and the Delta ceiling
-share one search through the memo (``monoid_omega``).
+every length class above c_eq is complete.
+
+A shared memo keeps, besides the length table of each alphabet and width,
+what the sweeps build, so that a later call picks up where an earlier one
+stopped: the levels of ``_length_masks`` with the generator of the next,
+under ("levels", alphabet, vectors, width); U_1, U_2, ... of
+``union_profiles`` under ("unions", alphabet, vectors); the failed table of
+the union search under ("failed", alphabet, vectors, width); and omega(H),
+which the Delta ceiling reads, under ("omega", alphabet, vectors).  Each
+key holds the atom vectors, so a restricted AtomSet never shares an entry
+with its parent.
 """
 
 from __future__ import annotations
@@ -147,18 +156,27 @@ def _length_masks(atomset, count, memo=None):
     mask.  The atom 0 is prime, so a product of i atoms is 0^j times a
     zero-free product of i - j atoms, with its lengths shifted by j: when 0
     is in G0, each mask m of level i - 1 is also on level i as m << 1,
-    realized by the first block of m times 0."""
+    realized by the first block of m times 0.
+
+    ``memo`` keeps the levels built so far, with the ``_levels`` generator
+    that builds the next, under ("levels", alphabet, vectors, width): a
+    later sweep of the same atoms at the same packing width reads those
+    levels and builds only the ones above them, each once."""
+    memo = {} if memo is None else memo
     packed = PackedAtoms.for_products(atomset, count, memo)
-    level = {}
-    for blocks in islice(_levels(packed.nonzero()), count + 1):
-        below, level = level, {}
-        for b in blocks:
-            level.setdefault(_lengths(packed, b), []).append(b)
-        if packed.zero is not None:
-            zero = 1 << packed.zero[1]
-            for m, realizers in below.items():
-                level.setdefault(m << 1, []).append(realizers[0] + zero)
-        yield level
+    key = ("levels", atomset.alphabet, atomset.vectors, packed.width)
+    levels, blocks = memo.setdefault(key, ([], _levels(packed.nonzero())))
+    for i in range(count + 1):
+        if i == len(levels):
+            level = {}
+            for b in next(blocks):
+                level.setdefault(_lengths(packed, b), []).append(b)
+            if packed.zero is not None and levels:
+                zero = 1 << packed.zero[1]
+                for m, realizers in levels[-1].items():
+                    level.setdefault(m << 1, []).append(realizers[0] + zero)
+            levels.append(level)
+        yield levels[i]
 
 
 def delta_of_set(lengths):
@@ -335,21 +353,26 @@ def _partners(atomset):
 
 def _reaches(packed, mirror, block, mirrored, target, failed):
     """Whether max L(B) >= ``target`` for a zero-free packed B with m(B) =
-    ``mirrored``, depth first over the pivot atoms as ``_lengths`` branches,
-    each sub-block cut by its pair ceiling, the memo or ``failed`` (the least
-    target each block misses)."""
+    ``mirrored``, depth first over the pivot atoms as ``_lengths`` branches.
+    A sub-block is cut by its pair ceiling before it is pushed, and by the
+    memo or ``failed`` (the least target each block misses, a fact about
+    the block that holds across searches) when it is popped.  A block whose
+    2|B| alone meets the ceiling 6t skips the fieldwise minimum of P2(B)."""
     table, guard, pivots, minimum, total = packed.table, packed.guard, packed.pivots, packed.minimum, packed.total
+    if (size := 2 * total(block)) < 6 * target and size + total(minimum(block, mirrored)) < 6 * target:
+        return False
     stack = [(block, mirrored, target, None)]
     while stack:
         b, mb, t, rests = stack.pop()
         if rests is None:
             if table.get(b, 0).bit_length() > t:
                 return True
-            if b in table or failed.get(b, t + 1) <= t or 2 * total(b) + total(minimum(b, mb)) < 6 * t:
+            if b in table or failed.get(b, t + 1) <= t:
                 continue
-            held = b | guard
-            rests = iter([(d ^ guard, mb - mirror[u]) for u in pivots[b.bit_length()]
-                          if (d := held - u) & guard == guard])
+            held, floor = b | guard, 6 * t - 6
+            rests = iter([(c, mb - mirror[u]) for u in pivots[b.bit_length()] if (d := held - u) & guard == guard
+                          and ((size := 2 * total(c := d ^ guard)) >= floor
+                               or size + total(minimum(c, mb - mirror[u])) >= floor)])
         child = next(rests, None)
         if child is None:
             failed[b] = t
@@ -358,9 +381,9 @@ def _reaches(packed, mirror, block, mirrored, target, failed):
     return False
 
 
-def _union_by_enumeration(atomset, k, memo):
+def _union_by_enumeration(atomset, k, memo, lower=()):
     """[U_1, ..., U_k] as bitmasks, each U_i from U_1, ..., U_{i-1} by
-    threshold tests.
+    threshold tests, starting after the given U_1, ..., U_j (``lower``).
 
     ``_witnessed`` proves U_i up to i and every length of a product with the
     atom 0, so with (i, c] the run of proved lengths above i, a product B of
@@ -372,7 +395,9 @@ def _union_by_enumeration(atomset, k, memo):
     branch that cannot reach c + 1, and hands each product left to
     ``_reaches``, which answers a product met again from the memo or from
     ``failed``.  A memo hit below c + 1 adds nothing: its lengths up to i
-    are witnessed and those in (i, c] are proved."""
+    are witnessed and those in (i, c] are proved.  ``memo`` keeps
+    ``failed`` under ("failed", alphabet, vectors, width), since its
+    packed blocks are read at one packing width."""
     # The fields hold |B| <= kD, so ``Packing.total`` is exact.
     packed = PackedAtoms(atomset, k * atomset.davenport(), memo)
     # m moves field g to field -g when g(-g) (g^2 if 2g = 0) is an atom, and drops the rest.
@@ -383,8 +408,9 @@ def _union_by_enumeration(atomset, k, memo):
     sizes, atoms = [s for s, _ in by_size], [u for _, u in by_size]
     # grows[t] bounds what one of the atoms t, t + 1, ... adds to 2|B| + P2(B).
     grows = list(accumulate((2 * s + 2 * packed.total(mirror[u]) for s, u in reversed(by_size)), max))[::-1]
-    failed, unions = {}, []
-    for i in range(1, k + 1):
+    failed = memo.setdefault(("failed", atomset.alphabet, atomset.vectors, packed.width), {})
+    unions = list(lower)
+    for i in range(len(unions) + 1, k + 1):
         proved = _witnessed(unions, i)
         # (product, its mirror, its size, least index it may still take, atoms left)
         stack = [(0, 0, 0, 0, i)] if atoms else []
@@ -459,20 +485,38 @@ def union_profiles(atomset, max_k, memo=None):
     (``_partners``), and otherwise while there are at most
     ENUM_PRODUCT_GUARD multisets of k atoms; each U_k after that prefix is
     found by the MILP engine ("milp"), starting from the unions below it.
-    The rule only picks the engine: both give the same U_k."""
+    The rule only picks the engine: both give the same U_k.  Whether U_k is
+    "enum" does not depend on ``max_k``.
+
+    ``memo`` keeps [U_1, U_2, ...] as bitmasks under ("unions", alphabet,
+    vectors).  A call reads the kept unions up to ``max_k`` and finds only
+    those above them, each engine starting from the kept list, so calling
+    ``unions`` once per k costs one call of ``union_profiles``:
+
+    >>> from krull_arith import enumerate_atoms, parse_preset
+    >>> atomset, memo = enumerate_atoms(parse_preset("cyclic:4").alphabet), {}
+    >>> [u.members for u in union_profiles(atomset, 4, memo)]
+    [(1,), (2, 3, 4), (2, 3, 4, 5), (2, 3, 4, 5, 6, 7, 8)]
+    >>> kept = memo["unions", atomset.alphabet, atomset.vectors]
+    >>> unions(atomset, 2, memo).members, _members(kept[1]), len(kept)
+    ((2, 3, 4), frozenset({2, 3, 4}), 4)
+    """
     if max_k < 1:
         return []
     if not atomset.vectors:
         raise DomainError("B(G0) has no atoms, so U_k is empty for every k >= 1")
+    memo = {} if memo is None else memo
+    masks = memo.setdefault(("unions", atomset.alphabet, atomset.vectors), [])
     partner = _partners(atomset)
     swept = max_k if all(j in partner for v in atomset.vectors if sum(v) > 1 for j, x in enumerate(v) if x) else 0
     while swept < max_k and comb(len(atomset) + swept, swept + 1) <= ENUM_PRODUCT_GUARD:
         swept += 1
-    masks = _union_by_enumeration(atomset, swept, memo)
-    for k in range(swept + 1, max_k + 1):
-        masks.append(_union_by_milp(atomset, k, masks))
+    if len(masks) < swept:
+        masks[:] = _union_by_enumeration(atomset, swept, memo, masks)
+    while len(masks) < max_k:
+        masks.append(_union_by_milp(atomset, len(masks) + 1, masks))
     return [UnionProfile(k, tuple(sorted(_members(mask))), mask.bit_length() - 1, (mask & -mask).bit_length() - 1,
-                         True, "enum" if k <= swept else "milp") for k, mask in enumerate(masks, 1)]
+                         True, "enum" if k <= swept else "milp") for k, mask in enumerate(masks[:max_k], 1)]
 
 
 def elasticity(atomset, bound=8, memo=None):

@@ -15,6 +15,7 @@ Collection, realization and the closure probe read the levels of
 ``invariants._length_masks``, one per number of atoms, in order: each maps
 a length bitmask to blocks that realize it, and a set with minimum m is
 realized exactly when it is the length set of a product of m atoms.  The
+memo keeps the levels, so on one memo each level is built once.  The
 probe proves a sumset realized by a product of two realizers whose length
 set is the sumset; it reads a level above its collection bound only for a
 sumset no such product proves.  Length sets are bitmasks inside the sweeps
@@ -171,7 +172,8 @@ def is_length_set_realized(atomset, lengths, vbound, memo=None):
     """Is the finite set the length set of some block of B(G0)?  Decided
     exhaustively when min(lengths) <= vbound (a realizing block is a product
     of exactly that many atoms, so the set is looked up in that level of the
-    sweep); returns None when the minimum exceeds the verification bound."""
+    sweep, which ``memo`` keeps for later calls); returns None when the
+    minimum exceeds the verification bound."""
     _check_bound(vbound)
     t = frozenset(lengths)
     if not t or min(t) < 0:
@@ -207,14 +209,16 @@ def additive_closure_probe(atomset, product_bound, memo=None):
     Pairs are tried smallest sumset first, so the first reported witness is
     minimal in that order.
 
-    Collection reads levels 0 to ``product_bound`` of one ``_length_masks``
-    sweep.  A set l is a length set exactly when it is L(B) for a product B
-    of min(l) atoms, so level min(l) lists the blocks that realize it, and a
-    sumset with minimum at most ``product_bound`` is realized exactly when
-    it was collected.  Above that, a product of a realizer of each summand
-    whose length set is the sumset proves it realized (``_proves``).  Only a
-    sumset that no such product proves is looked up in the level of its
-    minimum, which the same sweep builds in order as it is first read.
+    Collection reads levels 0 to ``product_bound`` of the ``_length_masks``
+    sweep that ``memo`` keeps, so after ``collect_length_sets`` on the same
+    memo (and packing width) it builds none of them again.  A set l is a
+    length set exactly when it is L(B) for a product B of min(l) atoms, so
+    level min(l) lists the blocks that realize it, and a sumset with minimum
+    at most ``product_bound`` is realized exactly when it was collected.
+    Above that, a product of a realizer of each summand whose length set is
+    the sumset proves it realized (``_proves``).  Only a sumset that no such
+    product proves is looked up in the level of its minimum, which the same
+    sweep builds in order as it is first read.
     """
     _check_bound(product_bound)
     vbound = 2 * product_bound

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from krull_arith import cli, report as reporting
+from krull_arith import cli, invariants, report as reporting
 from krull_arith.cli import main, run_invariants
 from krull_arith.presets import Preset, builtin_map, parse_preset
 from krull_arith.report import canonical_json
@@ -147,18 +147,35 @@ def test_run_invariants_golden(token):
     assert hashlib.sha256(canonical_json(data).encode()).hexdigest() == digest
 
 
-def test_run_invariants_golden_with_milp_unions():
+def test_run_invariants_golden_with_milp_unions(monkeypatch):
     """The report on {-12, -7, 3, 5, 8} in Z, as --group '{"free_rank": 1}'
     --set '[[-12], [-7], [3], [5], [8]]' gives it: no pair g(-g) is an atom,
     so past ENUM_PRODUCT_GUARD U_4 and U_5 come from the integer programs,
     the only pinned report that reaches them.  Its omega(H) = 17 searches
-    42 atoms with D = 17."""
+    42 atoms with D = 17.  The elasticity sweep to k = 8 extends the
+    report's U_1, ..., U_5 kept in the memo: one search (U_1..U_3) and five
+    MILP unions (U_4..U_8), with 7 integer programs; recomputing U_1..U_5
+    would take 2, 7 and 11."""
+    calls = {"_union_by_enumeration": 0, "_union_by_milp": 0, "_integer_point": 0}
+
+    def counting(name):
+        kernel = getattr(invariants, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return kernel(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(invariants, name, counting(name))
     data = run_invariants(Preset("custom", {}, int_alphabet(-12, -7, 3, 5, 8)))
     inv = data["invariants"]
     assert [inv["unions"][k]["method"] for k in "12345"] == ["enum"] * 3 + ["milp"] * 2
     assert inv["omega"]["value"] == 17 and data["expectations"] == []
     digest = "36712dab1642915725771ec6157e230be8da8678439e7a85bb94783e44d0e93c"
     assert hashlib.sha256(canonical_json(data).encode()).hexdigest() == digest
+    assert calls == {"_union_by_enumeration": 1, "_union_by_milp": 5, "_integer_point": 7}
 
 
 def test_report_exact_flags_follow_the_check_table():

@@ -265,6 +265,61 @@ def test_union_engines_agree(monkeypatch, cyclic4_atoms, cyclic5_atoms, thm74_21
     assert [u.method for u in union_profiles(cyclic5_atoms, 4)] == ["enum"] * 4
 
 
+def _check_resumed_unions(atomset, order):
+    """``unions`` for each k in ``order`` on one memo, then ``elasticity`` at
+    bound 8 on it: each profile (members, rho_k, lambda_k, method), every
+    profile up to 8 read back from the memo, and the elasticity equal those
+    of fresh calls with no memo."""
+    memo = {}
+    resumed = {k: unions(atomset, k, memo) for k in order}
+    rho = elasticity(atomset, 8, memo)
+    fresh = union_profiles(atomset, 8)
+    assert [resumed[k] for k in sorted(resumed)] == fresh[: len(order)]
+    assert rho == elasticity(atomset, 8)
+    assert union_profiles(atomset, 8, memo) == fresh
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_alphabets(), st.permutations(range(1, 6)))
+def test_unions_resume_from_the_kept_unions(alphabet, order):
+    """U_k asked once per k, in any order, on one memo: each call reads the
+    kept unions and extends them, and gives what one fresh call gives."""
+    atomset = enumerate_atoms(alphabet)
+    assume(atomset.vectors)
+    _check_resumed_unions(atomset, order)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.permutations(range(1, 6)))
+def test_unions_resume_the_milp_tail(order):
+    """With the guard at 21, {-6, -5, -3, 4} is searched for k <= 2 and
+    solved by integer programs above, so the kept list is extended by both
+    engines, the elasticity sweep to k = 8 by the integer programs alone."""
+    atomset = enumerate_atoms(int_alphabet(-6, -5, -3, 4))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(invariants, "ENUM_PRODUCT_GUARD", comb(7, 2))
+        assert [u.method for u in union_profiles(atomset, 3)] == ["enum"] * 2 + ["milp"]
+        _check_resumed_unions(atomset, order)
+
+
+@pytest.mark.parametrize("piece", [(0, 1, 2, 3, 5), (1, 3, 5)])
+def test_restricted_piece_keeps_its_own_unions(piece):
+    """A piece of cyclic:6 and its parent, on one memo in either order, each
+    keep their own unions under a key with their own atoms.  The piece
+    (0, 1, 2, 3, 5) has the unions of its parent; (1, 3, 5) has U_2 = {2, 4, 6}, so
+    an entry shared with the parent would give it wrong members."""
+    parent = enumerate_atoms(parse_preset("cyclic:6").alphabet)
+    part = parent.restrict(piece)
+    fresh = {atomset: union_profiles(atomset, 5) for atomset in (parent, part)}
+    for first, second in [(parent, part), (part, parent)]:
+        memo = {}
+        union_profiles(first, 4, memo)
+        assert union_profiles(second, 5, memo) == fresh[second]
+        assert union_profiles(first, 5, memo) == fresh[first]
+        kept = {key for key in memo if key[0] == "unions"}
+        assert kept == {("unions", a.alphabet, a.vectors) for a in (parent, part)}
+
+
 @pytest.mark.parametrize("token", ["cyclic:7", "cube:3"])
 def test_union_search_serves_negation_closed_g0_past_the_guard(token):
     """cyclic:7 and cube:3 are negation-closed, so the search gives U_4 and

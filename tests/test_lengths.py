@@ -24,7 +24,7 @@ from krull_arith import (
     member,
     sumset,
 )
-from krull_arith import lengths
+from krull_arith import invariants, lengths
 from krull_arith.errors import ArgumentError
 from krull_arith.factorizations import PackedAtoms
 from krull_arith.presets import parse_preset
@@ -307,15 +307,55 @@ def test_closure_probe_proves_sumsets_by_realizer_products(monkeypatch, token):
     assert len(calls) <= 150
 
 
-def test_closure_probe_adds_no_memo_entries_to_the_collection(cyclic5_atoms):
+def _count_sweep_work(monkeypatch):
+    """{"levels": levels of blocks built, "lengths": ``_lengths`` calls}
+    of the sweeps in ``invariants``, counted from now on."""
+    counts = {"levels": 0, "lengths": 0}
+    real_levels, real_lengths = invariants._levels, invariants._lengths
+
+    def levels(atoms):
+        for blocks in real_levels(atoms):
+            counts["levels"] += 1
+            yield blocks
+
+    def counted_lengths(packed, block):
+        counts["lengths"] += 1
+        return real_lengths(packed, block)
+
+    monkeypatch.setattr(invariants, "_levels", levels)
+    monkeypatch.setattr(invariants, "_lengths", counted_lengths)
+    return counts
+
+
+def test_closure_probe_adds_no_memo_entries_to_the_collection(monkeypatch, cyclic5_atoms):
     """The probe reads the levels that collection swept, so after
-    ``collect_length_sets`` on the same memo it computes no new length set;
-    a sweep of its own over the atom 0 would add 587 blocks that hold 0."""
+    ``collect_length_sets`` on the same memo it computes no new length set
+    and builds none of levels 0 to 4 again; a sweep of its own over the
+    atom 0 would add 587 blocks that hold 0.  Both pack at width 8, and the
+    length table of that width is ``memo[(alphabet, 8)]``."""
+    counts = _count_sweep_work(monkeypatch)
     memo = {}
     collect_length_sets(cyclic5_atoms, 4, memo)
-    assert sum(len(t) for t in memo.values()) == 1442
+    table = memo[cyclic5_atoms.alphabet, 8]
+    assert len(table) == 1442 and counts["levels"] == 5
     additive_closure_probe(cyclic5_atoms, 4, memo)
-    assert sum(len(t) for t in memo.values()) == 1442
+    assert len(table) == 1442 and counts["levels"] == 5
+
+
+def test_realizer_reads_the_kept_sweep(monkeypatch, cyclic5_atoms):
+    """After one call at bound 6 that reads level 6, further calls on the
+    same memo, for every set with minimum at most 6 drawn from [0, 9],
+    build no level and compute no length set; collection at bound 6 on that
+    memo gives the same answers, and a set with minimum 7 is None."""
+    memo = {}
+    assert is_length_set_realized(cyclic5_atoms, {6, 7, 8}, 6, memo) is True
+    counts = _count_sweep_work(monkeypatch)
+    candidates = [frozenset(t) for r in range(1, 4) for t in combinations(range(10), r) if min(t) <= 6]
+    answers = {t: is_length_set_realized(cyclic5_atoms, t, 6, memo) for t in candidates}
+    collected = collect_length_sets(cyclic5_atoms, 6, memo)
+    assert answers == {t: t in collected for t in candidates}
+    assert is_length_set_realized(cyclic5_atoms, {7, 9}, 6, memo) is None
+    assert counts == {"levels": 0, "lengths": 0}
 
 
 def test_negative_bound_is_an_argument_error(cyclic5_atoms):
