@@ -128,6 +128,9 @@ def run_invariants(preset, bound=4, max_k=5, cap=64):
     expected = preset.expected
     inv = {}
     inv["delta"] = delta_set(atomset, bound, memo).to_json()
+    # No later phase reads the levels of the Delta sweep, so they are dropped.
+    for key in [key for key in memo if key[0] == "levels"]:
+        del memo[key]
     if len(preset.alphabet) <= DELTA_STAR_SWEEP_LIMIT:
         try:
             inv["delta_star"] = delta_star(atomset, min(bound, 4), memo, atom_limit=12).to_json()

@@ -19,7 +19,10 @@ at most |B|/2 for a zero-free B, and not only for each count: then the
 fieldwise minimum gcd(z, z'), |z| and |gcd(z, z')| are a few int
 operations each, and so is d(z, z') = max(|z|, |z'|) - |gcd(z, z')|.
 The kernels use explicit stacks, so their depth is not limited by the
-interpreter's recursion limit.
+interpreter's recursion limit.  The length kernels (``_lengths`` and the
+threshold test ``invariants._reaches``) expand a node in one pass over its
+pivot atoms and build no list per node: a child is looked up once, and
+either answers for the node or is pushed.
 ``Sequence``, multiplicity tuples and ``frozenset`` appear only at the API
 boundary, where the public functions check their sequence (``_checked``).
 """
@@ -339,34 +342,36 @@ def _lengths(packed, block):
     the atoms u | B that hold B's lowest element: every factorization of B
     has an atom holding that element, so these branches reach every length.
     The pivot depends only on the block, never on the atom set, so tables
-    shared by restricted atom sets stay valid.  Memoized in ``packed.table``
-    and evaluated children first with an explicit stack."""
+    shared by restricted atom sets stay valid.  Memoized in ``packed.table``,
+    children first on a stack of blocks: one pass over a node's pivots ORs
+    each child in the table into its mask and pushes each missing one, and
+    the node stores mask << 1 on the pass where every child hits.  A node
+    already in the table when it is popped, reached through a sibling, is
+    dropped."""
     table = packed.table
     hit = table.get(block)
     if hit is not None:
         return hit
-    y, rest = packed.split_zeros(block)
-    if y:
-        table[block] = mask = _lengths(packed, rest) << y
+    if packed.zero is not None and (y := block >> (shift := packed.zero[1]) & packed.field):
+        table[block] = mask = _lengths(packed, block ^ (y << shift)) << y
         return mask
-    guard, pivots = packed.guard, packed.pivots
-    stack = [(block, None)]
+    get, guard, pivots = table.get, packed.guard, packed.pivots
+    stack = [block]
     while stack:
-        b, rests = stack.pop()
-        if rests is None:
-            held = b | guard
-            rests = [
-                d ^ guard for u in pivots[b.bit_length()] if (d := held - u) & guard == guard
-            ]
-            missing = [r for r in rests if r not in table]
-            if missing:
-                stack.append((b, rests))
-                stack.extend((r, None) for r in missing)
-                continue
-        mask = 0
-        for r in rests:
-            mask |= table[r]
-        table[b] = mask << 1
+        b = stack[-1]
+        if b in table:
+            stack.pop()
+            continue
+        held, mask, n = b | guard, 0, len(stack)
+        for u in pivots[b.bit_length()]:
+            if (d := held - u) & guard == guard:
+                if (m := get(d := d ^ guard)) is None:
+                    stack.append(d)
+                else:
+                    mask |= m
+        if len(stack) == n:
+            table[b] = mask << 1
+            stack.pop()
     return table[block]
 
 

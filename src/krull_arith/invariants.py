@@ -354,30 +354,36 @@ def _partners(atomset):
 def _reaches(packed, mirror, block, mirrored, target, failed):
     """Whether max L(B) >= ``target`` for a zero-free packed B with m(B) =
     ``mirrored``, depth first over the pivot atoms as ``_lengths`` branches.
-    A sub-block is cut by its pair ceiling before it is pushed, and by the
-    memo or ``failed`` (the least target each block misses, a fact about
-    the block that holds across searches) when it is popped.  A block whose
-    2|B| alone meets the ceiling 6t skips the fieldwise minimum of P2(B)."""
-    table, guard, pivots, minimum, total = packed.table, packed.guard, packed.pivots, packed.minimum, packed.total
-    if (size := 2 * total(block)) < 6 * target and size + total(minimum(block, mirrored)) < 6 * target:
+    One pass over a node's pivots pushes each child that meets its pair
+    ceiling, above a marker that records the node in ``failed`` (the least
+    target each block misses, a fact about the block that holds across
+    searches) once its children are done.  A popped node is answered by one
+    memo lookup (a miss reads as 0, which still answers t < 0), or by
+    ``failed``.  A block whose 2|B| alone meets the ceiling 6t skips the
+    fieldwise minimum of P2(B); |B| is ``Packing.total``, B % field."""
+    get, guard, pivots, minimum, field = packed.table.get, packed.guard, packed.pivots, packed.minimum, packed.field
+    if (size := 2 * (block % field)) < 6 * target and size + minimum(block, mirrored) % field < 6 * target:
         return False
-    stack = [(block, mirrored, target, None)]
+    # (block, its mirror, target), or the marker (block, None, target) under its children,
+    # which are pushed in reverse so that the first pivot's child is popped first
+    stack = [(block, mirrored, target)]
     while stack:
-        b, mb, t, rests = stack.pop()
-        if rests is None:
-            if table.get(b, 0).bit_length() > t:
-                return True
-            if b in table or failed.get(b, t + 1) <= t:
-                continue
-            held, floor = b | guard, 6 * t - 6
-            rests = iter([(c, mb - mirror[u]) for u in pivots[b.bit_length()] if (d := held - u) & guard == guard
-                          and ((size := 2 * total(c := d ^ guard)) >= floor
-                               or size + total(minimum(c, mb - mirror[u])) >= floor)])
-        child = next(rests, None)
-        if child is None:
+        b, mb, t = stack.pop()
+        if mb is None:
             failed[b] = t
-        else:
-            stack += [(b, mb, t, rests), (*child, t - 1, None)]
+            continue
+        if (m := get(b, 0)).bit_length() > t:
+            return True
+        if m or failed.get(b, t + 1) <= t:
+            continue
+        stack.append((b, None, t))
+        held, floor = b | guard, 6 * t - 6
+        for u in reversed(pivots[b.bit_length()]):
+            if (d := held - u) & guard == guard and (
+                (size := 2 * ((d := d ^ guard) % field)) >= floor
+                or size + minimum(d, mb - mirror[u]) % field >= floor
+            ):
+                stack.append((d, mb - mirror[u], t - 1))
     return False
 
 

@@ -1,9 +1,9 @@
 """Shared fixtures: small alphabets and atom sets reused across the suite,
 the exhaustive atom oracle, the closed-form Z(S) and L(S) of Theorem 7.4,
 the level-sweep Delta, Delta*, union and closure-probe oracles, the
-reach-table Z(B) search, the kernel oracle of min Delta, the chain oracle
-of the catenary degrees, the reference atom completion, and the fiber-split
-transfer window check."""
+list-building L(B) search, the reach-table Z(B) search, the kernel oracle
+of min Delta, the chain oracle of the catenary degrees, the reference atom
+completion, and the fiber-split transfer window check."""
 
 from collections import Counter
 from functools import reduce
@@ -211,6 +211,41 @@ def delta_by_full_sweep(atomset, bound, memo=None):
     Builds every level; only for small instances."""
     levels = islice(_length_masks(atomset, bound, memo), 2, None)
     return frozenset(gap for masks in levels for mask in masks for gap in delta_of_set(_members(mask)))
+
+
+def lengths_by_lists(packed, block):
+    """Reference ``factorizations._lengths``: the same pivot search, where a
+    node builds the list of its children and the list of those missing from
+    the table, is pushed back with the first list under the missing
+    children, and ORs the children's masks when it is popped again.  A node
+    already in the table when it is popped is expanded again."""
+    table = packed.table
+    hit = table.get(block)
+    if hit is not None:
+        return hit
+    y, rest = packed.split_zeros(block)
+    if y:
+        table[block] = mask = lengths_by_lists(packed, rest) << y
+        return mask
+    guard, pivots = packed.guard, packed.pivots
+    stack = [(block, None)]
+    while stack:
+        b, rests = stack.pop()
+        if rests is None:
+            held = b | guard
+            rests = [
+                d ^ guard for u in pivots[b.bit_length()] if (d := held - u) & guard == guard
+            ]
+            missing = [r for r in rests if r not in table]
+            if missing:
+                stack.append((b, rests))
+                stack.extend((r, None) for r in missing)
+                continue
+        mask = 0
+        for r in rests:
+            mask |= table[r]
+        table[b] = mask << 1
+    return table[block]
 
 
 def count_vectors_by_reach(packed, block):

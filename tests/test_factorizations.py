@@ -51,6 +51,7 @@ from conftest import (
     cyclic_alphabet,
     int_alphabet,
     least_gaps_by_levels,
+    lengths_by_lists,
     small_alphabets,
 )
 
@@ -448,6 +449,28 @@ def test_grouped_search_matches_the_reach_search(alphabet, zero):
             y, positions, counts, zs = _count_vectors(packed, b)
             ry, rpositions, rcounts, rzs = count_vectors_by_reach(packed, b)
             assert (y, positions, counts.width, zs) == (ry, rpositions, rcounts.width, rzs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_alphabets(), st.booleans())
+def test_one_pass_lengths_match_the_list_kernel(alphabet, zero):
+    """The one-pass L(B) search writes the table of the search that builds a
+    child list and a missing list per node, the same blocks with the same
+    masks in the same order, over every product of at most 4 atoms, the atom
+    0 included, and each of them times 0^100 when 0 is an atom, swept on one
+    table per kernel.  At a floor ``_count_vectors`` reads ``table[...]``
+    with no default, so a sub-block the search skipped would be a KeyError
+    there."""
+    atomset = enumerate_atoms(_with_zero(alphabet, zero))
+    packed = PackedAtoms.for_products(atomset, 4)
+    reference = PackedAtoms.for_products(atomset, 4)
+    assert packed.table is not reference.table
+    zeros = (0, 100 << packed.zero[1]) if packed.zero else (0,)
+    for level in product_levels(packed.atoms, 4):
+        for b in level:
+            for y in zeros:
+                assert _lengths(packed, b + y) == lengths_by_lists(reference, b + y)
+    assert list(packed.table.items()) == list(reference.table.items())
 
 
 @settings(max_examples=40, deadline=None)
