@@ -346,8 +346,10 @@ def _lengths(packed, block):
     children first on a stack of blocks: one pass over a node's pivots ORs
     each child in the table into its mask and pushes each missing one, and
     the node stores mask << 1 on the pass where every child hits.  A node
-    already in the table when it is popped, reached through a sibling, is
-    dropped."""
+    is pushed only when it is missing from the table, and it is still
+    missing when it comes up: every node searched above a pending child
+    B'/a lies under a sibling B'/c, and reaching B'/a there would make the
+    atom c a proper divisor of the atom a."""
     table = packed.table
     hit = table.get(block)
     if hit is not None:
@@ -359,9 +361,6 @@ def _lengths(packed, block):
     stack = [block]
     while stack:
         b = stack[-1]
-        if b in table:
-            stack.pop()
-            continue
         held, mask, n = b | guard, 0, len(stack)
         for u in pivots[b.bit_length()]:
             if (d := held - u) & guard == guard:

@@ -288,10 +288,9 @@ def subgroup_rank(gens):
     for g in gens[1:]:
         if g.spec != spec:
             raise ShapeError("generators belong to different groups")
+    no_free = (0,) * spec.free_rank
     rows = []
     for g in gens:
-        scale = 1
-        for x, n in zip(g.torsion, spec.torsion):
-            scale = lcm(scale, n // gcd(x, n))
+        scale = spec.element(no_free, g.torsion).order()
         rows.append([scale * x for x in g.free])
     return len(_row_reduce(rows))

@@ -58,34 +58,29 @@ class AAMP:
         }
 
 
-def _is_interval(ls):
-    return ls == list(range(ls[0], ls[-1] + 1))
-
-
 def member(family, lengths):
     """Does the finite set belong to the named closed-form family?  Returns
     (bool, params) with the witness parameters on success."""
     if not lengths or min(lengths) < 0:
         raise ArgumentError("need a nonempty set of nonnegative integers")
-    ls = sorted(set(lengths))
+    members = frozenset(lengths)
+    ls = sorted(members)
     lo, hi = ls[0], ls[-1]
     if family == "C3":
-        if not _is_interval(ls):
-            return False, None
         k = hi - lo
         y = lo - 2 * k
-        return (y >= 0), ({"y": y, "k": k} if y >= 0 else None)
+        if y >= 0 and c3_set(y, k) == members:
+            return True, {"y": y, "k": k}
+        return False, None
     if family == "C4":
-        if _is_interval(ls):
-            k = hi - lo
-            y = lo - k - 1
-            if y >= 0:
-                return True, {"form": "interval", "y": y, "k": k}
-        if all(x == lo + 2 * i for i, x in enumerate(ls)):
-            k = (hi - lo) // 2
-            y = lo - 2 * k
-            if y >= 0:
-                return True, {"form": "ap2", "y": y, "k": k}
+        k = hi - lo
+        y = lo - k - 1
+        if y >= 0 and c4_set_interval(y, k) == members:
+            return True, {"form": "interval", "y": y, "k": k}
+        k = (hi - lo) // 2
+        y = lo - 2 * k
+        if y >= 0 and c4_set_ap2(y, k) == members:
+            return True, {"form": "ap2", "y": y, "k": k}
         return False, None
     if family.startswith("thm74:"):
         # The preset parser checks the arguments and the rule r, alpha >= 1,

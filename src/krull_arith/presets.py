@@ -54,6 +54,15 @@ def _thm74_basis(spec, r, alpha):
     return es
 
 
+def _symmetric(name, params, half, zero, expected):
+    """The preset on the alphabet ±half of Z^d, with 0 when ``zero``.
+    ``half`` holds coordinate tuples of length d."""
+    spec = GroupSpec(len(half[0]))
+    half = [spec.element_from_coords(c) for c in half]
+    elements = half + [-g for g in half] + ([spec.zero()] if zero else [])
+    return Preset(name, params, Alphabet(spec, elements), None, dict(expected))
+
+
 def _thm74(r, alpha):
     """Symmetric set {+-e_0, ..., +-e_r} in Z^r where (e_1,...,e_r) is an
     independent family with e_1 + ... + e_r = alpha * e_0.  Coordinates:
@@ -61,9 +70,6 @@ def _thm74(r, alpha):
     e_{r-1}, which keeps everything integral for every alpha."""
     if r < 1 or alpha < 1 or r + alpha <= 2:
         raise ArgumentError("need r, alpha >= 1 with r + alpha > 2")
-    spec = GroupSpec(r)
-    es = _thm74_basis(spec, r, alpha)
-    elements = es + [-e for e in es]
     d = r + alpha
     delta = frozenset((d - 2,)) if d > 2 else frozenset()
     expected = {
@@ -87,28 +93,20 @@ def _thm74(r, alpha):
         "divisor_theory": True,
         "components": 1,
     }
-    return Preset("thm74", {"r": r, "alpha": alpha}, Alphabet(spec, elements), None, expected)
+    half = [g.coords for g in _thm74_basis(GroupSpec(r), r, alpha)]
+    return _symmetric("thm74", {"r": r, "alpha": alpha}, half, False, expected)
 
 
 def _cube(r, include_zero=True):
     if r < 1:
         raise ArgumentError("need r >= 1")
-    spec = GroupSpec(r)
-    elements = set()
-    for eps in product((0, 1), repeat=r):
-        g = spec.element_from_coords(eps)
-        if g.is_zero() and not include_zero:
-            continue
-        elements.add(g)
-        elements.add(-g)
     expected = {
         "davenport_lower_bound": fibonacci(r + 2),
         "delta_star_superset": frozenset(range(1, max(2 * r - 3, 0) + 1)),
         "components": 1,
     }
-    return Preset(
-        "cube", {"r": r, "include_zero": include_zero}, Alphabet(spec, elements), None, expected
-    )
+    half = list(product((0, 1), repeat=r))[1:]  # the nonzero 0/1 vectors
+    return _symmetric("cube", {"r": r, "include_zero": include_zero}, half, include_zero, expected)
 
 
 def _full_box(q):
@@ -119,49 +117,25 @@ def _full_box(q):
     return Preset("full_box", {"q": q}, Alphabet(spec, elements))
 
 
-def _five_point():
-    spec = GroupSpec(1)
-    e = spec.element(free=(1,))
-    alphabet = Alphabet(spec, [0 * e, e, -e, 2 * e, -2 * e])
-    expected = {"length_family": "C3", "davenport": 3, "delta": frozenset((1,))}
-    return Preset("five_point", {}, alphabet, None, expected)
+# The half of each split block in its two coordinates: e1, e2, e1 + e2 for
+# split1, and e1, e2, 2e2, e1 + 2e2 for split2.
+_SPLIT = {1: ((1, 0), (0, 1), (1, 1)), 2: ((1, 0), (0, 1), (0, 2), (1, 2))}
 
-
-def _four_point():
-    spec = GroupSpec(1)
-    e = spec.element(free=(1,))
-    alphabet = Alphabet(spec, [e, -e, 2 * e, -2 * e])
-    return Preset("four_point", {}, alphabet, None, {"divisor_theory": True})
-
-
-def _prop713():
-    spec = GroupSpec(2)
-    e1 = spec.element(free=(1, 0))
-    e2 = spec.element(free=(0, 1))
-    half = [e1, e2, 2 * e2, e1 + 2 * e2]
-    alphabet = Alphabet(spec, [spec.zero()] + half + [-x for x in half])
-    return Preset("prop713", {}, alphabet, None, {"length_family": "C4"})
-
-
-def _split_block(kind, spec, k):
-    e1 = spec.basis_element(2 * k)
-    e2 = spec.basis_element(2 * k + 1)
-    if kind == 1:
-        half = [e1, e2, e1 + e2]
-    else:
-        half = [e1, e2, 2 * e2, e1 + 2 * e2]
-    return half + [-x for x in half]
+# The fixed alphabets ±half: (half, with 0, expected).
+_FIXED = {
+    "five_point": (((1,), (2,)), True, {"length_family": "C3", "davenport": 3, "delta": frozenset((1,))}),
+    "four_point": (((1,), (2,)), False, {"divisor_theory": True}),
+    "prop713": (_SPLIT[2], True, {"length_family": "C4"}),
+    "frt_t:1": (((1,),), True, {"delta": frozenset()}),
+    "frt_t:2": (_SPLIT[1], False, {"davenport": 3, "delta": frozenset((1,))}),
+}
 
 
 def _split(kind, q):
     if q < 1:
         raise ArgumentError("need q >= 1")
-    spec = GroupSpec(2 * q)
-    elements = []
-    for k in range(q):
-        elements.extend(_split_block(kind, spec, k))
-    name = "split1" if kind == 1 else "split2"
-    return Preset(name, {"q": q}, Alphabet(spec, elements), None, {"components": q})
+    half = [(0, 0) * k + c + (0, 0) * (q - 1 - k) for k in range(q) for c in _SPLIT[kind]]
+    return _symmetric("split%d" % kind, {"q": q}, half, False, {"components": q})
 
 
 def _cyclic(n):
@@ -190,82 +164,47 @@ def _cyclic(n):
 
 
 def _frt_t(spl):
-    if spl == 1:
-        spec = GroupSpec(1)
-        e = spec.element(free=(1,))
-        alphabet = Alphabet(spec, [-e, 0 * e, e])
-        return Preset("frt_t", {"spl": 1}, alphabet, None, {"delta": frozenset()})
-    if spl == 2:
-        spec = GroupSpec(2)
-        half = [
-            spec.element_from_coords((1, 1)),
-            spec.element_from_coords((1, 0)),
-            spec.element_from_coords((0, 1)),
-        ]
-        alphabet = Alphabet(spec, half + [-x for x in half])
-        return Preset(
-            "frt_t", {"spl": 2}, alphabet, None,
-            {"davenport": 3, "delta": frozenset((1,))},
-        )
-    raise ArgumentError("spl must be 1 or 2")
+    if spl not in (1, 2):
+        raise ArgumentError("spl must be 1 or 2")
+    return _symmetric("frt_t", {"spl": spl}, *_FIXED["frt_t:%d" % spl])
+
+
+# E6, E7 and E8: (torsion of the class group, primes per class in key order,
+# expected).
+_E_TYPES = {
+    "E6": ((3,), (3, 2, 2), {}),
+    "E7": ((2,), (5, 3), {"atom_count": 11}),
+    "E8": ((), (9,), {"atom_count": 9}),
+}
 
 
 def _hypersurface(kind, n=0):
+    """The class group and the number of primes in each class of the
+    hypersurface type A_n, D_n, E6, E7 or E8."""
     kind = kind.upper()
-    if n and kind in ("E6", "E7", "E8"):
-        raise ArgumentError("hypersurface type %s takes no n" % kind)
-    if kind == "A":
+    if kind in _E_TYPES:
+        if n:
+            raise ArgumentError("hypersurface type %s takes no n" % kind)
+        torsion, primes, expected = _E_TYPES[kind]
+    elif kind == "A":
         if n < 1:
             raise ArgumentError("A_n needs n >= 1")
-        spec = GroupSpec(0, (n + 1,))
-        classes = [(spec.element(torsion=(i,)), 1) for i in range(n + 1)]
-        expected = {}
+        torsion, primes, expected = (n + 1,), (1,) * (n + 1), {}
     elif kind == "D" and n % 2 == 0:
         if n < 4:
             raise ArgumentError("D_n needs n >= 4")
-        spec = GroupSpec(0, (2, 2))
-        classes = [
-            (spec.element(torsion=(0, 0)), n // 2),
-            (spec.element(torsion=(1, 0)), 1),
-            (spec.element(torsion=(0, 1)), 1),
-            (spec.element(torsion=(1, 1)), (n - 2) // 2),
-        ]
+        torsion, primes = (2, 2), (n // 2, 1, 1, (n - 2) // 2)
         expected = {"claimed_atom_count": (n * n + 8) // 4}
     elif kind == "D":
         if n < 5:
             raise ArgumentError("odd D_n needs n >= 5")
-        spec = GroupSpec(0, (4,))
-        classes = [
-            (spec.element(torsion=(0,)), (n - 1) // 2),
-            (spec.element(torsion=(1,)), 1),
-            (spec.element(torsion=(2,)), (n - 1) // 2),
-            (spec.element(torsion=(3,)), 1),
-        ]
-        expected = {}
-    elif kind == "E6":
-        spec = GroupSpec(0, (3,))
-        classes = [
-            (spec.element(torsion=(0,)), 3),
-            (spec.element(torsion=(1,)), 2),
-            (spec.element(torsion=(2,)), 2),
-        ]
-        expected = {}
-    elif kind == "E7":
-        spec = GroupSpec(0, (2,))
-        classes = [
-            (spec.element(torsion=(0,)), 5),
-            (spec.element(torsion=(1,)), 3),
-        ]
-        expected = {"atom_count": 11}
-    elif kind == "E8":
-        spec = GroupSpec(0, ())
-        classes = [(spec.zero(), 9)]
-        expected = {"atom_count": 9}
+        torsion, primes, expected = (4,), ((n - 1) // 2, 1) * 2, {}
     else:
         raise ArgumentError("unknown hypersurface type %r" % kind)
-    char = Characteristic(spec, classes)
-    alphabet = char.support_alphabet()
-    return Preset("hypersurface", {"type": kind, "n": n}, alphabet, char, expected)
+    spec = GroupSpec(0, torsion)
+    classes = [spec.element(torsion=t) for t in product(*map(range, torsion))]
+    char = Characteristic(spec, zip(classes, primes, strict=True))
+    return Preset("hypersurface", {"type": kind, "n": n}, char.support_alphabet(), char, dict(expected))
 
 
 # family -> (builder, parameter names in token order, number of required
@@ -274,9 +213,9 @@ _FAMILIES = {
     "thm74": (_thm74, ("r", "alpha"), 2),
     "cube": (_cube, ("r", "include_zero"), 1),
     "full_box": (_full_box, ("q",), 1),
-    "five_point": (_five_point, (), 0),
-    "four_point": (_four_point, (), 0),
-    "prop713": (_prop713, (), 0),
+    "five_point": (lambda: _symmetric("five_point", {}, *_FIXED["five_point"]), (), 0),
+    "four_point": (lambda: _symmetric("four_point", {}, *_FIXED["four_point"]), (), 0),
+    "prop713": (lambda: _symmetric("prop713", {}, *_FIXED["prop713"]), (), 0),
     "split1": (lambda q: _split(1, q), ("q",), 1),
     "split2": (lambda q: _split(2, q), ("q",), 1),
     "cyclic": (_cyclic, ("n",), 1),
