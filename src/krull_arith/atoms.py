@@ -1,9 +1,18 @@
 """Enumeration of atoms (minimal zero-sum sequences) over a finite alphabet.
 
-The kernel is a completion procedure for the minimal nonnegative solutions of
-a homogeneous linear Diophantine system: atoms of B(G0) are exactly the
-minimal nonzero v in N^G0 with sum v_g * g = 0.  Torsion congruences are
-turned into exact equations with one slack column per cyclic factor.
+``enumerate_atoms`` has two exact paths, picked by whether the group is
+finite.  Over a finite group a depth-first search walks the zero-sum free
+sequences S over G0 and records S * (-sigma(S)) when -sigma(S) is in G0 and
+not before the last element of S.  If S is zero-sum free, S * (-sigma(S))
+is a minimal zero-sum sequence: a proper zero-sum subsequence T * g would
+give sigma(T) = sigma(S), so S less T would sum to zero.  And each atom is
+reached from exactly one S, itself less one copy of its last element.
+
+With a free part the kernel is a completion procedure for the minimal
+nonnegative solutions of a homogeneous linear Diophantine system: atoms of
+B(G0) are exactly the minimal nonzero v in N^G0 with sum v_g * g = 0.
+Torsion congruences are turned into exact equations with one slack column
+per cyclic factor.  The completion reaches every minimal solution.
 
 The completion keeps one invariant: no frontier vector is dominated by a
 solution found so far.  Zero-sum vectors of a level join the basis before
@@ -36,7 +45,8 @@ an entry would reach its guard bit, the completion reruns at the next width.
 
 from __future__ import annotations
 
-from operator import add, mul
+from math import prod
+from operator import add, mod, mul
 
 from .errors import BoundExceededError, DomainError
 from .factorizations import Packing
@@ -204,17 +214,110 @@ def _integer_point(rows, rhs, maximize=None):
     return x
 
 
+def _zero_sum_free_search(alphabet, cap):
+    """The atom vectors of B(G0) for G0 in a finite group.
+
+    An atom holds g at most ord(g) times, and g^ord(g) is an atom, so the
+    cap raises before any search exactly when some ord(g) exceeds it.
+
+    G0 splits into blocks: elements that share a nonzero coordinate are in
+    one block.  The blocks generate independent subgroups, so every atom
+    lies in one block, and each block is searched in the factors it uses.
+    """
+    elements = alphabet.elements
+    for j, g in enumerate(elements):
+        if cap is not None and g.order() > cap:
+            raise BoundExceededError("multiplicity cap %d exceeded at coordinate %d" % (cap, j))
+    blocks = []
+    for j, g in enumerate(elements):
+        axes, members = {i for i, x in enumerate(g.torsion) if x}, [j]
+        for block in [b for b in blocks if b[0] & axes]:
+            blocks.remove(block)
+            axes |= block[0]
+            members += block[1]
+        blocks.append((axes, members))
+    atoms = []
+    for axes, members in blocks:
+        atoms += _block_atoms(elements, members, sorted(axes), alphabet.spec.torsion)
+    return atoms
+
+
+def _block_atoms(elements, members, axes, moduli):
+    """The atom vectors over the alphabet indices ``members``, whose
+    elements are nonzero only in the cyclic factors ``axes``, by the search
+    of the module docstring.
+
+    The subset sums of S, the empty sum included, are one int bitmask over
+    those factors in mixed radix.  S takes g != 0 exactly when the bit of -g
+    is clear, and the sums of S * g are those of S and their translate by g:
+    per nonzero coordinate a masked shift up and a masked shift down, a
+    rotation in that factor.  A zero-sum free S is shorter than D(G), so the
+    search needs no cap.
+    """
+    mods = [moduli[i] for i in axes]
+    weights = [prod(mods[i + 1 :]) for i in range(len(mods))]
+    full = (1 << prod(mods)) - 1
+    atoms = []
+    # Move q: alphabet index, bit of -g, (keep, up, wrap, down) per nonzero coordinate, g.
+    moves = []
+    # sigma -> the move q with g = -sigma
+    closing = {}
+    for j in members:
+        g = tuple(elements[j].torsion[i] for i in axes)
+        if not any(g):
+            atoms.append(tuple(int(i == j) for i in range(len(elements))))
+            continue
+        shifts = []
+        for x, n, w in zip(g, mods, weights):
+            if x:
+                down = (n - x) * w
+                keep = ((1 << down) - 1) * (full // ((1 << n * w) - 1))
+                shifts.append((keep, x * w, full ^ keep, down))
+        neg = tuple(-x % n for x, n in zip(g, mods))
+        closing[neg] = len(moves)
+        moves.append((j, 1 << sum(map(mul, neg, weights)), shifts, g))
+    # (sums of S, sigma(S), last move of S, |S|); S is path[:|S|]
+    stack = [(1, (0,) * len(mods), 0, 0)]
+    path = []
+    while stack:
+        sums, sigma, last, depth = stack.pop()
+        if depth:
+            del path[depth - 1 :]
+            path.append(moves[last][0])
+            q = closing.get(sigma)
+            if q is not None and q >= last:
+                atom = [0] * len(elements)
+                for j in path:
+                    atom[j] += 1
+                atom[moves[q][0]] += 1
+                atoms.append(tuple(atom))
+        for q in range(last, len(moves)):
+            _, bit, shifts, g = moves[q]
+            if sums & bit:
+                continue
+            moved = sums
+            for keep, up, wrap, down in shifts:
+                moved = (moved & keep) << up | (moved & wrap) >> down
+            stack.append((sums | moved, tuple(map(mod, map(add, sigma, g), mods)), q, depth + 1))
+    return atoms
+
+
 def enumerate_atoms(alphabet, cap=64):
     """Atoms of B(G0) for a finite G0, as an AtomSet.
 
-    ``cap`` bounds the multiplicity of each alphabet element in the
-    completion's candidates, and so in every atom; a candidate that must pass
-    it raises BoundExceededError (no silent truncation).  A cap equal to the
-    largest multiplicity in any atom can still raise.
+    ``cap`` bounds the multiplicity of each alphabet element in every atom;
+    past it BoundExceededError is raised (no silent truncation).  For a
+    finite group the zero-sum free search serves, and the cap raises exactly
+    when cap < max ord(g), which is the largest multiplicity in any atom.
+    With a free part the completion serves, and the cap bounds its
+    candidates: a cap equal to the largest multiplicity in any atom can
+    still raise.
     """
     k = len(alphabet)
     if k == 0:
         return AtomSet(alphabet, ())
+    if not alphabet.spec.free_rank:
+        return AtomSet(alphabet, _zero_sum_free_search(alphabet, cap))
     cols = _zero_sum_columns(alphabet.spec, alphabet.elements)
     caps = [cap] * k + [None] * (len(cols) - k)
     return AtomSet(alphabet, (v[:k] for v in minimal_nonneg_solutions(cols, caps)))

@@ -290,7 +290,10 @@ def count_lifted_atoms(char, atomset):
 def count_lifted_atoms_brute(char):
     """Independent count: one column per labelled prime (m_g copies of each
     class), minimal zero-sum solutions counted directly, with each prime's
-    multiplicity capped at BRUTE_CAP."""
+    multiplicity capped at BRUTE_CAP.  It stays on the completion, also for
+    a finite class group, so that it is an oracle independent of the
+    zero-sum free search by which ``enumerate_atoms`` finds the atoms that
+    ``count_lifted_atoms`` lifts."""
     primes = [g for g, m in char.classes for _ in range(m)]
     cols = _zero_sum_columns(char.spec, primes)
     k = len(primes)

@@ -1,4 +1,5 @@
-"""Atom enumeration: completion procedure against the exhaustive oracle."""
+"""Atom enumeration: the completion and the zero-sum free search against
+their oracles."""
 
 import hashlib
 import json
@@ -197,6 +198,85 @@ def test_cap_at_the_largest_multiplicity_can_raise():
     with pytest.raises(BoundExceededError):
         enumerate_atoms(alphabet, cap=2)
     assert enumerate_atoms(alphabet, cap=3).atoms == atoms.atoms
+
+
+def test_finite_cap_raises_before_the_search():
+    """Over a finite group the cap raises exactly when some element's order
+    exceeds it, with no search: Z/70 at the default cap 64 raises at once."""
+    with pytest.raises(BoundExceededError, match="cap 64 exceeded at coordinate 1"):
+        enumerate_atoms(cyclic_alphabet(70))
+    spec = GroupSpec(0, (100,))
+    alphabet = Alphabet(spec, [spec.element(torsion=(1,)), spec.element(torsion=(-1,))])
+    with pytest.raises(BoundExceededError):
+        enumerate_atoms(alphabet, cap=64)
+    atoms = enumerate_atoms(alphabet, cap=100)
+    assert sorted(str(a) for a in atoms) == ["1 * 99", "1^100", "99^100"]
+
+
+def _finite_alphabets():
+    """Strategy: subsets of one to eight nonzero elements of Z/n
+    (2 <= n <= 12), Z/2 + Z/4, Z/2 + Z/6, Z/3 + Z/3 and (Z/2)^3, zero
+    optional.  Larger subsets of Z/2 + Z/6 take the reference seconds."""
+
+    def build(moduli, coords, zero):
+        spec = GroupSpec(0, moduli)
+        elements = [spec.element(torsion=c) for c in coords]
+        return Alphabet(spec, elements + [spec.zero()] * zero)
+
+    groups = [(n,) for n in range(2, 13)] + [(2, 4), (2, 6), (3, 3), (2, 2, 2)]
+    return st.sampled_from(groups).flatmap(
+        lambda moduli: st.builds(
+            build,
+            st.just(moduli),
+            st.sets(
+                st.sampled_from([c for c in product(*map(range, moduli)) if any(c)]),
+                min_size=1,
+                max_size=8,
+            ),
+            st.booleans(),
+        )
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(_finite_alphabets())
+def test_zero_sum_free_search_matches_the_completion(alphabet):
+    """The search against ``conftest.atoms_by_reference``, the completion
+    reference on the slack-column system, vector for vector; and the cap
+    raises exactly below the largest multiplicity in any atom."""
+    vectors = enumerate_atoms(alphabet).vectors
+    assert vectors == atoms_by_reference(alphabet)
+    top = max(map(max, vectors))
+    for cap in range(top + 3):
+        try:
+            capped = enumerate_atoms(alphabet, cap=cap).vectors
+        except BoundExceededError:
+            assert cap < top
+            continue
+        assert cap >= top and capped == vectors
+
+
+def _davenport_by_formula(moduli):
+    """D(G) by a closed form: n1 + n2 - 1 for Z/n1 + Z/n2 with n1 | n2, and
+    1 + sum(n_i - 1) for a p-group (Olson)."""
+    if len(moduli) == 2 and moduli[1] % moduli[0] == 0:
+        return sum(moduli) - 1
+    p = min(q for q in range(2, moduli[0] + 1) if moduli[0] % q == 0)
+    # n is a power of the prime p exactly when n divides p^(bit length of n).
+    assert all(p ** n.bit_length() % n == 0 for n in moduli), "no closed form for %r" % (moduli,)
+    return 1 + sum(n - 1 for n in moduli)
+
+
+@pytest.mark.parametrize("moduli,count,davenport", [((3, 6), 2642, 8), ((2,) * 5, 20368, 6)])
+def test_atom_counts_of_whole_groups(moduli, count, davenport):
+    """The whole of Z/3 + Z/6 and of (Z/2)^5, where the completion needs a
+    minute or more: the counts were matched with it once, and D is checked
+    against the closed forms."""
+    spec = GroupSpec(0, moduli)
+    alphabet = Alphabet(spec, [spec.element(torsion=c) for c in product(*map(range, moduli))])
+    atoms = enumerate_atoms(alphabet)
+    assert (len(atoms), atoms.davenport()) == (count, davenport)
+    assert davenport == _davenport_by_formula(moduli)
 
 
 def _minimal_solutions_by_exhaustion(columns, box):
