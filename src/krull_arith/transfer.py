@@ -1,8 +1,8 @@
 """Transfer homomorphisms between block monoids, and atom counting for
 monoids given by a class group with multiplicities.
 
-A TransferMap is induced by a map theta on the alphabets; it is checked
-against two finite-window criteria:
+A TransferMap is induced by a map theta on the alphabets that keeps zero
+sums; it is checked against two finite-window criteria:
 
   T1  every zero-sum target sequence (up to the window) lifts to a zero-sum
       source sequence;
@@ -12,28 +12,27 @@ against two finite-window criteria:
 Together these are the defining properties of a transfer homomorphism,
 verified on a bounded window.
 
-The window checks work on multiplicity tuples, and one enumerator,
-``_ZeroSums.vectors``, lists every zero-sum tuple they read: it meets in the
-middle, completing each prefix over one half of the alphabet by the tuples
-over the other half whose group sum cancels it.  Both properties are then
-membership tests.  A lift of a target sequence B has length |B|, so it lies
-in the source window, and B fails T1 exactly when it is not in the set of
-images of the source window.  A pair (A, B') fails T2 exactly when B' is not
-in the set of images of the zero-sum divisors of A.  ``lengths_preserved``
-packs each window tuple for the length kernel of ``factorizations``.
-``Sequence`` is built only for the failures a report lists.
+One enumerator, ``_ZeroSums.vectors``, lists each window once, and the
+zero-sum divisors of each theta(A), by meeting in the middle on group sums
+kept as one int.  Each source block is packed (``Packing``) under its image;
+an image that is not zero-sum raises ``DomainError``.  A lift of a target
+sequence B has length |B|, so it lies in the source window: B fails T1
+exactly when no block is packed under it, and (A, B') fails T2 exactly when
+no block packed under B' divides A, one guard-bit subtraction each.
+``lengths_preserved`` packs each window tuple for the ``factorizations``
+length kernel.  ``Sequence`` is built only for the failures a report lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from math import comb
-from operator import add, mod, mul, neg
+from math import comb, prod
+from operator import mul
 
 from .atoms import _zero_sum_columns, minimal_nonneg_solutions
 from .errors import DomainError, ShapeError
-from .factorizations import PackedAtoms, _lengths, _members
+from .factorizations import PackedAtoms, Packing, _lengths, _members
 from .groups import GroupSpec
 from .sequences import Alphabet, Sequence
 
@@ -93,9 +92,8 @@ class _ZeroSums:
     __slots__ = ("rows", "mods", "spans")
 
     def __init__(self, alphabet):
-        spec = alphabet.spec
         self.rows = [g.coords for g in alphabet.elements]
-        self.mods = (0,) * spec.free_rank + spec.torsion
+        self.mods = (0,) * alphabet.spec.free_rank + alphabet.spec.torsion
         self.spans = [max(map(abs, column)) for column in zip(*self.rows)]
 
     def __call__(self, mults):
@@ -110,38 +108,48 @@ class _ZeroSums:
         Meet in the middle: the tuples over the second half of the alphabet
         are listed under their group sums, and each prefix over the first
         half, in lexicographic order, is completed by the tuples listed under
-        minus its sum, so no full tuple is built only to fail the zero-sum
-        test.  A free coordinate is reduced modulo 2 * total * span + 1:
-        each half's sum there lies within +-total * span, so the sums of a
-        prefix and a tail with equal keys cancel exactly."""
-        mods = tuple(n or 2 * total * span + 1 for n, span in zip(self.mods, self.spans))
-        mid = len(self.rows) // 2
+        minus its sum.  A sum is one int, a step one int addition.  A torsion
+        coordinate of modulus n is a low digit of radix n * (total + 1): each
+        element adds its entry, in [0, n - 1], and each negated element n
+        minus it, in [1, n], so a half's digit stays below the radix, and
+        ``_tuples`` reduces it modulo n.  A free coordinate is a digit above
+        them, balanced in radix 2 * total * span + 1, which holds a half's
+        sum there, within +-total * span.  So equal keys are equal sums."""
+        radices = [n * (total + 1) if n else 2 * total * span + 1 for n, span in zip(self.mods, self.spans)]
+        weights = [prod(radices[c + 1:]) for c in range(len(radices))]
+        torsion = [w * n for w, n in zip(weights, self.mods) if n]
+        steps = [sum(map(mul, row, weights)) for row in self.rows]
+        mid = len(steps) // 2
         tails = {}
-        for t, count, key in _tuples(self.rows[mid:], limits[mid:], total, mods):
+        for t, count, key in _tuples(steps[mid:], limits[mid:], total, torsion):
             tails.setdefault(key, []).append((t, count))
-        negated = [tuple(map(neg, row)) for row in self.rows[:mid]]
-        for prefix, count, key in _tuples(negated, limits[:mid], total, mods):
+        negated = [sum(torsion) - step for step in steps[:mid]]
+        for prefix, count, key in _tuples(negated, limits[:mid], total, torsion):
             room = total - count
             for t, c in tails.get(key, ()):
                 if c <= room:
                     yield prefix + t
 
     def window(self, bound):
-        """The zero-sum sequences of length 1 to ``bound``."""
-        return (v for v in self.vectors((bound,) * len(self.rows), bound) if any(v))
+        """The zero-sum sequences of length 1 to ``bound``: all but the first."""
+        return islice(self.vectors((bound,) * len(self.rows), bound), 1, None)
 
 
-def _tuples(rows, limits, total, mods):
+def _tuples(steps, limits, total, torsion):
     """Every t <= limits with sum(t) <= total, in lexicographic order, as
-    (t, sum(t), sum of t[i] * rows[i] reduced by ``mods``)."""
-    level = [((), 0, (0,) * len(mods))]
-    for row, limit in zip(rows, limits):
+    (t, sum(t), sum of t[i] * steps[i]).  For each w * n in ``torsion``, the
+    digit at w is reduced modulo n by taking away w * n times its quotient
+    by n, which is the digit of radix total + 1 at w * n."""
+    level = [((), 0, 0)]
+    for step, limit in zip(steps, limits):
         grown = []
         for t, count, key in level:
             for m in range(min(limit, total - count) + 1):
                 grown.append((t + (m,), count + m, key))
-                key = tuple(map(mod, map(add, key, row), mods))
+                key += step
         level = grown
+    for s in torsion:
+        level = [(t, count, key - key // s % (total + 1) * s) for t, count, key in level]
     return level
 
 
@@ -177,21 +185,28 @@ class TransferReport:
 
 def check_transfer(tmap, bound):
     """Verify the two transfer properties on the window of sequences of
-    length at most ``bound``, keeping the first 10 failures of each.  The
-    images of the whole source window are taken once; the scan of target
-    sequences (T1) and of source blocks (T2) stops at its 10th failure, and
-    the divisor images of a block are taken when the scan reaches it."""
+    length at most ``bound``; each scan stops at its 10th failure.  The
+    first block, in window order, whose image is not zero-sum raises
+    ``DomainError``.  T2 lists the divisors of theta(A) as it reaches A."""
     source, target = _ZeroSums(tmap.source), _ZeroSums(tmap.target)
-    image = tmap._image
+    image, packing = tmap._image, Packing(len(tmap.source), bound)
     window = list(source.window(bound))
-    lifted = set(map(image, window))
-    t1 = (b for b in target.window(bound) if b not in lifted)
+    preimages = {}
+    for a in window:
+        preimages.setdefault(image(a), []).append(packing.pack(a))
+    for b, blocks in preimages.items():
+        if not target(b):
+            a = Sequence(tmap.source, packing.unpack(blocks[0]))
+            raise DomainError("%s maps onto %s, which is not zero-sum" % (a, Sequence(tmap.target, b)))
+    t1 = (b for b in target.window(bound) if b not in preimages)
 
     def t2():
+        # The zero vector, listed first, is the image of the empty divisor.
+        guard = packing.guard
         for a in window:
-            divisors = set(map(image, source.vectors(a, bound)))
-            for bt in target.vectors(image(a), bound):
-                if bt not in divisors:
+            held = packing.pack(a) | guard
+            for bt in islice(target.vectors(image(a), bound), 1, None):
+                if not any((held - d) & guard == guard for d in preimages.get(bt, ())):
                     yield a, bt
 
     t1_failures = tuple(Sequence(tmap.target, b) for b in islice(t1, 10))

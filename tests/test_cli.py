@@ -319,6 +319,20 @@ def test_transfer_check_passed_window_checks_lengths(runner, tmp_path):
     assert from_file == data
 
 
+def test_transfer_check_refuses_a_map_that_breaks_zero_sums(runner):
+    """{2, -2} in Z onto {1} in Z, both to 1: 2 * -2 is zero-sum and its
+    image 1^2 is not, so theta is no homomorphism of block monoids and the
+    command is one error line naming that block, before any length set."""
+    tmap = {
+        "source": {"group": {"free_rank": 1}, "elements": [[2], [-2]]},
+        "target": {"group": {"free_rank": 1}, "elements": [[1]]},
+        "images": [[[2], [1]], [[-2], [1]]],
+    }
+    result = runner.invoke(main, ["--bound", "3", "transfer-check", "--map", json.dumps(tmap)])
+    _assert_one_line_error(result)
+    assert result.output == "Error: -2 * 2 maps onto 1^2, which is not zero-sum\n"
+
+
 def test_transfer_check_unknown_builtin_map(runner):
     result = runner.invoke(main, ["transfer-check", "--map", "builtin:nosuch"])
     _assert_one_line_error(result)

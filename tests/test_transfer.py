@@ -2,6 +2,7 @@
 described by a class group with multiplicities.
 """
 
+import re
 from itertools import product
 
 import pytest
@@ -27,7 +28,7 @@ from krull_arith.transfer import (
     _ZeroSums,
 )
 
-from conftest import check_transfer_by_fibers
+from conftest import ZeroSumsByRecursion, check_transfer_by_fibers
 
 
 def _doubling_map():
@@ -44,17 +45,21 @@ def _doubling_map():
 
 @st.composite
 def _limits_and_total(draw):
-    """An alphabet of at most five elements over Z, Z/n, Z^2 or Z + Z/n
-    (free entries in [-3, 3], 2 <= n <= 5), a limit per element and a
-    total."""
+    """An alphabet of at most five elements over Z, Z/n, Z^2, Z + Z/n,
+    Z/2 + Z/4, Z^2 + Z/n or Z + Z/2 + Z/n (free entries in [-3, 3],
+    2 <= n <= 5), a limit per element and a total up to 16.  The groups
+    cover every digit layout of the enumerator's sums: one or two torsion
+    digits, free digits alone and free digits above torsion digits."""
     n = draw(st.integers(2, 5))
-    free, torsion = draw(st.sampled_from([(1, ()), (0, (n,)), (2, ()), (1, (n,))]))
+    free, torsion = draw(st.sampled_from(
+        [(1, ()), (0, (n,)), (2, ()), (1, (n,)), (0, (2, 4)), (2, (n,)), (1, (2, n))]
+    ))
     spec = GroupSpec(free, torsion)
-    entries = [st.integers(-3, 3)] * free + [st.integers(0, n - 1)] * len(torsion)
+    entries = [st.integers(-3, 3)] * free + [st.integers(0, m - 1) for m in torsion]
     chosen = draw(st.sets(st.tuples(*entries), min_size=1, max_size=5))
     alphabet = Alphabet(spec, [spec.element_from_coords(c) for c in chosen])
     limits = draw(st.lists(st.integers(0, 4), min_size=len(alphabet), max_size=len(alphabet)))
-    return alphabet, tuple(limits), draw(st.integers(0, 12))
+    return alphabet, tuple(limits), draw(st.integers(0, 16))
 
 
 @settings(max_examples=300, deadline=None)
@@ -140,23 +145,34 @@ def _small_maps(draw, max_bound=5):
     return TransferMap(source, target, images), draw(st.integers(1, max_bound))
 
 
+def _raises_on_non_zero_sum_image(tmap, bound, bad):
+    """check_transfer raises DomainError naming ``bad``, the first window
+    block whose image is not zero-sum, and that image."""
+    message = "%s maps onto %s, which is not zero-sum" % (bad, tmap.apply(bad))
+    with pytest.raises(DomainError, match=re.escape(message)):
+        check_transfer(tmap, bound)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_small_maps())
 def test_transfer_kernel_matches_sequence_reference(case):
     """The tuple window checks against Sequence arithmetic: the report and
-    the length comparison, which raises when theta does not keep the zero
-    sums of the window."""
+    the length comparison.  Both raise when theta does not keep the zero
+    sums of the window, and the report then names the first block whose
+    image is not zero-sum."""
     tmap, bound = case
+    src, tgt = enumerate_atoms(tmap.source), enumerate_atoms(tmap.target)
+    window = list(_reference_window(tmap.source, bound))
+    bad = next((a for a in window if not tmap.apply(a).is_zero_sum()), None)
+    if bad is not None:
+        _raises_on_non_zero_sum_image(tmap, bound, bad)
+        with pytest.raises(DomainError):
+            lengths_preserved(tmap, src, tgt, bound)
+        return
     report = check_transfer(tmap, bound)
     reference = _reference_check_transfer(tmap, bound)
     assert report == reference
     assert report.to_json() == reference.to_json()
-    src, tgt = enumerate_atoms(tmap.source), enumerate_atoms(tmap.target)
-    window = list(_reference_window(tmap.source, bound))
-    if not all(tmap.apply(a).is_zero_sum() for a in window):
-        with pytest.raises(DomainError):
-            lengths_preserved(tmap, src, tgt, bound)
-        return
     failures = [
         (a, sorted(lengths_of(src, a)), sorted(lengths_of(tgt, tmap.apply(a)))) for a in window
     ]
@@ -181,7 +197,14 @@ def test_transfer_kernel_matches_fiber_reference(name, bound):
 @settings(max_examples=500, deadline=None)
 @given(_small_maps(max_bound=8))
 def test_transfer_kernel_matches_fiber_reference_on_small_maps(case):
+    """As above on random small maps; a map that does not keep the zero sums
+    of the window is refused, by the recursion's zero-sum test."""
     tmap, bound = case
+    source, target = ZeroSumsByRecursion(tmap.source), ZeroSumsByRecursion(tmap.target)
+    bad = next((a for a in source.window(bound) if not target(tmap._image(a))), None)
+    if bad is not None:
+        _raises_on_non_zero_sum_image(tmap, bound, Sequence(tmap.source, bad))
+        return
     report, reference = check_transfer(tmap, bound), check_transfer_by_fibers(tmap, bound)
     assert report == reference
     assert report.to_json() == reference.to_json()
@@ -210,6 +233,23 @@ def test_doubling_map_is_a_transfer_map():
         tmap, enumerate_atoms(tmap.source), enumerate_atoms(tmap.target), 6
     )
     assert ok and not failures
+
+
+@pytest.mark.parametrize("name", ["prop713", "five_point"])
+def test_identity_maps_are_transfer_maps(name):
+    """Positive control that scans every block of the window: the identity
+    map lifts every target block and every divisor, so no scan stops early.
+    It keeps every set of lengths, checked at window 8, which holds the
+    smaller windows, and it agrees with the fiber-split reference."""
+    alphabet = build_preset(name).alphabet
+    tmap = TransferMap(alphabet, alphabet, {g: g for g in alphabet.elements})
+    for bound in range(1, 11):
+        report = check_transfer(tmap, bound)
+        assert report.ok and not report.failures
+        if bound <= 6:
+            assert report == check_transfer_by_fibers(tmap, bound)
+    atoms = enumerate_atoms(tmap.source)
+    assert lengths_preserved(tmap, atoms, atoms, 8) == (True, [])
 
 
 def test_prop712_map_fails_divisor_lifting():
