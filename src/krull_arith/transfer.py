@@ -12,6 +12,25 @@ sums; it is checked against two finite-window criteria:
 Together these are the defining properties of a transfer homomorphism,
 verified on a bounded window.
 
+Transfer homomorphisms preserve sets of lengths (Geroldinger and
+Halter-Koch, *Non-Unique Factorizations*, 2006, Section 3.2), and so does
+a map that passes T2 on the window W of zero-sum blocks of length 1 to
+``bound``: L(A) = L(theta(A)) for every A in W.  Proof.  W is
+divisor-closed, and theta keeps the zero sums of W (a block whose image
+is not zero-sum is refused), so each zero-sum divisor of A lies in W and
+maps onto a zero-sum sequence of the same length.
+
+  (a) theta sends each atom u of W to an atom: a proper nonempty zero-sum
+      divisor of theta(u) would lift by T2 to a proper nonempty zero-sum
+      divisor of u.  So a factorization of A maps onto one of theta(A) of
+      the same length.
+  (b) Every factorization v1 ... vk of theta(A) lifts.  T2 gives a zero-sum
+      B1 | A with theta(B1) = v1.  B1 is an atom, because a split of B1
+      maps onto a split of the atom v1.  Induction on A / B1 does the rest.
+
+T1 is not used.  ``transfer-check`` reads the lengths off this theorem;
+``lengths_preserved`` computes them, as the tests' oracle.
+
 One enumerator, ``_ZeroSums.vectors``, lists each window once, and the
 zero-sum divisors of each theta(A), by meeting in the middle on group sums
 kept as one int.  Each source block is packed (``Packing``) under its image;
@@ -20,7 +39,8 @@ sequence B has length |B|, so it lies in the source window: B fails T1
 exactly when no block is packed under it, and (A, B') fails T2 exactly when
 no block packed under B' divides A, one guard-bit subtraction each.
 ``lengths_preserved`` packs each window tuple for the ``factorizations``
-length kernel.  ``Sequence`` is built only for the failures a report lists.
+length kernel.  ``Sequence`` is built only for the failures a report lists
+and for the refusal.
 """
 
 from __future__ import annotations
@@ -47,11 +67,17 @@ class TransferMap:
     __slots__ = ("source", "target", "images")
 
     def __init__(self, source, target, images):
-        """``images`` maps each source element to a target element."""
+        """``images`` maps each source element, and nothing else, to a
+        target element."""
         self.source = source
         self.target = target
+        for g in images:
+            if g not in source:
+                raise ShapeError("image given for %s, which is outside the source alphabet" % g)
         table = []
         for g in source.elements:
+            if g not in images:
+                raise ShapeError("no image given for %s" % g)
             h = images[g]
             if h not in target:
                 raise ShapeError("image %s outside the target alphabet" % h)
@@ -61,13 +87,16 @@ class TransferMap:
     @classmethod
     def from_json(cls, data):
         """{source, target, images}: two alphabets as ``Alphabet.to_json``
-        writes them, and images as [source coords, target coords] pairs."""
+        writes them, and images as [source coords, target coords] pairs, one
+        pair for each source element."""
         source = Alphabet.from_json(data["source"])
         target = Alphabet.from_json(data["target"])
-        images = {
-            source.spec.element_from_coords(pair[0]): target.spec.element_from_coords(pair[1])
-            for pair in data["images"]
-        }
+        images = {}
+        for pair in data["images"]:
+            g = source.spec.element_from_coords(pair[0])
+            if g in images:
+                raise ShapeError("two images given for %s" % g)
+            images[g] = target.spec.element_from_coords(pair[1])
         return cls(source, target, images)
 
     def _image(self, mults):
@@ -183,11 +212,24 @@ class TransferReport:
         }
 
 
+def _not_zero_sum(tmap, a, image):
+    """The refusal of a map that sends the window block ``a`` onto ``image``."""
+    a, image = Sequence(tmap.source, a), Sequence(tmap.target, image)
+    return DomainError("%s maps onto %s, which is not zero-sum" % (a, image))
+
+
 def check_transfer(tmap, bound):
     """Verify the two transfer properties on the window of sequences of
     length at most ``bound``; each scan stops at its 10th failure.  The
     first block, in window order, whose image is not zero-sum raises
-    ``DomainError``.  T2 lists the divisors of theta(A) as it reaches A."""
+    ``DomainError``.  T2 lists the divisors of theta(A) as it reaches A.
+
+    A report with no T2 failure proves L(A) = L(theta(A)) for every block A
+    of the window, which is divisor-closed and whose zero sums theta keeps:
+    by T2, theta sends atoms to atoms, since a split of theta(u) would lift
+    to a split of u, and a factorization v1 ... vk of theta(A) lifts, since
+    T2 gives a zero-sum B1 | A onto v1, an atom because a split of B1 would
+    split v1, and induction on A / B1 lifts the rest (module docstring)."""
     source, target = _ZeroSums(tmap.source), _ZeroSums(tmap.target)
     image, packing = tmap._image, Packing(len(tmap.source), bound)
     window = list(source.window(bound))
@@ -196,8 +238,7 @@ def check_transfer(tmap, bound):
         preimages.setdefault(image(a), []).append(packing.pack(a))
     for b, blocks in preimages.items():
         if not target(b):
-            a = Sequence(tmap.source, packing.unpack(blocks[0]))
-            raise DomainError("%s maps onto %s, which is not zero-sum" % (a, Sequence(tmap.target, b)))
+            raise _not_zero_sum(tmap, packing.unpack(blocks[0]), b)
     t1 = (b for b in target.window(bound) if b not in preimages)
 
     def t2():
@@ -219,8 +260,13 @@ def check_transfer(tmap, bound):
 def lengths_preserved(tmap, source_atoms, target_atoms, bound):
     """Check L(A) = L(theta(A)) for all zero-sum source sequences of length
     at most ``bound``; returns (ok, failures) with the first 10 failures.
-    A window sequence and its image have multiplicities at most ``bound``,
-    the ``top`` of both packings."""
+    The first block whose image is not zero-sum raises ``check_transfer``'s
+    ``DomainError``.  A window sequence and its image have multiplicities at
+    most ``bound``, the ``top`` of both packings.
+
+    This is the computed check.  Where ``check_transfer`` finds no T2
+    failure it returns (True, []) by the theorem of the module docstring,
+    on which ``transfer-check`` relies instead of calling it."""
     packed_s = PackedAtoms(source_atoms, bound)
     packed_t = PackedAtoms(target_atoms, bound)
     target = _ZeroSums(tmap.target)
@@ -228,7 +274,7 @@ def lengths_preserved(tmap, source_atoms, target_atoms, bound):
     for a in _ZeroSums(tmap.source).window(bound):
         image = tmap._image(a)
         if not target(image):
-            raise DomainError("length set of a non-zero-sum sequence")
+            raise _not_zero_sum(tmap, a, image)
         ls = _lengths(packed_s, packed_s.pack(a))
         lt = _lengths(packed_t, packed_t.pack(image))
         if ls != lt:

@@ -294,9 +294,10 @@ def test_transfer_check_prop712_refuted_without_expectation(runner):
 
 
 def test_transfer_check_passed_window_checks_lengths(runner, tmp_path):
-    """prop712 passes the window of size 5, so the command also compares
-    the sets of lengths there; the same map read from a JSON file gives the
-    same report."""
+    """prop712 passes the window of size 5, so the command also reports the
+    sets of lengths preserved there, by the theorem of ``check_transfer``
+    (T2 on the window keeps every length set); the same map read from a
+    JSON file gives the same report."""
     result = runner.invoke(main, ["--bound", "5", "transfer-check", "--map", "builtin:prop712"])
     assert result.exit_code == 0
     data = json.loads(result.output)
@@ -331,6 +332,52 @@ def test_transfer_check_refuses_a_map_that_breaks_zero_sums(runner):
     result = runner.invoke(main, ["--bound", "3", "transfer-check", "--map", json.dumps(tmap)])
     _assert_one_line_error(result)
     assert result.output == "Error: -2 * 2 maps onto 1^2, which is not zero-sum\n"
+
+
+def _identity_map(elements):
+    """The identity map of the subset of Z^r with these coordinates, as
+    ``--map`` JSON."""
+    alphabet = {"group": {"free_rank": len(elements[0])}, "elements": elements}
+    return json.dumps({"source": alphabet, "target": alphabet, "images": [[c, c] for c in elements]})
+
+
+def test_transfer_check_reads_lengths_from_the_window(runner):
+    """The identity map of {1, -1, -100} in Z passes the window of size 4,
+    so its sets of lengths are preserved there.  The command lists no atom:
+    the atom 1^100 * -100, far outside the window, is above the default
+    multiplicity cap."""
+    result = runner.invoke(main, ["--bound", "4", "transfer-check", "--map", _identity_map([[1], [-1], [-100]])])
+    assert result.exit_code == 0, result.output
+    data = json.loads(result.output)
+    assert data["result"]["ok"] is True
+    assert data["lengths_preserved"] is True and data["length_failures"] == []
+
+
+def test_transfer_check_computes_no_atoms_or_lengths(runner, monkeypatch):
+    """transfer-check runs the window check and nothing else: with the atom
+    step and the length kernel made to raise, the identity map of prop713
+    still passes at window 6 with its lengths preserved."""
+    from krull_arith import transfer
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("transfer-check computed atoms or lengths")
+
+    monkeypatch.setattr(cli, "enumerate_atoms", refuse)
+    monkeypatch.setattr(transfer, "_lengths", refuse)
+    elements = parse_preset("prop713").alphabet.to_json()["elements"]
+    result = runner.invoke(main, ["--bound", "6", "transfer-check", "--map", _identity_map(elements)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["lengths_preserved"] is True
+
+
+def test_transfer_check_refuses_an_image_outside_the_source(runner):
+    """An image pair for 3, which is not in the source {2, -2}, is one error
+    line, not a pair silently dropped."""
+    tmap = json.loads(_identity_map([[2], [-2]]))
+    tmap["images"].append([[3], [2]])
+    result = runner.invoke(main, ["--bound", "3", "transfer-check", "--map", json.dumps(tmap)])
+    _assert_one_line_error(result)
+    assert result.output == "Error: image given for 3, which is outside the source alphabet\n"
 
 
 def test_transfer_check_unknown_builtin_map(runner):
@@ -579,11 +626,22 @@ def test_report_cached_under_another_schema_or_version_is_a_miss(runner, tmp_pat
         ],
         ["decompose", "--preset", "split1:2", "--set", "[[1],[-1]]"],
         ["atoms", "--preset", "cyclic:5", "--set", "[[1]]"],
+        [
+            "atom-count", "--characteristic",
+            '{"group": {"torsion": [2]}, "classes": [{"element": [1], "multiplicity": 2}]}',
+            "--preset", "hypersurface:E7",
+        ],
+        [
+            "preset", "build", "--family", "cyclic:3",
+            "--matrix", '{"rows": 1, "columns": [{"vec": [1], "mult": 1}]}', "--row-reduce",
+        ],
+        ["preset", "build", "--family", "cyclic:3", "--row-reduce"],
     ],
 )
 def test_inputs_of_two_kinds_are_a_usage_error(runner, args):
-    """--preset with --group or --set would answer for an input other than
-    the one typed."""
+    """--preset with --group or --set, --characteristic with --preset, and
+    --matrix or --row-reduce with a family other than from_matrix would
+    each answer for an input other than the one typed."""
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert "Usage:" in result.output and "Error:" in result.output

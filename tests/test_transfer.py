@@ -145,28 +145,30 @@ def _small_maps(draw, max_bound=5):
     return TransferMap(source, target, images), draw(st.integers(1, max_bound))
 
 
-def _raises_on_non_zero_sum_image(tmap, bound, bad):
-    """check_transfer raises DomainError naming ``bad``, the first window
-    block whose image is not zero-sum, and that image."""
-    message = "%s maps onto %s, which is not zero-sum" % (bad, tmap.apply(bad))
-    with pytest.raises(DomainError, match=re.escape(message)):
-        check_transfer(tmap, bound)
+def _refusal(tmap, bad):
+    """The pattern of the DomainError that refuses ``tmap``: it names
+    ``bad``, the first window block whose image is not zero-sum, and that
+    image."""
+    return re.escape("%s maps onto %s, which is not zero-sum" % (bad, tmap.apply(bad)))
 
 
 @settings(max_examples=150, deadline=None)
 @given(_small_maps())
 def test_transfer_kernel_matches_sequence_reference(case):
     """The tuple window checks against Sequence arithmetic: the report and
-    the length comparison.  Both raise when theta does not keep the zero
-    sums of the window, and the report then names the first block whose
-    image is not zero-sum."""
+    the length comparison.  Both raise the same error when theta does not
+    keep the zero sums of the window, naming the first block whose image is
+    not zero-sum.  Otherwise no length set differs on a window that passes
+    T2: the theorem by which ``transfer-check`` reports lengths preserved,
+    with ``lengths_of`` as its oracle."""
     tmap, bound = case
     src, tgt = enumerate_atoms(tmap.source), enumerate_atoms(tmap.target)
     window = list(_reference_window(tmap.source, bound))
     bad = next((a for a in window if not tmap.apply(a).is_zero_sum()), None)
     if bad is not None:
-        _raises_on_non_zero_sum_image(tmap, bound, bad)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=_refusal(tmap, bad)):
+            check_transfer(tmap, bound)
+        with pytest.raises(DomainError, match=_refusal(tmap, bad)):
             lengths_preserved(tmap, src, tgt, bound)
         return
     report = check_transfer(tmap, bound)
@@ -178,6 +180,8 @@ def test_transfer_kernel_matches_sequence_reference(case):
     ]
     failures = [f for f in failures if f[1] != f[2]]
     assert lengths_preserved(tmap, src, tgt, bound) == (not failures, failures[:10])
+    if report.divisors_lift_on_window:
+        assert not failures
 
 
 @pytest.mark.parametrize(
@@ -203,7 +207,8 @@ def test_transfer_kernel_matches_fiber_reference_on_small_maps(case):
     source, target = ZeroSumsByRecursion(tmap.source), ZeroSumsByRecursion(tmap.target)
     bad = next((a for a in source.window(bound) if not target(tmap._image(a))), None)
     if bad is not None:
-        _raises_on_non_zero_sum_image(tmap, bound, Sequence(tmap.source, bad))
+        with pytest.raises(DomainError, match=_refusal(tmap, Sequence(tmap.source, bad))):
+            check_transfer(tmap, bound)
         return
     report, reference = check_transfer(tmap, bound), check_transfer_by_fibers(tmap, bound)
     assert report == reference
@@ -222,6 +227,28 @@ def test_apply_and_shape_errors():
         tmap.apply(other.sequence([(GroupSpec(1).element(free=(1,)), 1)]))
     with pytest.raises(ShapeError):
         TransferMap(tmap.source, tmap.target, {e: e, -e: e})
+
+
+def test_image_table_has_one_image_per_source_element():
+    """An image of an element outside the source alphabet, a source element
+    with no image, and two image pairs for one source element are each a
+    ShapeError naming the element, never silently dropped."""
+    tmap = _doubling_map()
+    e = tmap.source.spec.element(free=(1,))
+    g = tmap.target.elements[0]
+    with pytest.raises(ShapeError, match="^image given for 3, which is outside the source alphabet$"):
+        TransferMap(tmap.source, tmap.target, {e: g, -e: g, tmap.source.spec.element(free=(3,)): g})
+    with pytest.raises(ShapeError, match="^no image given for -1$"):
+        TransferMap(tmap.source, tmap.target, {e: g})
+    data = {
+        "source": tmap.source.to_json(),
+        "target": tmap.target.to_json(),
+        "images": [[[1], [1]], [[-1], [1]], [[1], [1]]],
+    }
+    with pytest.raises(ShapeError, match="^two images given for 1$"):
+        TransferMap.from_json(data)
+    data["images"].pop()
+    assert TransferMap.from_json(data).images == tmap.images
 
 
 def test_doubling_map_is_a_transfer_map():
