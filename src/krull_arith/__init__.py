@@ -2,7 +2,7 @@
 abelian groups: atoms, factorizations, sets of lengths, and the standard
 factorization-theoretic invariants."""
 
-from .atoms import AtomSet, davenport_constant, enumerate_atoms
+from .atoms import AtomSet, enumerate_atoms
 from .errors import (
     AlphabetError,
     ArgumentError,
@@ -37,15 +37,12 @@ from .invariants import (
     unions,
 )
 from .lengths import (
-    AAMP,
     additive_closure_probe,
     c3_set,
     c4_set_ap2,
     c4_set_interval,
     collect_length_sets,
     delta_of_set,
-    fit_aamp,
-    fit_progression,
     is_length_set_realized,
     member,
     sumset,

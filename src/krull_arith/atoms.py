@@ -321,8 +321,3 @@ def enumerate_atoms(alphabet, cap=64):
     cols = _zero_sum_columns(alphabet.spec, alphabet.elements)
     caps = [cap] * k + [None] * (len(cols) - k)
     return AtomSet(alphabet, (v[:k] for v in minimal_nonneg_solutions(cols, caps)))
-
-
-def davenport_constant(alphabet, cap=64):
-    return enumerate_atoms(alphabet, cap).davenport()
-

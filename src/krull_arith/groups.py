@@ -202,19 +202,6 @@ class GroupElement:
         self._check(other)
         return self.key() < other.key()
 
-    def __le__(self, other):
-        self._check(other)
-        return self.key() <= other.key()
-
-    def to_json(self):
-        return {"free": list(self.free), "torsion": list(self.torsion)}
-
-    @classmethod
-    def from_json(cls, spec, data):
-        if isinstance(data, (list, tuple)):
-            return spec.element_from_coords(data)
-        return cls(spec, data.get("free", ()), data.get("torsion", ()))
-
     def render(self):
         """Compact text form: a bare integer in dimension 1, a tuple otherwise."""
         coords = self.coords

@@ -1,5 +1,4 @@
-"""Closed-form systems of sets of lengths, progression/AAMP fitting, and
-additive-closure probing.
+"""Closed-form systems of sets of lengths and additive-closure probing.
 
 The two hand-computable systems are
 
@@ -35,27 +34,6 @@ from .presets import parse_preset
 
 def sumset(l1, l2):
     return frozenset(a + b for a in l1 for b in l2)
-
-
-@dataclass(frozen=True)
-class AAMP:
-    """y + (L' u L* u L'') with L* = (period + d*N0) capped at the central
-    range and the irregular ends inside M of the ends."""
-
-    y: int
-    d: int
-    period: tuple
-    m: int
-    central_length: int
-
-    def to_json(self):
-        return {
-            "y": self.y,
-            "d": self.d,
-            "period": list(self.period),
-            "M": self.m,
-            "central_length": self.central_length,
-        }
 
 
 def member(family, lengths):
@@ -108,47 +86,6 @@ def c4_set_interval(y, k):
 
 def c4_set_ap2(y, k):
     return frozenset(y + 2 * k + 2 * v for v in range(k + 1))
-
-
-def fit_progression(lengths):
-    """(is_AP, d): an AP has at most one distinct gap."""
-    gaps = delta_of_set(lengths)
-    if not gaps:
-        return True, 0
-    if len(gaps) == 1:
-        return True, next(iter(gaps))
-    return False, None
-
-
-def fit_aamp(lengths, d):
-    """Minimal-M representation of the set as an AAMP with difference d,
-    scanning every candidate central window; ties broken by smaller period.
-    Returns None when no window yields a valid periodic center."""
-    if d < 1:
-        raise ArgumentError("difference must be positive")
-    ls = sorted(set(lengths))
-    best = None
-    for i in range(len(ls)):
-        for j in range(i, len(ls)):
-            y = ls[i]
-            span = ls[j] - y
-            window = [x - y for x in ls[i : j + 1]]
-            period = sorted({x % d for x in window} | {0, d})
-            model = sorted(
-                {
-                    p + d * q
-                    for p in period
-                    for q in range(span // d + 2)
-                    if p + d * q <= span
-                }
-            )
-            if model != window:
-                continue
-            m = max(y - ls[0], ls[-1] - ls[j])
-            cand = AAMP(y, d, tuple(period), m, span)
-            if best is None or (cand.m, len(cand.period)) < (best.m, len(best.period)):
-                best = cand
-    return best
 
 
 def _check_bound(bound):

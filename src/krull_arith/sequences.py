@@ -45,11 +45,6 @@ class Alphabet:
         except KeyError:
             raise AlphabetError("%s is not in the alphabet" % g) from None
 
-    def zero_index(self):
-        """Index of the zero element, or None if absent."""
-        z = self.spec.zero()
-        return self._index.get(z)
-
     def negation_table(self):
         """Index map i -> index of -element[i], or None if not closed."""
         table = []

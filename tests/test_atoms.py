@@ -13,7 +13,6 @@ from krull_arith import (
     Alphabet,
     GroupSpec,
     count_lifted_atoms_brute,
-    davenport_constant,
     enumerate_atoms,
     parse_preset,
 )
@@ -102,10 +101,10 @@ def test_known_atom_sets():
 
 def test_davenport_values():
     for n in range(2, 7):
-        assert davenport_constant(cyclic_alphabet(n)) == n
+        assert enumerate_atoms(cyclic_alphabet(n)).davenport() == n
     for r, alpha in [(2, 1), (2, 2), (3, 1)]:
         preset = build_preset("thm74", r, alpha)
-        assert davenport_constant(preset.alphabet) == r + alpha
+        assert enumerate_atoms(preset.alphabet).davenport() == r + alpha
 
 
 def test_enumeration_cap():

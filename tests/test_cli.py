@@ -135,6 +135,22 @@ GOLDEN_REPORTS = {
         ["davenport", "delta", "elasticity", "catenary", "omega", "rho_2", "rho_3",
          "rho_4", "rho_5"],
     ),
+    # With thm74:2,1 and cyclic:5 above, these are the report presets of the
+    # benchmark, and each digest is the one bench/refs.json holds for it.
+    "thm74:3,2": (
+        "d3b5519e3787d7618e7db249c7fb24f4d2571364eacda297a988fd45ac606143",
+        ["num_atoms", "davenport", "delta", "elasticity", "catenary",
+         "monotone_catenary", "omega", "tame", "lambda_1", "rho_2", "lambda_2",
+         "rho_3", "lambda_3", "rho_4", "lambda_4", "rho_5", "lambda_5",
+         "min_abs_irred_witness"],
+    ),
+    "cyclic:6": (
+        "20a14957f2a2f5665f70322277d69846cc0bba7f80911bf326e00a249f1c6f3e",
+        ["davenport", "delta", "elasticity", "catenary", "omega", "rho_2", "rho_3",
+         "rho_4", "rho_5"],
+    ),
+    "full_box:2": ("e5bf0d46e7fe4051a148bb8fdd66a7989d7f1879fbf2e7cd09e52ad0cf573cc0", []),
+    "prop713": ("b7c81865af835738d34354ab2106c2a6e4712b148d8d6891f6ade555ac34a887", []),
 }
 
 

@@ -1,6 +1,4 @@
-"""Closed-form length-set families, progression/AAMP fitting, and the
-additive-closure probe.
-"""
+"""Closed-form length-set families and the additive-closure probe."""
 
 from itertools import combinations
 
@@ -8,7 +6,6 @@ import pytest
 from conftest import closure_probe_by_levels
 
 from krull_arith import (
-    AAMP,
     Alphabet,
     GroupSpec,
     additive_closure_probe,
@@ -18,8 +15,6 @@ from krull_arith import (
     collect_length_sets,
     delta_of_set,
     enumerate_atoms,
-    fit_aamp,
-    fit_progression,
     is_length_set_realized,
     member,
     sumset,
@@ -74,24 +69,6 @@ def test_member_symmetric_rank_family():
     for family in ("thm74:x", "thm74:2", "thm74:0,0", "thm74:1,1", "thm74:2,1,1"):
         with pytest.raises(ArgumentError):
             member(family, {4, 5, 6})
-
-
-def test_fit_progression():
-    assert fit_progression({3}) == (True, 0)
-    assert fit_progression({2, 4, 6}) == (True, 2)
-    assert fit_progression({2, 3, 5}) == (False, None)
-
-
-def test_fit_aamp():
-    model = fit_aamp({2, 4, 6}, 2)
-    assert isinstance(model, AAMP)
-    assert model.m == 0 and model.d == 2
-    assert model.to_json()["period"] == [0, 2]
-    # One irregular initial element forces a nonzero M.
-    model = fit_aamp({1, 4, 6, 8}, 2)
-    assert model is not None and model.m >= 1
-    with pytest.raises(ArgumentError):
-        fit_aamp({1, 2}, 0)
 
 
 def test_collect_length_sets_stay_in_family(five_point_atoms):

@@ -20,10 +20,8 @@ def test_alphabet_lookup():
     a = int_alphabet(-1, 0, 1)
     spec = a.spec
     assert a.index(spec.element(free=(1,))) == 2
-    assert a.zero_index() == 1
     with pytest.raises(AlphabetError):
         a.index(spec.element(free=(5,)))
-    assert int_alphabet(1, 2).zero_index() is None
 
 
 def test_negation_table_and_symmetry():
