@@ -127,9 +127,6 @@ def run_invariants(preset, bound=4, max_k=5, cap=64):
     expected = preset.expected
     inv = {}
     inv["delta"] = delta_set(atomset, bound, memo).to_json()
-    # No later phase reads the levels of the Delta sweep, so they are dropped.
-    for key in [key for key in memo if key[0] == "levels"]:
-        del memo[key]
     if len(preset.alphabet) <= DELTA_STAR_SWEEP_LIMIT:
         try:
             inv["delta_star"] = delta_star(atomset, min(bound, 4), memo, atom_limit=12).to_json()
@@ -291,7 +288,7 @@ def factorize_cmd(ctx, p, element):
 
 @main.command()
 @_input_options
-@click.option("--max-k", default=5, show_default=True)
+@click.option("--max-k", default=5, type=click.IntRange(min=0), show_default=True)
 @click.option("--cap", default=64, show_default=True)
 @click.option("--report", "report_path", default=None, help="Write the report to this path.")
 @click.pass_context

@@ -13,7 +13,7 @@ sweep drops every block whose support holds it, with all its multiples.
 The delta sweep stops at the omega ceiling: delta(H) lies in
 [1, c(H) - 2] (Geroldinger-Halter-Koch 2006, Thm. 1.6.3) and
 c(H) <= omega(H) (Geroldinger-Hassler, *JPAA* 212, 2008), so once the gaps
-found fill [1, omega(H) - 2] no later level adds one.
+found fill [1, omega(H) - 2] no later block adds one.
 
 Unions of sets of lengths have two exact engines, and both start from what
 the smaller unions prove (Geroldinger-Halter-Koch, *Non-Unique
@@ -44,10 +44,10 @@ builds; the packed kernels of ``factorizations`` are called on them
 directly, since every swept block is a product of atoms and so has zero sum.
 Length sets stay bitmasks until a value is returned.  One lazy generator,
 ``_levels``, builds the levels of blocks of every sweep but delta*'s, which
-keys each block by the atom sets it is swept for.  Delta and ``lengths``
-read it level by level through ``_length_masks``, as length bitmasks with
-the blocks that realize them; the catenary sweep needs every block, and
-takes the blocks from ``product_levels``, a list of its levels.
+keys each block by the atom sets it is swept for.  Delta reads it block
+by block, and builds no level past the block that fills its ceiling; the
+catenary sweep needs every block, and takes the blocks from
+``product_levels``, a list of its levels.
 Omega and tame search covers packed for products of D(G0) atoms, the most a
 minimal cover holds.  ``Sequence`` is used only where a public function
 takes or returns one.
@@ -74,20 +74,18 @@ every length class above c_eq is complete.
 
 A shared memo keeps, besides the length table of each alphabet and width,
 what the sweeps build, so that a later call picks up where an earlier one
-stopped: the levels of ``_length_masks`` with the generator of the next,
-under ("levels", alphabet, vectors, width); U_1, U_2, ... of
-``union_profiles`` under ("unions", alphabet, vectors); the failed table of
-the union search under ("failed", alphabet, vectors, width); and omega(H),
-which the Delta ceiling reads, under ("omega", alphabet, vectors).  Each
-key holds the atom vectors, so a restricted AtomSet never shares an entry
-with its parent.
+stopped: U_1, U_2, ... of ``union_profiles`` under ("unions", alphabet,
+vectors); the failed table of the union search under ("failed", alphabet,
+vectors, width); and omega(H), which the Delta ceiling reads, under
+("omega", alphabet, vectors).  Each key holds the atom vectors, so a
+restricted AtomSet never shares an entry with its parent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations, islice
+from itertools import accumulate, chain, combinations, islice
 from math import comb
 
 from .atoms import _integer_point
@@ -149,36 +147,6 @@ def product_levels(atoms, max_count):
     return list(islice(_levels(atoms), max_count + 1))
 
 
-def _length_masks(atomset, count, memo=None):
-    """For i = 0, ..., ``count`` in turn, {L(B) bitmask: [blocks B]} over
-    the products B of exactly i atoms, packed for ``count`` atoms, each level
-    swept only when it is read.  Every zero-free product is listed under its
-    mask.  The atom 0 is prime, so a product of i atoms is 0^j times a
-    zero-free product of i - j atoms, with its lengths shifted by j: when 0
-    is in G0, each mask m of level i - 1 is also on level i as m << 1,
-    realized by the first block of m times 0.
-
-    ``memo`` keeps the levels built so far, with the ``_levels`` generator
-    that builds the next, under ("levels", alphabet, vectors, width): a
-    later sweep of the same atoms at the same packing width reads those
-    levels and builds only the ones above them, each once."""
-    memo = {} if memo is None else memo
-    packed = PackedAtoms.for_products(atomset, count, memo)
-    key = ("levels", atomset.alphabet, atomset.vectors, packed.width)
-    levels, blocks = memo.setdefault(key, ([], _levels(packed.nonzero())))
-    for i in range(count + 1):
-        if i == len(levels):
-            level = {}
-            for b in next(blocks):
-                level.setdefault(_lengths(packed, b), []).append(b)
-            if packed.zero is not None and levels:
-                zero = 1 << packed.zero[1]
-                for m, realizers in levels[-1].items():
-                    level.setdefault(m << 1, []).append(realizers[0] + zero)
-            levels.append(level)
-        yield levels[i]
-
-
 def delta_of_set(lengths):
     """Successive gaps of a set of integers."""
     ls = sorted(lengths)
@@ -188,17 +156,21 @@ def delta_of_set(lengths):
 def delta_set(atomset, bound, memo=None):
     """The set of distances of B(G0), swept over products of at most
     ``bound`` atoms, so never certified exact.  Levels 0 and 1 hold only
-    singletons, so the gaps are those of the levels from 2 on, read until
-    they fill [1, omega(H) - 2] (module docstring), omega(H) taken from
-    ``monoid_omega`` on the same memo."""
+    singletons, so the gaps are those of the levels from 2 on, read block
+    by block until they fill [1, omega(H) - 2] (module docstring; omega(H)
+    from ``monoid_omega`` on the same memo), each new length set once.  The
+    atom 0 is left out: a product with 0 has the lengths of a product of
+    one atom fewer, shifted by 1, and so the same gaps."""
     if bound < 2:
         raise ArgumentError("delta_set needs bound >= 2")
     ceiling = set(range(1, monoid_omega(atomset, memo).value - 1))
-    gaps = set()
-    for masks in islice(_length_masks(atomset, bound, memo), 2, None):
-        gaps.update(gap for mask in masks for gap in delta_of_set(_members(mask)))
-        if gaps == ceiling:
-            break
+    packed = PackedAtoms.for_products(atomset, bound, memo)
+    blocks = chain.from_iterable(islice(_levels(packed.nonzero()), 2, bound + 1))
+    gaps, seen = set(), set()
+    while gaps != ceiling and (block := next(blocks, None)) is not None:
+        if (mask := _lengths(packed, block)) not in seen:
+            seen.add(mask)
+            gaps |= delta_of_set(_members(mask))
     return BoundedResult(frozenset(gaps), False, bound, "product-sweep")
 
 

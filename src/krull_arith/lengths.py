@@ -11,10 +11,11 @@ whose length sets are m + {2k* + d*lam : lam in [0,k*]} with d the single
 distance value.
 
 Collection, realization and the closure probe read the levels of
-``invariants._length_masks``, one per number of atoms, in order: each maps
-a length bitmask to blocks that realize it, and a set with minimum m is
-realized exactly when it is the length set of a product of m atoms.  The
-memo keeps the levels, so on one memo each level is built once.  The
+``_length_masks``, one per number of atoms, in order: each maps a length
+bitmask to blocks that realize it, and a set with minimum m is realized
+exactly when it is the length set of a product of m atoms.  The memo
+keeps the levels under ("levels", alphabet, vectors, width), so on one
+memo each level is built once.  The
 probe proves a sumset realized by a product of two realizers whose length
 set is the sumset; it reads a level above its collection bound only for a
 sumset no such product proves.  Length sets are bitmasks inside the sweeps
@@ -28,7 +29,7 @@ from itertools import chain, combinations_with_replacement, islice
 
 from .errors import ArgumentError
 from .factorizations import PackedAtoms, _lengths, _mask, _members
-from .invariants import _length_masks, delta_of_set
+from .invariants import _levels, delta_of_set
 from .presets import parse_preset
 
 
@@ -86,6 +87,36 @@ def c4_set_interval(y, k):
 
 def c4_set_ap2(y, k):
     return frozenset(y + 2 * k + 2 * v for v in range(k + 1))
+
+
+def _length_masks(atomset, count, memo=None):
+    """For i = 0, ..., ``count`` in turn, {L(B) bitmask: [blocks B]} over
+    the products B of exactly i atoms, packed for ``count`` atoms, each level
+    swept only when it is read.  Every zero-free product is listed under its
+    mask.  The atom 0 is prime, so a product of i atoms is 0^j times a
+    zero-free product of i - j atoms, with its lengths shifted by j: when 0
+    is in G0, each mask m of level i - 1 is also on level i as m << 1,
+    realized by the first block of m times 0.
+
+    ``memo`` keeps the levels built so far, with the ``_levels`` generator
+    that builds the next, under ("levels", alphabet, vectors, width): a
+    later sweep of the same atoms at the same packing width reads those
+    levels and builds only the ones above them, each once."""
+    memo = {} if memo is None else memo
+    packed = PackedAtoms.for_products(atomset, count, memo)
+    key = ("levels", atomset.alphabet, atomset.vectors, packed.width)
+    levels, blocks = memo.setdefault(key, ([], _levels(packed.nonzero())))
+    for i in range(count + 1):
+        if i == len(levels):
+            level = {}
+            for b in next(blocks):
+                level.setdefault(_lengths(packed, b), []).append(b)
+            if packed.zero is not None and levels:
+                zero = 1 << packed.zero[1]
+                for m, realizers in levels[-1].items():
+                    level.setdefault(m << 1, []).append(realizers[0] + zero)
+            levels.append(level)
+        yield levels[i]
 
 
 def _check_bound(bound):

@@ -18,8 +18,8 @@ from krull_arith import Alphabet, GroupSpec, Sequence, enumerate_atoms
 from krull_arith.atoms import _zero_sum_columns
 from krull_arith.errors import ArgumentError, BoundExceededError
 from krull_arith.factorizations import Packing, _lengths, _mask, _members
-from krull_arith.invariants import _length_masks, delta_of_set, product_levels
-from krull_arith.lengths import ClosureProbe, sumset
+from krull_arith.invariants import delta_of_set, product_levels
+from krull_arith.lengths import ClosureProbe, _length_masks, sumset
 from krull_arith.presets import _thm74_basis, build_preset
 from krull_arith.transfer import TransferReport
 

@@ -720,6 +720,15 @@ def test_negative_bound_is_a_usage_error(runner, args):
     assert "Usage:" in result.output and "--bound" in result.output
 
 
+def test_negative_max_k_is_a_usage_error(runner, tmp_path):
+    """A negative max_k computes no union, so the report would drop every
+    rho_k and lambda_k check and the cache would keep it."""
+    result = runner.invoke(main, ["--cache-dir", str(tmp_path), "invariants", "--preset", "cyclic:5", "--max-k", "-1"])
+    assert result.exit_code == 2
+    assert "Usage:" in result.output and "--max-k" in result.output
+    assert not any(tmp_path.iterdir())
+
+
 def test_global_bound_reaches_the_report(runner, tmp_path):
     result = runner.invoke(
         main, ["--cache-dir", str(tmp_path), "--bound", "3", "invariants", "--preset", "cube:2"]

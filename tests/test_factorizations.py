@@ -42,7 +42,8 @@ from krull_arith.factorizations import (
     _members,
     factorize_with_profile,
 )
-from krull_arith.invariants import _length_masks, _union_by_enumeration, product_levels
+from krull_arith.invariants import _union_by_enumeration, product_levels
+from krull_arith.lengths import _length_masks
 
 from conftest import (
     catenary_by_chains,

@@ -50,6 +50,7 @@ from krull_arith.invariants import (
     _reaches,
     _union_by_enumeration,
     _union_by_milp,
+    delta_of_set,
     product_levels,
 )
 from krull_arith.presets import build_preset
@@ -967,16 +968,56 @@ def test_delta_set_stops_on_the_level_that_fills_the_ceiling(values, omega_h, le
     assert delta_set(atomset, 2).value == frozenset(level_2)
     _check_delta_ceiling(atomset)
     read = []
-    sweep = invariants._length_masks
+    sweep = invariants._levels
 
     def counted(*args):
         for level in sweep(*args):
             read.append(level)
             yield level
 
-    monkeypatch.setattr(invariants, "_length_masks", counted)
+    monkeypatch.setattr(invariants, "_levels", counted)
     assert delta_set(atomset, 6).value == frozenset(range(1, omega_h - 1))
     assert len(read) == 4
+
+
+def _count_delta_work(monkeypatch):
+    """(the sizes of the levels read from ``invariants._levels``, the blocks
+    passed to ``invariants._lengths``), recorded from now on."""
+    read, factored = [], []
+    real_levels, real_lengths = invariants._levels, invariants._lengths
+
+    def levels(atoms):
+        for blocks in real_levels(atoms):
+            read.append(len(blocks))
+            yield blocks
+
+    def lengths(packed, block):
+        factored.append(block)
+        return real_lengths(packed, block)
+
+    monkeypatch.setattr(invariants, "_levels", levels)
+    monkeypatch.setattr(invariants, "_lengths", lengths)
+    return read, factored
+
+
+def test_delta_set_stops_inside_the_level_that_fills_the_ceiling(monkeypatch):
+    """On cyclic:8, omega(H) = 8 and the gaps fill [1, 6] after 109 of the
+    1,571 blocks of level 2: the last block factored is the one that fills
+    the ceiling, and no level past 2 is built.  On frt_t:1, omega(H) = 1
+    and the ceiling is empty, so the sweep builds no level and factors no
+    block."""
+    atomset = enumerate_atoms(parse_preset("cyclic:8").alphabet)
+    read, factored = _count_delta_work(monkeypatch)
+    assert delta_set(atomset, 4, {}).value == frozenset(range(1, 7))
+    assert len(read) == 3 and read[2] == 1571 and len(factored) < 1571
+    packed = PackedAtoms.for_products(atomset, 4)
+    gaps = [delta_of_set(_members(_lengths(packed, b))) for b in factored]
+    assert frozenset().union(*gaps[:-1]) != frozenset().union(*gaps)
+    atomset = enumerate_atoms(parse_preset("frt_t:1").alphabet)
+    read.clear()
+    factored.clear()
+    assert delta_set(atomset, 4, {}).value == frozenset()
+    assert read == [] and factored == []
 
 
 def _check_orbit_searches(atomset):

@@ -19,7 +19,7 @@ from krull_arith import (
     member,
     sumset,
 )
-from krull_arith import invariants, lengths
+from krull_arith import lengths
 from krull_arith.errors import ArgumentError
 from krull_arith.factorizations import PackedAtoms
 from krull_arith.presets import parse_preset
@@ -261,9 +261,12 @@ def test_closure_probe_proves_sumsets_by_realizer_products(monkeypatch, token):
     """On these closed presets at bound 4 every sumset with minimum above
     the bound is the length set of a product of two realizers: the probe
     reads no level of its sweep above the bound, and it sends at most 150
-    products to ``_lengths``."""
+    products to ``_lengths``.  The sweep calls ``_lengths`` too, so a first
+    probe on the same memo builds its levels before the calls are counted."""
     bound = 4
     atomset = enumerate_atoms(parse_preset(token).alphabet)
+    memo = {}
+    additive_closure_probe(atomset, bound, memo)
     calls = []
     yielded = []
 
@@ -279,16 +282,16 @@ def test_closure_probe_proves_sumsets_by_realizer_products(monkeypatch, token):
     real_lengths, real_sweep = lengths._lengths, lengths._length_masks
     monkeypatch.setattr(lengths, "_lengths", counted)
     monkeypatch.setattr(lengths, "_length_masks", watched)
-    assert additive_closure_probe(atomset, bound).closed_within_bound
+    assert additive_closure_probe(atomset, bound, memo).closed_within_bound
     assert len(yielded) <= bound + 1
     assert len(calls) <= 150
 
 
 def _count_sweep_work(monkeypatch):
     """{"levels": levels of blocks built, "lengths": ``_lengths`` calls}
-    of the sweeps in ``invariants``, counted from now on."""
+    of the sweeps in ``lengths``, counted from now on."""
     counts = {"levels": 0, "lengths": 0}
-    real_levels, real_lengths = invariants._levels, invariants._lengths
+    real_levels, real_lengths = lengths._levels, lengths._lengths
 
     def levels(atoms):
         for blocks in real_levels(atoms):
@@ -299,8 +302,8 @@ def _count_sweep_work(monkeypatch):
         counts["lengths"] += 1
         return real_lengths(packed, block)
 
-    monkeypatch.setattr(invariants, "_levels", levels)
-    monkeypatch.setattr(invariants, "_lengths", counted_lengths)
+    monkeypatch.setattr(lengths, "_levels", levels)
+    monkeypatch.setattr(lengths, "_lengths", counted_lengths)
     return counts
 
 
