@@ -3,8 +3,8 @@ elasticities, omega and tame degrees, catenary degrees, and absolutely
 irreducible elements.
 
 Everything here is computed by unbounded-exact or bounded-sweep methods; a
-BoundedResult records which.  Sweeps walk deduplicated products of atoms
-level by level, and one sweep serves many values: delta* sweeps the
+BoundedResult records which.  Sweeps walk the products of atoms level by
+level, and one sweep serves many values: delta* sweeps the
 largest atom sets it keeps at once, recording the least gap of L(B) for
 each block support, so that min delta(B(G1)) of a kept subset G1 is the
 least gap recorded for a support inside G1.  A gap is at least 1, so once
@@ -42,12 +42,12 @@ Inside the sweeps a block and an atom are ints packed by one
 ``factorizations.PackedAtoms``, wide enough for every product the sweep
 builds; the packed kernels of ``factorizations`` are called on them
 directly, since every swept block is a product of atoms and so has zero sum.
-Length sets stay bitmasks until a value is returned.  One lazy generator,
-``_levels``, builds the levels of blocks of every sweep but delta*'s, which
-keys each block by the atom sets it is swept for.  Delta reads it block
-by block, and builds no level past the block that fills its ceiling; the
-catenary sweep needs every block, and takes the blocks from
-``product_levels``, a list of its levels.
+Length sets stay bitmasks until a value is returned.  Delta streams the
+multisets of nonzero atoms, largest |u| first, summing each to its block,
+and reads none past the block that fills its ceiling; the catenary sweep
+needs every distinct block, and takes the blocks from ``product_levels``,
+the sets of these sums.  Delta* keys each block by the atom sets it is
+swept for, so each of its levels grows from the one below.
 Omega and tame search covers packed for products of D(G0) atoms, the most a
 minimal cover holds.  ``Sequence`` is used only where a public function
 takes or returns one.
@@ -85,7 +85,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, combinations, islice
+from itertools import accumulate, chain, combinations, combinations_with_replacement
 from math import comb
 
 from .atoms import _integer_point
@@ -129,22 +129,12 @@ class BoundedResult:
         }
 
 
-def _levels(atoms):
-    """The sets of products of exactly 0, 1, 2, ... of the given packed
-    atoms, as packed blocks, each level built only when it is read.  The
-    packing must hold every product of as many atoms as the levels read."""
-    blocks = {0}
-    while True:
-        yield blocks
-        blocks = {b + a for b in blocks for a in atoms}
-
-
 def product_levels(atoms, max_count):
     """levels[k] = set of all products of exactly k of the given packed
-    atoms, as packed blocks: the first ``max_count + 1`` levels of
-    ``_levels``.  The packing must hold every product of ``max_count``
-    atoms (``PackedAtoms.for_products``)."""
-    return list(islice(_levels(atoms), max_count + 1))
+    atoms, as packed blocks, for k = 0, ..., ``max_count``: the sums of the
+    multisets of k atoms.  The packing must hold every product of
+    ``max_count`` atoms (``PackedAtoms.for_products``)."""
+    return [set(map(sum, combinations_with_replacement(atoms, k))) for k in range(max_count + 1)]
 
 
 def delta_of_set(lengths):
@@ -155,17 +145,20 @@ def delta_of_set(lengths):
 
 def delta_set(atomset, bound, memo=None):
     """The set of distances of B(G0), swept over products of at most
-    ``bound`` atoms, so never certified exact.  Levels 0 and 1 hold only
-    singletons, so the gaps are those of the levels from 2 on, read block
-    by block until they fill [1, omega(H) - 2] (module docstring; omega(H)
-    from ``monoid_omega`` on the same memo), each new length set once.  The
+    ``bound`` atoms, so never certified exact.  Products of 0 or 1 atoms
+    have one length, so the gaps are those of the products of k = 2, ...,
+    ``bound`` atoms, streamed as multisets, largest |u| first, and read
+    until they fill [1, omega(H) - 2] (module docstring; omega(H) from
+    ``monoid_omega`` on the same memo), each new length set once.  The
     atom 0 is left out: a product with 0 has the lengths of a product of
     one atom fewer, shifted by 1, and so the same gaps."""
     if bound < 2:
         raise ArgumentError("delta_set needs bound >= 2")
     ceiling = set(range(1, monoid_omega(atomset, memo).value - 1))
     packed = PackedAtoms.for_products(atomset, bound, memo)
-    blocks = chain.from_iterable(islice(_levels(packed.nonzero()), 2, bound + 1))
+    # A stable sort: atoms of equal size stay in AtomSet order.
+    atoms = sorted(packed.nonzero(), key=packed.total, reverse=True)
+    blocks = chain.from_iterable(map(sum, combinations_with_replacement(atoms, k)) for k in range(2, bound + 1))
     gaps, seen = set(), set()
     while gaps != ceiling and (block := next(blocks, None)) is not None:
         if (mask := _lengths(packed, block)) not in seen:

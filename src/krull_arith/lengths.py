@@ -14,8 +14,8 @@ Collection, realization and the closure probe read the levels of
 ``_length_masks``, one per number of atoms, in order: each maps a length
 bitmask to blocks that realize it, and a set with minimum m is realized
 exactly when it is the length set of a product of m atoms.  The memo
-keeps the levels under ("levels", alphabet, vectors, width), so on one
-memo each level is built once.  The
+keeps the levels, with the blocks of the last one, under ("levels",
+alphabet, vectors, width), so on one memo each level is built once.  The
 probe proves a sumset realized by a product of two realizers whose length
 set is the sumset; it reads a level above its collection bound only for a
 sumset no such product proves.  Length sets are bitmasks inside the sweeps
@@ -29,7 +29,7 @@ from itertools import chain, combinations_with_replacement, islice
 
 from .errors import ArgumentError
 from .factorizations import PackedAtoms, _lengths, _mask, _members
-from .invariants import _levels, delta_of_set
+from .invariants import delta_of_set
 from .presets import parse_preset
 
 
@@ -98,18 +98,22 @@ def _length_masks(atomset, count, memo=None):
     is in G0, each mask m of level i - 1 is also on level i as m << 1,
     realized by the first block of m times 0.
 
-    ``memo`` keeps the levels built so far, with the ``_levels`` generator
-    that builds the next, under ("levels", alphabet, vectors, width): a
-    later sweep of the same atoms at the same packing width reads those
-    levels and builds only the ones above them, each once."""
+    ``memo`` keeps [levels built, the set of zero-free blocks of the last
+    one] under ("levels", alphabet, vectors, width), starting from
+    [[], {0}]: a later sweep of the same atoms at the same packing width
+    reads those levels and builds only the ones above them, each once,
+    each set of blocks from the one below."""
     memo = {} if memo is None else memo
     packed = PackedAtoms.for_products(atomset, count, memo)
-    key = ("levels", atomset.alphabet, atomset.vectors, packed.width)
-    levels, blocks = memo.setdefault(key, ([], _levels(packed.nonzero())))
+    atoms = packed.nonzero()
+    kept = memo.setdefault(("levels", atomset.alphabet, atomset.vectors, packed.width), [[], {0}])
+    levels = kept[0]
     for i in range(count + 1):
         if i == len(levels):
+            if levels:
+                kept[1] = {b + a for b in kept[1] for a in atoms}
             level = {}
-            for b in next(blocks):
+            for b in kept[1]:
                 level.setdefault(_lengths(packed, b), []).append(b)
             if packed.zero is not None and levels:
                 zero = 1 << packed.zero[1]

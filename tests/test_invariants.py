@@ -4,7 +4,7 @@ catenary, absolute irreducibility.  The two union engines are cross-checked.
 
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, islice, product
 from math import comb, gcd, prod
 
 import os
@@ -960,64 +960,73 @@ def test_delta_set_stops_at_the_omega_ceiling_on_small_alphabets(alphabet):
     [((-5, -4, -1, 1, 4, 5), 9, {1, 3, 4, 5, 6, 7}), ((-7, -6, 3, 4), 7, {1, 3, 4, 5})],
 )
 def test_delta_set_stops_on_the_level_that_fills_the_ceiling(values, omega_h, level_2, monkeypatch):
-    """Over these subsets of Z the gap 2 first appears on level 3, after
-    every other gap of [1, omega(H) - 2]: the sweep reads level 3, and
-    builds no level after it."""
+    """Over these subsets of Z the gap 2 first appears among the products
+    of three atoms, after every other gap of [1, omega(H) - 2]: the sweep
+    reads products of three atoms, and none of four."""
     atomset = enumerate_atoms(int_alphabet(*values))
     assert monoid_omega(atomset).value == omega_h
     assert delta_set(atomset, 2).value == frozenset(level_2)
     _check_delta_ceiling(atomset)
-    read = []
-    sweep = invariants._levels
-
-    def counted(*args):
-        for level in sweep(*args):
-            read.append(level)
-            yield level
-
-    monkeypatch.setattr(invariants, "_levels", counted)
+    read, _ = _count_delta_work(monkeypatch)
     assert delta_set(atomset, 6).value == frozenset(range(1, omega_h - 1))
-    assert len(read) == 4
+    assert read == [2, 3]
 
 
 def _count_delta_work(monkeypatch):
-    """(the sizes of the levels read from ``invariants._levels``, the blocks
-    passed to ``invariants._lengths``), recorded from now on."""
+    """(the numbers k of atoms that ``invariants`` passes to
+    ``combinations_with_replacement``, the blocks passed to
+    ``invariants._lengths``), recorded from now on."""
     read, factored = [], []
-    real_levels, real_lengths = invariants._levels, invariants._lengths
+    real_multisets, real_lengths = invariants.combinations_with_replacement, invariants._lengths
 
-    def levels(atoms):
-        for blocks in real_levels(atoms):
-            read.append(len(blocks))
-            yield blocks
+    def multisets(atoms, k):
+        read.append(k)
+        return real_multisets(atoms, k)
 
     def lengths(packed, block):
         factored.append(block)
         return real_lengths(packed, block)
 
-    monkeypatch.setattr(invariants, "_levels", levels)
+    monkeypatch.setattr(invariants, "combinations_with_replacement", multisets)
     monkeypatch.setattr(invariants, "_lengths", lengths)
     return read, factored
 
 
 def test_delta_set_stops_inside_the_level_that_fills_the_ceiling(monkeypatch):
-    """On cyclic:8, omega(H) = 8 and the gaps fill [1, 6] after 109 of the
-    1,571 blocks of level 2: the last block factored is the one that fills
-    the ceiling, and no level past 2 is built.  On frt_t:1, omega(H) = 1
-    and the ceiling is empty, so the sweep builds no level and factors no
-    block."""
+    """On cyclic:8, omega(H) = 8 and the gaps fill [1, 6] after 30 of the
+    products of two atoms: the last block factored is the one that fills
+    the ceiling, and no product of three atoms is read.  On frt_t:1,
+    omega(H) = 1 and the ceiling is empty, so the sweep reads no product
+    and factors no block."""
     atomset = enumerate_atoms(parse_preset("cyclic:8").alphabet)
     read, factored = _count_delta_work(monkeypatch)
     assert delta_set(atomset, 4, {}).value == frozenset(range(1, 7))
-    assert len(read) == 3 and read[2] == 1571 and len(factored) < 1571
+    assert read == [2] and len(factored) == 30
     packed = PackedAtoms.for_products(atomset, 4)
     gaps = [delta_of_set(_members(_lengths(packed, b))) for b in factored]
-    assert frozenset().union(*gaps[:-1]) != frozenset().union(*gaps)
+    assert frozenset().union(*gaps[:-1]) != frozenset().union(*gaps) == frozenset(range(1, 7))
     atomset = enumerate_atoms(parse_preset("frt_t:1").alphabet)
     read.clear()
     factored.clear()
     assert delta_set(atomset, 4, {}).value == frozenset()
     assert read == [] and factored == []
+
+
+@pytest.mark.parametrize("token, blocks", [("cube:3", 6), ("cyclic:8", 30), ("cyclic:9", 40)])
+def test_delta_set_reads_the_largest_atoms_first(token, blocks, monkeypatch):
+    """Delta takes the products of two atoms largest |u| first, so the gaps
+    fill [1, omega(H) - 2] after a few blocks; read in the order of a set
+    of all products, they filled it after 192 blocks of cube:3, 109 of
+    cyclic:8 and 161 of cyclic:9.  The blocks factored are the first
+    multisets of two of the sorted atoms."""
+    atomset = enumerate_atoms(parse_preset(token).alphabet)
+    ceiling = frozenset(range(1, monoid_omega(atomset).value - 1))
+    packed = PackedAtoms.for_products(atomset, 4)
+    atoms = sorted(packed.nonzero(), key=packed.total, reverse=True)
+    factored, real_lengths = [], invariants._lengths
+    monkeypatch.setattr(invariants, "_lengths", lambda packed, block: factored.append(block) or real_lengths(packed, block))
+    assert delta_set(atomset, 4, {}).value == ceiling
+    assert factored == [a + b for a, b in islice(combinations_with_replacement(atoms, 2), blocks)]
 
 
 def _check_orbit_searches(atomset):

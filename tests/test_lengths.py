@@ -1,5 +1,6 @@
 """Closed-form length-set families and the additive-closure probe."""
 
+from collections.abc import Iterator
 from itertools import combinations
 
 import pytest
@@ -14,10 +15,17 @@ from krull_arith import (
     c4_set_interval,
     collect_length_sets,
     delta_of_set,
+    delta_set,
+    delta_star,
+    elasticity,
     enumerate_atoms,
     is_length_set_realized,
     member,
+    monoid_catenary,
+    monoid_omega,
+    monoid_tame,
     sumset,
+    union_profiles,
 )
 from krull_arith import lengths
 from krull_arith.errors import ArgumentError
@@ -287,39 +295,24 @@ def test_closure_probe_proves_sumsets_by_realizer_products(monkeypatch, token):
     assert len(calls) <= 150
 
 
-def _count_sweep_work(monkeypatch):
-    """{"levels": levels of blocks built, "lengths": ``_lengths`` calls}
-    of the sweeps in ``lengths``, counted from now on."""
-    counts = {"levels": 0, "lengths": 0}
-    real_levels, real_lengths = lengths._levels, lengths._lengths
-
-    def levels(atoms):
-        for blocks in real_levels(atoms):
-            counts["levels"] += 1
-            yield blocks
-
-    def counted_lengths(packed, block):
-        counts["lengths"] += 1
-        return real_lengths(packed, block)
-
-    monkeypatch.setattr(lengths, "_levels", levels)
-    monkeypatch.setattr(lengths, "_lengths", counted_lengths)
-    return counts
+def _kept_levels(memo, atomset):
+    """The levels of ``lengths._length_masks`` built so far on ``memo`` at
+    packing width 8, as its ("levels", ...) entry keeps them."""
+    return memo["levels", atomset.alphabet, atomset.vectors, 8][0]
 
 
-def test_closure_probe_adds_no_memo_entries_to_the_collection(monkeypatch, cyclic5_atoms):
+def test_closure_probe_adds_no_memo_entries_to_the_collection(cyclic5_atoms):
     """The probe reads the levels that collection swept, so after
     ``collect_length_sets`` on the same memo it computes no new length set
     and builds none of levels 0 to 4 again; a sweep of its own over the
     atom 0 would add 587 blocks that hold 0.  Both pack at width 8, and the
     length table of that width is ``memo[(alphabet, 8)]``."""
-    counts = _count_sweep_work(monkeypatch)
     memo = {}
     collect_length_sets(cyclic5_atoms, 4, memo)
-    table = memo[cyclic5_atoms.alphabet, 8]
-    assert len(table) == 1442 and counts["levels"] == 5
+    table, levels = memo[cyclic5_atoms.alphabet, 8], _kept_levels(memo, cyclic5_atoms)
+    assert len(table) == 1442 and len(levels) == 5
     additive_closure_probe(cyclic5_atoms, 4, memo)
-    assert len(table) == 1442 and counts["levels"] == 5
+    assert len(table) == 1442 and len(levels) == 5
 
 
 def test_realizer_reads_the_kept_sweep(monkeypatch, cyclic5_atoms):
@@ -329,13 +322,38 @@ def test_realizer_reads_the_kept_sweep(monkeypatch, cyclic5_atoms):
     memo gives the same answers, and a set with minimum 7 is None."""
     memo = {}
     assert is_length_set_realized(cyclic5_atoms, {6, 7, 8}, 6, memo) is True
-    counts = _count_sweep_work(monkeypatch)
+    levels = _kept_levels(memo, cyclic5_atoms)
+    assert len(levels) == 7
+    calls = []
+    real_lengths = lengths._lengths
+    monkeypatch.setattr(lengths, "_lengths", lambda packed, block: calls.append(block) or real_lengths(packed, block))
     candidates = [frozenset(t) for r in range(1, 4) for t in combinations(range(10), r) if min(t) <= 6]
     answers = {t: is_length_set_realized(cyclic5_atoms, t, 6, memo) for t in candidates}
     collected = collect_length_sets(cyclic5_atoms, 6, memo)
     assert answers == {t: t in collected for t in candidates}
     assert is_length_set_realized(cyclic5_atoms, {7, 9}, 6, memo) is None
-    assert counts == {"levels": 0, "lengths": 0}
+    assert len(levels) == 7 and calls == []
+
+
+def test_memo_holds_only_data(cyclic5_atoms):
+    """The sweeps of ``lengths`` and of a report, run on one memo, leave in
+    it only data: no value is an iterator, and no item of a tuple or list
+    value is one, so the memo can be copied, compared and read again."""
+    memo = {}
+    collect_length_sets(cyclic5_atoms, 3, memo)
+    additive_closure_probe(cyclic5_atoms, 3, memo)
+    is_length_set_realized(cyclic5_atoms, {6, 7, 8}, 6, memo)
+    delta_set(cyclic5_atoms, 4, memo)
+    delta_star(cyclic5_atoms, 4, memo, atom_limit=12)
+    union_profiles(cyclic5_atoms, 5, memo)
+    elasticity(cyclic5_atoms, memo=memo)
+    monoid_catenary(cyclic5_atoms, 3, memo)
+    monoid_omega(cyclic5_atoms, memo)
+    monoid_tame(cyclic5_atoms, memo)
+    assert {key[0] for key in memo if isinstance(key[0], str)} == {"levels", "unions", "failed", "omega"}
+    for value in memo.values():
+        items = value if isinstance(value, (tuple, list)) else ()
+        assert not any(isinstance(v, Iterator) for v in (value, *items))
 
 
 def test_negative_bound_is_an_argument_error(cyclic5_atoms):
