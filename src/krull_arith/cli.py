@@ -248,7 +248,7 @@ def _input_options(fn):
 
 @main.command()
 @_input_options
-@click.option("--cap", default=64, show_default=True)
+@click.option("--cap", default=64, type=click.IntRange(min=1), show_default=True)
 @click.pass_context
 def atoms(ctx, p, cap):
     """Enumerate the atoms of B(G0) and the Davenport constant."""
@@ -289,7 +289,7 @@ def factorize_cmd(ctx, p, element):
 @main.command()
 @_input_options
 @click.option("--max-k", default=5, type=click.IntRange(min=0), show_default=True)
-@click.option("--cap", default=64, show_default=True)
+@click.option("--cap", default=64, type=click.IntRange(min=1), show_default=True)
 @click.option("--report", "report_path", default=None, help="Write the report to this path.")
 @click.pass_context
 def invariants(ctx, p, max_k, cap, report_path):

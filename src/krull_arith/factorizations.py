@@ -12,11 +12,13 @@ nonnegative ints is one int with a fixed-width field per entry.
 ``PackedAtoms`` packs blocks that way, one field per alphabet element, so
 that B * u is one addition and the test u | B with the quotient B / u is
 one subtraction and one mask test, and holds every atom of an AtomSet in
-that form, in AtomSet order.  A set of lengths is a bitmask int, bit l set
-for l in L(B).  A factorization inside the kernels is a packed tuple of
-atom counts, whose fields are wide enough for the longest factorization,
-at most |B|/2 for a zero-free B, and not only for each count: then the
-fieldwise minimum gcd(z, z'), |z| and |gcd(z, z')| are a few int
+that form, in AtomSet order.  A memo keeps one PackedAtoms per AtomSet and
+packing width (``PackedAtoms.shared``), and the tables that the sweeps
+derive from its atoms hang on it, so each is built once per memo.  A set
+of lengths is a bitmask int, bit l set for l in L(B).  A factorization
+inside the kernels is a packed tuple of atom counts, whose fields are wide
+enough for the longest factorization, at most |B|/2 for a zero-free B,
+and not only for each count: then the fieldwise minimum gcd(z, z'), |z| and |gcd(z, z')| are a few int
 operations each, and so is d(z, z') = max(|z|, |z'|) - |gcd(z, z')|.
 The kernels use explicit stacks, so their depth is not limited by the
 interpreter's recursion limit.  The length kernels (``_lengths`` and the
@@ -85,6 +87,14 @@ class Factorization:
         return "Factorization(%s)" % (str(self),)
 
 
+def _width(top):
+    """The field width of a ``Packing`` of entries at most ``top``."""
+    width = 8
+    while top >> (width - 1):
+        width *= 2
+    return width
+
+
 class Packing:
     """Tuples of ``length`` nonnegative ints packed into one int, each entry
     in a field of ``width`` bits, the first entry in the highest field, so
@@ -109,11 +119,8 @@ class Packing:
     __slots__ = ("length", "width", "field", "guard", "ones", "shifts")
 
     def __init__(self, length, top):
-        width = 8
-        while top >> (width - 1):
-            width *= 2
+        width = self.width = _width(top)
         self.length = length
-        self.width = width
         self.field = (1 << width) - 1
         self.shifts = [width * (length - 1 - j) for j in range(length)]
         self.ones = sum(1 << s for s in self.shifts)
@@ -178,14 +185,17 @@ class PackedAtoms(Packing):
     (AtomSet index, bit offset) of the atom 0, or None.
     ``pivots[B.bit_length()]`` lists the packed atoms that hold the lowest
     element of a nonzero block B, the element of B's highest nonzero field.
-    ``table``, the memo of length bitmasks, is ``memo[(alphabet, width)]``,
-    so that blocks over other alphabets or packed at other widths never
-    share a table.
+    ``table`` is the memo of length bitmasks.  ``shared`` keeps one
+    instance per memo, AtomSet and width, and the tables derived from the
+    packed atoms hang on it, each built once per memo: ``counts``, the count
+    packings of ``_count_vectors`` by (length, width); ``levels``, of
+    ``lengths._length_masks``; ``failed`` and ``pairs``, of the union
+    search; and ``moves``, of ``invariants._least_of_orbits``.
     """
 
-    __slots__ = ("atoms", "zero", "pivots", "table")
+    __slots__ = ("atoms", "zero", "pivots", "table", "counts", "levels", "failed", "pairs", "moves")
 
-    def __init__(self, atomset, top, memo=None):
+    def __init__(self, atomset, top, table=None):
         vectors = atomset.vectors
         super().__init__(len(atomset.alphabet), max(top, max(map(max, vectors), default=0)))
         width = self.width
@@ -193,13 +203,40 @@ class PackedAtoms(Packing):
         self.zero = next(((i, self.shifts[v.index(1)]) for i, v in enumerate(vectors) if sum(v) == 1), None)
         holding = [[u for u, v in zip(self.atoms, vectors) if v[j]] for j in range(self.length)]
         self.pivots = [()] + [held for held in reversed(holding) for _ in range(width)]
-        self.table = {0: 1} if memo is None else memo.setdefault((atomset.alphabet, width), {0: 1})
+        self.table = {0: 1} if table is None else table
+        # [levels built, zero-free blocks of the last one]
+        self.levels = [[], {0}]
+        self.counts, self.failed, self.pairs, self.moves = {}, {}, None, None
+
+    @classmethod
+    def shared(cls, atomset, top, memo=None):
+        """The PackedAtoms of ``atomset`` whose fields hold ``top``: a new one
+        without a memo, else the one ``memo`` keeps under ("packed",
+        alphabet, vectors, width).  Its length table is
+        ``memo[(alphabet, width)]``, which a restricted AtomSet shares with
+        its parent, and blocks over other alphabets or widths never share."""
+        if memo is None:
+            return cls(atomset, top)
+        width = _width(max(top, max(map(max, atomset.vectors), default=0)))
+        key = ("packed", atomset.alphabet, atomset.vectors, width)
+        packed = memo.get(key)
+        if packed is None:
+            packed = memo[key] = cls(atomset, top, memo.setdefault((atomset.alphabet, width), {0: 1}))
+        return packed
 
     @classmethod
     def for_products(cls, atomset, count, memo=None):
         """Packed wide enough for every product of at most ``count`` atoms."""
         top = max((max(v) for v in atomset.vectors), default=0)
-        return cls(atomset, count * top, memo)
+        return cls.shared(atomset, count * top, memo)
+
+    def counting(self, length, top):
+        """The ``Packing`` of ``length`` counts up to ``top``, one per length and width."""
+        key = length, _width(top)
+        counts = self.counts.get(key)
+        if counts is None:
+            counts = self.counts[key] = Packing(length, top)
+        return counts
 
     def nonzero(self):
         """The packed atoms other than the atom 0."""
@@ -255,7 +292,7 @@ def _count_vectors(packed, block, floor=0):
     table, guards, width = packed.table, packed.guard, packed.width
     held = block | guards
     positions = [p for p, u in enumerate(packed.atoms) if (held - u) & guards == guards]
-    counts = Packing(len(positions), sum(packed.unpack(block)) // 2)
+    counts = packed.counting(len(positions), sum(packed.unpack(block)) // 2)
     # starting[f]: (atom, its unit count) for the atoms whose lowest element is in field f, from the least significant.
     starting = [[] for _ in range(packed.length)]
     for u, s in zip(map(packed.atoms.__getitem__, positions), counts.shifts):
@@ -318,7 +355,7 @@ def _checked(atomset, block, atom=False):
 def _packed(atomset, block, memo=None):
     """(PackedAtoms fitted to the checked block, the packed block)."""
     mults = _checked(atomset, block)
-    packed = PackedAtoms(atomset, max(mults, default=0), memo)
+    packed = PackedAtoms.shared(atomset, max(mults, default=0), memo)
     return packed, packed.pack(mults)
 
 
@@ -378,9 +415,10 @@ def lengths_of(atomset, block, memo=None):
     """The set of lengths L(B) = {|z| : z in Z(B)}, as a frozenset.
 
     ``memo`` is a dict the kernels fill: for each alphabet and packing width,
-    a table from packed blocks to length bitmasks.  It may be shared across
-    blocks and alphabets, as long as each alphabet keeps one atom set or atom
-    sets restricted from it by ``AtomSet.restrict``.
+    a table from packed blocks to length bitmasks, and for each atom set and
+    width, its ``PackedAtoms``.  It may be shared across blocks and
+    alphabets, as long as each alphabet keeps one atom set or atom sets
+    restricted from it by ``AtomSet.restrict``.
     """
     return _members(_lengths(*_packed(atomset, block, memo)))
 

@@ -70,13 +70,16 @@ c_eq(B) and c_adj(B) are at most max L(B), and c_adj(B) = 0 when
 A block that can raise only c_eq, its lengths at most the running c and
 one or at most the running c_adj, is factored only above the running c_eq
 (``_count_vectors`` at that floor): c and c_adj stay as they are, and
-every length class above c_eq is complete.
+every length class above c_eq is complete.  A block with one listed
+factorization raises no maximum, so ``_catenary_maxima`` skips it.
 
 A shared memo keeps, besides the length table of each alphabet and width,
 what the sweeps build, so that a later call picks up where an earlier one
-stopped: U_1, U_2, ... of ``union_profiles`` under ("unions", alphabet,
-vectors); the failed table of the union search under ("failed", alphabet,
-vectors, width); and omega(H), which the Delta ceiling reads, under
+stopped: the one ``PackedAtoms`` of each atom set and width under
+("packed", alphabet, vectors, width), on which hang the union search's
+pair tables and failed table and the unit-map moves of
+``_least_of_orbits``; U_1, U_2, ... of ``union_profiles`` under ("unions",
+alphabet, vectors); and omega(H), which the Delta ceiling reads, under
 ("omega", alphabet, vectors).  Each key holds the atom vectors, so a
 restricted AtomSet never shares an entry with its parent.
 """
@@ -352,9 +355,27 @@ def _reaches(packed, mirror, block, mirrored, target, failed):
     return False
 
 
+def _pair_tables(packed, atomset):
+    """(mirror, sizes, atoms, grows) of the union search, kept on ``packed``
+    as ``packed.pairs``: m(u) for each packed atom, and the atoms of size at
+    least 2, largest first, with their sizes and ``grows``."""
+    if packed.pairs is None:
+        # m moves field g to field -g when g(-g) (g^2 if 2g = 0) is an atom, and drops the rest.
+        partner = _partners(atomset)
+        mirror = {u: packed.pack([v[partner[j]] if j in partner else 0 for j in range(len(v))])
+                  for u, v in zip(packed.atoms, atomset.vectors)}
+        by_size = sorted(((sum(v), u) for v, u in zip(atomset.vectors, packed.atoms) if sum(v) > 1), reverse=True)
+        # grows[t] bounds what one of the atoms t, t + 1, ... adds to 2|B| + P2(B).
+        grows = list(accumulate((2 * s + 2 * packed.total(mirror[u]) for s, u in reversed(by_size)), max))[::-1]
+        packed.pairs = mirror, [s for s, _ in by_size], [u for _, u in by_size], grows
+    return packed.pairs
+
+
 def _union_by_enumeration(atomset, k, memo, lower=()):
-    """[U_1, ..., U_k] as bitmasks, each U_i from U_1, ..., U_{i-1} by
-    threshold tests, starting after the given U_1, ..., U_j (``lower``).
+    """[U_1, ..., U_k] as bitmasks, k >= 1, each U_i from U_1, ..., U_{i-1}
+    by threshold tests, starting after the given U_1, ..., U_j (``lower``).
+    U_1 = {1} needs no test: 1 in L(B) makes B an atom, whose only length
+    is 1.
 
     ``_witnessed`` proves U_i up to i and every length of a product with the
     atom 0, so with (i, c] the run of proved lengths above i, a product B of
@@ -366,21 +387,14 @@ def _union_by_enumeration(atomset, k, memo, lower=()):
     branch that cannot reach c + 1, and hands each product left to
     ``_reaches``, which answers a product met again from the memo or from
     ``failed``.  A memo hit below c + 1 adds nothing: its lengths up to i
-    are witnessed and those in (i, c] are proved.  ``memo`` keeps
-    ``failed`` under ("failed", alphabet, vectors, width), since its
-    packed blocks are read at one packing width."""
+    are witnessed and those in (i, c] are proved.  ``failed`` and the pair
+    tables hang on the ``PackedAtoms`` that ``memo`` keeps, since its packed
+    blocks are read at one packing width."""
     # The fields hold |B| <= kD, so ``Packing.total`` is exact.
-    packed = PackedAtoms(atomset, k * atomset.davenport(), memo)
-    # m moves field g to field -g when g(-g) (g^2 if 2g = 0) is an atom, and drops the rest.
-    partner = _partners(atomset)
-    mirror = {u: packed.pack([v[partner[j]] if j in partner else 0 for j in range(len(v))])
-              for u, v in zip(packed.atoms, atomset.vectors)}
-    by_size = sorted(((sum(v), u) for v, u in zip(atomset.vectors, packed.atoms) if sum(v) > 1), reverse=True)
-    sizes, atoms = [s for s, _ in by_size], [u for _, u in by_size]
-    # grows[t] bounds what one of the atoms t, t + 1, ... adds to 2|B| + P2(B).
-    grows = list(accumulate((2 * s + 2 * packed.total(mirror[u]) for s, u in reversed(by_size)), max))[::-1]
-    failed = memo.setdefault(("failed", atomset.alphabet, atomset.vectors, packed.width), {})
-    unions = list(lower)
+    packed = PackedAtoms.shared(atomset, k * atomset.davenport(), memo)
+    mirror, sizes, atoms, grows = _pair_tables(packed, atomset)
+    failed = packed.failed
+    unions = list(lower) or [1 << 1]
     for i in range(len(unions) + 1, k + 1):
         proved = _witnessed(unions, i)
         # (product, its mirror, its size, least index it may still take, atoms left)
@@ -593,7 +607,7 @@ def monoid_omega(atomset, memo=None):
     key = ("omega", atomset.alphabet, atomset.vectors)
     if memo is not None and key in memo:
         return memo[key]
-    packed = PackedAtoms.for_products(atomset, atomset.davenport())
+    packed = PackedAtoms.for_products(atomset, atomset.davenport(), memo)
     best = 0
     for u in sorted(_least_of_orbits(packed, atomset.alphabet, packed.atoms), key=packed.total, reverse=True):
         if packed.total(u) <= best:
@@ -616,9 +630,13 @@ def _least_of_orbits(packed, alphabet, blocks):
     """The least of each orbit in ``blocks``, a union of orbits of the group
     of unit maps of ``alphabet`` that send the packed nonzero atoms onto
     themselves (a restricted AtomSet can be kept by fewer maps than its
-    alphabet): the blocks that no such map sends to a smaller packed int."""
-    keys = {packed.key(u) for u in packed.nonzero()}
-    moves = [move for move in map(packed.mover, alphabet.unit_maps()) if all(bytes(move(k)) in keys for k in keys)]
+    alphabet): the blocks that no such map sends to a smaller packed int.
+    The maps' moves on packed keys are kept on ``packed`` as ``packed.moves``."""
+    if packed.moves is None:
+        keys = {packed.key(u) for u in packed.nonzero()}
+        packed.moves = [move for move in map(packed.mover, alphabet.unit_maps())
+                        if all(bytes(move(k)) in keys for k in keys)]
+    moves = packed.moves
     keyed = ((b, packed.key(b)) for b in blocks)
     return [b for b, key in keyed if not any(bytes(move(key)) < key for move in moves)]
 
@@ -643,7 +661,9 @@ def monoid_catenary(atomset, bound, memo=None):
         if others or top > c_eq:
             # A block that can raise only c_eq needs only its factorizations longer than c_eq.
             _, _, counts, zs = _count_vectors(packed, b, 0 if others else c_eq)
-            c, c_eq, c_adj = _catenary_maxima(counts, zs, c, c_eq, c_adj)
+            # One listed factorization raises no maximum.
+            if len(zs) > 1:
+                c, c_eq, c_adj = _catenary_maxima(counts, zs, c, c_eq, c_adj)
     value = {"catenary": c, "equal": c_eq, "adjacent": c_adj, "monotone": max(c_eq, c_adj)}
     return BoundedResult(value, False, bound, "product-sweep")
 

@@ -13,12 +13,12 @@ distance value.
 Collection, realization and the closure probe read the levels of
 ``_length_masks``, one per number of atoms, in order: each maps a length
 bitmask to blocks that realize it, and a set with minimum m is realized
-exactly when it is the length set of a product of m atoms.  The memo
-keeps the levels, with the blocks of the last one, under ("levels",
-alphabet, vectors, width), so on one memo each level is built once.  The
-probe proves a sumset realized by a product of two realizers whose length
-set is the sumset; it reads a level above its collection bound only for a
-sumset no such product proves.  Length sets are bitmasks inside the sweeps
+exactly when it is the length set of a product of m atoms.  The levels,
+with the blocks of the last one, hang on the one ``PackedAtoms`` that the
+memo keeps for the atoms and packing width, so on one memo each level is
+built once.  The probe proves a sumset realized by a product of two
+realizers whose length set is the sumset; it reads a level above its
+collection bound only for a sumset no such product proves.  Length sets are bitmasks inside the sweeps
 and frozensets in what the functions return.
 """
 
@@ -98,15 +98,14 @@ def _length_masks(atomset, count, memo=None):
     is in G0, each mask m of level i - 1 is also on level i as m << 1,
     realized by the first block of m times 0.
 
-    ``memo`` keeps [levels built, the set of zero-free blocks of the last
-    one] under ("levels", alphabet, vectors, width), starting from
-    [[], {0}]: a later sweep of the same atoms at the same packing width
-    reads those levels and builds only the ones above them, each once,
-    each set of blocks from the one below."""
-    memo = {} if memo is None else memo
+    The levels hang on the ``PackedAtoms`` that ``memo`` keeps
+    (``packed.levels``: [levels built, the set of zero-free blocks of the
+    last one], starting from [[], {0}]): a later sweep of the same atoms at
+    the same packing width reads those levels and builds only the ones
+    above them, each once, each set of blocks from the one below."""
     packed = PackedAtoms.for_products(atomset, count, memo)
     atoms = packed.nonzero()
-    kept = memo.setdefault(("levels", atomset.alphabet, atomset.vectors, packed.width), [[], {0}])
+    kept = packed.levels
     levels = kept[0]
     for i in range(count + 1):
         if i == len(levels):

@@ -15,9 +15,10 @@ from .groups import GroupElement, GroupSpec, congruence
 
 
 class Alphabet:
-    """An ordered set G0 of distinct group elements."""
+    """An ordered set G0 of distinct group elements.  An alphabet never
+    changes, so its negation table and unit maps are computed once."""
 
-    __slots__ = ("spec", "elements", "_index")
+    __slots__ = ("spec", "elements", "_index", "_negation", "_unit_maps")
 
     def __init__(self, spec, elements):
         elements = sorted(elements, key=lambda g: g.key())
@@ -29,6 +30,9 @@ class Alphabet:
         self._index = {g: i for i, g in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
             raise AlphabetError("duplicate alphabet elements")
+        negation = tuple(self._index.get(-g) for g in self.elements)
+        self._negation = None if None in negation else negation
+        self._unit_maps = None
 
     def __len__(self):
         return len(self.elements)
@@ -46,14 +50,8 @@ class Alphabet:
             raise AlphabetError("%s is not in the alphabet" % g) from None
 
     def negation_table(self):
-        """Index map i -> index of -element[i], or None if not closed."""
-        table = []
-        for g in self.elements:
-            j = self._index.get(-g)
-            if j is None:
-                return None
-            table.append(j)
-        return table
+        """Index map i -> index of -element[i], as a tuple, or None if not closed."""
+        return self._negation
 
     def is_symmetric(self):
         return self.negation_table() is not None
@@ -77,9 +75,14 @@ class Alphabet:
         >>> Alphabet(spec, [spec.element(torsion=(i,)) for i in range(5)]).unit_maps()
         [(0, 2, 4, 1, 3), (0, 3, 1, 4, 2), (0, 4, 3, 2, 1)]
         """
+        if self._unit_maps is None:
+            self._unit_maps = self._find_unit_maps()
+        return self._unit_maps
+
+    def _find_unit_maps(self):
         if self.spec.free_rank:
-            table = self.negation_table()
-            return [tuple(table)] if table and table != list(range(len(self))) else []
+            table = self._negation
+            return [table] if table and table != tuple(range(len(self))) else []
         nonzero = sorted((g for g in self.elements if not g.is_zero()), key=lambda g: -g.order())
         classes = [(0, 1)]
         for g in nonzero:

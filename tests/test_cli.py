@@ -729,6 +729,17 @@ def test_negative_max_k_is_a_usage_error(runner, tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["atoms", "invariants"])
+def test_cap_below_one_is_a_usage_error(runner, tmp_path, command):
+    """A cap of 0 admits no atom, which is no fault of the input, so it is
+    refused before any atom is enumerated, and nothing is cached."""
+    result = runner.invoke(main, ["--cache-dir", str(tmp_path), command, "--preset", "cyclic:5", "--cap", "0"])
+    assert result.exit_code == 2
+    assert "Usage:" in result.output and "--cap" in result.output
+    assert "exceeded" not in result.output
+    assert not any(tmp_path.iterdir())
+
+
 def test_global_bound_reaches_the_report(runner, tmp_path):
     result = runner.invoke(
         main, ["--cache-dir", str(tmp_path), "--bound", "3", "invariants", "--preset", "cube:2"]

@@ -546,7 +546,8 @@ def test_packing_matches_tuple_arithmetic(data):
 
 def test_multiplicities_past_two_to_the_fifteen():
     """Over Z/3, g^99999 = (g^3)^33333 has one factorization; the block and
-    a small one share a memo, each in the table of its own width."""
+    a small one share a memo, each in the table of its own width, packed by
+    the one packed atom set the memo keeps for that width."""
     atomset = enumerate_atoms(cyclic_alphabet(3))
     g = atomset.alphabet.spec.element(torsion=(1,))
     block = atomset.alphabet.sequence([(g, 99_999)])
@@ -555,7 +556,8 @@ def test_multiplicities_past_two_to_the_fifteen():
     memo = {}
     assert lengths_of(atomset, block, memo) == frozenset((33_333,))
     assert lengths_of(atomset, atomset.alphabet.sequence([(g, 3), (2 * g, 3)]), memo) == {2, 3}
-    assert sorted(width for _, width in memo) == [8, 32]
+    assert sorted(key[1] for key in memo if key[0] == atomset.alphabet) == [8, 32]
+    assert sorted(key[3] for key in memo if key[0] == "packed") == [8, 32]
     with_zeros = block * atomset.alphabet.sequence([(0 * g, 40_000), (g, 1), (2 * g, 1)])
     assert lengths_of(atomset, with_zeros, memo) == frozenset((73_334,))
     assert catenary_profile(atomset, with_zeros).lengths == (73_334,)

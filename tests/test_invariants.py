@@ -215,9 +215,10 @@ def test_union_search_sends_few_products_to_lengths(monkeypatch):
     """On C6 the witnesses prove U_5 up to [2, 13], so only products of five
     atoms with max L(B) >= 14 can add a member.  For U_1, ..., U_5 the full
     level sweep sends 10,559 products to ``_lengths`` and the size floor
-    |B| >= 2 max L(B) alone 121; the pair ceiling leaves 58 products for the
-    reach test, and 9 of them reach ``_lengths``.  On C7 (U_5 = [2, 15]) a
-    ceiling looser by 2/6 would test 1,491 products, not 954."""
+    |B| >= 2 max L(B) alone 121; the pair ceiling leaves 48 products for the
+    reach test, and 9 of them reach ``_lengths``.  U_1 = {1} is taken as
+    proved, so no single atom is tested.  On C7 (U_5 = [2, 15]) a ceiling
+    looser by 2/6 would test 1,455 products, not 918."""
     calls = {}
 
     def counting(name):
@@ -231,7 +232,7 @@ def test_union_search_sends_few_products_to_lengths(monkeypatch):
 
     for name in ("_lengths", "_reaches"):
         monkeypatch.setattr(invariants, name, counting(name))
-    for n, reaches, lengths in [(6, 58, 9), (7, 954, 33)]:
+    for n, reaches, lengths in [(6, 48, 9), (7, 918, 33)]:
         calls.update(_lengths=0, _reaches=0)
         profiles = union_profiles(enumerate_atoms(build_preset("cyclic", n).alphabet), 5)
         assert [u.method for u in profiles] == ["enum"] * 5

@@ -1,10 +1,13 @@
 """Closed-form length-set families and the additive-closure probe."""
 
+from collections import Counter
 from collections.abc import Iterator
 from itertools import combinations
 
 import pytest
-from conftest import closure_probe_by_levels
+from conftest import closure_probe_by_levels, small_alphabets
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from krull_arith import (
     Alphabet,
@@ -21,16 +24,19 @@ from krull_arith import (
     enumerate_atoms,
     is_length_set_realized,
     member,
+    min_abs_irred_witness,
     monoid_catenary,
     monoid_omega,
     monoid_tame,
     sumset,
     union_profiles,
+    unions,
 )
 from krull_arith import lengths
+from krull_arith.cli import run_invariants
 from krull_arith.errors import ArgumentError
 from krull_arith.factorizations import PackedAtoms
-from krull_arith.presets import parse_preset
+from krull_arith.presets import build_preset, parse_preset
 
 
 def test_sumset_and_delta():
@@ -297,8 +303,8 @@ def test_closure_probe_proves_sumsets_by_realizer_products(monkeypatch, token):
 
 def _kept_levels(memo, atomset):
     """The levels of ``lengths._length_masks`` built so far on ``memo`` at
-    packing width 8, as its ("levels", ...) entry keeps them."""
-    return memo["levels", atomset.alphabet, atomset.vectors, 8][0]
+    packing width 8, as the packed atom set that ``memo`` keeps holds them."""
+    return memo["packed", atomset.alphabet, atomset.vectors, 8].levels[0]
 
 
 def test_closure_probe_adds_no_memo_entries_to_the_collection(cyclic5_atoms):
@@ -338,7 +344,8 @@ def test_realizer_reads_the_kept_sweep(monkeypatch, cyclic5_atoms):
 def test_memo_holds_only_data(cyclic5_atoms):
     """The sweeps of ``lengths`` and of a report, run on one memo, leave in
     it only data: no value is an iterator, and no item of a tuple or list
-    value is one, so the memo can be copied, compared and read again."""
+    value is one, so the memo can be copied, compared and read again.  The
+    same holds for the tables that hang on each packed atom set it keeps."""
     memo = {}
     collect_length_sets(cyclic5_atoms, 3, memo)
     additive_closure_probe(cyclic5_atoms, 3, memo)
@@ -350,10 +357,93 @@ def test_memo_holds_only_data(cyclic5_atoms):
     monoid_catenary(cyclic5_atoms, 3, memo)
     monoid_omega(cyclic5_atoms, memo)
     monoid_tame(cyclic5_atoms, memo)
-    assert {key[0] for key in memo if isinstance(key[0], str)} == {"levels", "unions", "failed", "omega"}
-    for value in memo.values():
+    assert {key[0] for key in memo if isinstance(key[0], str)} == {"packed", "unions", "omega"}
+    packed = [value for key, value in memo.items() if key[0] == "packed"]
+    tables = [getattr(p, name) for p in packed for name in ("counts", "levels", "failed", "pairs", "moves")]
+    for value in [*memo.values(), *tables]:
         items = value if isinstance(value, (tuple, list)) else ()
         assert not any(isinstance(v, Iterator) for v in (value, *items))
+
+
+def _count_builds(monkeypatch):
+    """Counters of the ``PackedAtoms`` built, by (atom vectors, width), and
+    of the unit-map searches, by alphabet."""
+    built, searched = Counter(), Counter()
+    real_init, real_find = PackedAtoms.__init__, Alphabet._find_unit_maps
+
+    def counted_init(self, atomset, top, table=None):
+        real_init(self, atomset, top, table)
+        built[atomset.vectors, self.width] += 1
+
+    def counted_find(self):
+        searched[self] += 1
+        return real_find(self)
+
+    monkeypatch.setattr(PackedAtoms, "__init__", counted_init)
+    monkeypatch.setattr(Alphabet, "_find_unit_maps", counted_find)
+    return built, searched
+
+
+def test_report_builds_its_tables_once(monkeypatch):
+    """A report of cyclic:6 packs its atoms once, at width 8, though Delta,
+    Delta*, the unions, the catenary sweep, omega and tame all read them,
+    and searches the unit maps of its alphabet once; a later read of them
+    searches nothing."""
+    preset = build_preset("cyclic", 6)
+    vectors = enumerate_atoms(preset.alphabet).vectors
+    built, searched = _count_builds(monkeypatch)
+    run_invariants(preset)
+    assert built == {(vectors, 8): 1}
+    assert searched == {preset.alphabet: 1}
+    assert preset.alphabet.unit_maps() == preset.alphabet.unit_maps()
+    assert searched == {preset.alphabet: 1}
+
+
+def test_length_sweeps_and_unions_build_their_tables_once(monkeypatch):
+    """Collection, the closure probe and U_1, ..., U_5 of cyclic:6 asked one
+    k at a time, on one memo, share one packed atom set, and search no unit
+    map."""
+    atomset = enumerate_atoms(build_preset("cyclic", 6).alphabet)
+    built, searched = _count_builds(monkeypatch)
+    memo = {}
+    collect_length_sets(atomset, 4, memo)
+    additive_closure_probe(atomset, 4, memo)
+    for k in range(1, 6):
+        unions(atomset, k, memo)
+    assert built == {(atomset.vectors, 8): 1}
+    assert not searched
+
+
+def _phases(atomset, memo):
+    """Every phase of a report at small bounds, then collection and the
+    closure probe, all on ``memo``."""
+    return [
+        delta_set(atomset, 3, memo),
+        delta_star(atomset, 3, memo, atom_limit=12),
+        union_profiles(atomset, 4, memo) if atomset.vectors else None,
+        elasticity(atomset, memo=memo),
+        monoid_catenary(atomset, 3, memo),
+        monoid_omega(atomset, memo),
+        monoid_tame(atomset, memo),
+        min_abs_irred_witness(atomset, memo),
+        collect_length_sets(atomset, 3, memo),
+        additive_closure_probe(atomset, 3, memo),
+    ]
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_alphabets(), st.data())
+def test_shared_memo_gives_the_values_of_fresh_ones(alphabet, data):
+    """A restricted piece and then its parent run every phase on one memo,
+    and each value is the one a fresh memo gives: the piece keeps its own
+    packed atom set and the tables on it, and shares only the length
+    table of its alphabet."""
+    atomset = enumerate_atoms(alphabet)
+    assume(atomset.vectors)
+    piece = atomset.restrict(data.draw(st.sets(st.sampled_from(range(len(alphabet))), min_size=1)))
+    memo = {}
+    shared = [_phases(piece, memo), _phases(atomset, memo)]
+    assert shared == [_phases(piece, {}), _phases(atomset, {})]
 
 
 def test_negative_bound_is_an_argument_error(cyclic5_atoms):
